@@ -156,11 +156,12 @@ def cmd_mc(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args)
-    if not (1.0 <= args.lambda_from <= args.lambda_to):
-        raise geom_bounds.LambdaOutOfRange(
-            f"need 1 <= from <= to, got {args.lambda_from}..{args.lambda_to}"
-        )
-    grid = np.linspace(args.lambda_from, args.lambda_to, args.steps)
+    lo, hi = (
+        make_tail_query(spec.mu, lam=v).lam for v in (args.lambda_from, args.lambda_to)
+    )
+    if not (1.0 <= lo <= hi):
+        raise geom_bounds.LambdaOutOfRange(f"need 1 <= from <= to, got {lo}..{hi}")
+    grid = np.linspace(lo, hi, args.steps)
     cfg = montecarlo.McConfig(samples=args.samples, seed=args.seed)
     rows = []
     if args.dist == "geom":
@@ -411,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambda-from", type=float, required=True)
     sweep.add_argument("--lambda-to", type=float, required=True)
     sweep.add_argument("--steps", type=_positive_int, required=True)
-    sweep.add_argument("--format", choices=("csv",), default="csv")
     sweep.add_argument("--samples", type=_positive_int, default=100_000)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--rel-tol", type=float, default=1e-9)

@@ -83,6 +83,12 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> np.ndarray:
     return c
 
 
+def _require_support(K: float) -> None:
+    """Refuse a pmf grid past the support cap before anything is allocated."""
+    if not K <= _MAX_SUPPORT:
+        raise OutOfRange(f"pmf support {K} is past the cap {_MAX_SUPPORT}")
+
+
 def geom_pmf_convolution(spec: GeometricSumSpec, K: int) -> np.ndarray:
     """Exact pmf P(X = k) for k = n..K (the support starts at n)."""
     if K < spec.n:
@@ -110,9 +116,10 @@ def geom_tail_exact(
     """
     if not (0.0 < rel_tol <= 0.1):
         raise OutOfRange(f"rel_tol {rel_tol} not in (0, 0.1]")
-    k0 = max(math.ceil(x), spec.n)
-    if k0 <= spec.n:
+    _require_support(x)
+    if x <= spec.n:
         return TailEstimate(1.0, 0.0, OracleMethod.CONVOLUTION)
+    k0 = math.ceil(x)
 
     pmf = _pmf_grid(spec, k0 - 1)
     head = float(np.sum(pmf[spec.n :]))
@@ -124,8 +131,7 @@ def geom_tail_exact(
     K = k0
     while True:
         K = max(2 * K, k0 + 16)
-        if K > _MAX_SUPPORT:
-            raise RuntimeError(f"pmf support grew past {_MAX_SUPPORT}; tail too deep")
+        _require_support(K)
         grid = _pmf_grid(spec, K)
         partial = float(np.sum(grid[k0:]))
         remainder = _truncation_remainder(spec, K)
@@ -137,9 +143,10 @@ def geom_tail_exact(
 
 def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """P(X <= x) as a direct partial sum of the pmf (no cancellation)."""
-    k1 = math.floor(x)
-    if k1 < spec.n:
+    _require_support(x)
+    if x < spec.n:
         return TailEstimate(0.0, 0.0, OracleMethod.CONVOLUTION)
+    k1 = math.floor(x)
     pmf = _pmf_grid(spec, k1)
     value = float(np.sum(pmf[spec.n :]))
     roundoff = _EPS * (2.0 * k1 + spec.n)
@@ -164,14 +171,22 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
         return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    log_terms = [
-        math.lgamma(m) - math.lgamma(j + 1) - math.lgamma(m - j)
-        + j * log_p + (m - 1 - j) * log_q
+    parts = [
+        (math.lgamma(m), -math.lgamma(j + 1), -math.lgamma(m - j),
+         j * log_p, (m - 1 - j) * log_q)
         for j in range(n)
     ]
+    log_terms = [math.fsum(part) for part in parts]
     value = float(np.exp(logsumexp(log_terms)))
     value = min(value, 1.0)
-    return TailEstimate(value, _EPS * (n + 2) * value, OracleMethod.CLOSED_FORM)
+    # each log term is rounded on the scale of its parts, and exp turns that
+    # absolute error into a relative error of its term
+    exponent = math.fsum(
+        math.exp(lt) * math.fsum(abs(v) for v in part)
+        for lt, part in zip(log_terms, parts)
+    )
+    error = _EPS * ((n + 2) * max(value, 1e-300) + exponent)
+    return TailEstimate(value, error, OracleMethod.CLOSED_FORM)
 
 
 def _pf_weights(rates: tuple[float, ...]) -> list[float]:
@@ -194,8 +209,12 @@ def partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[floa
     weights = _pf_weights(rates)
     terms = [w * math.exp(-a * x) for w, a in zip(weights, rates)]
     value = math.fsum(terms)
-    condition = math.fsum(abs(t) for t in terms)
-    error = _EPS * (len(rates) + 2) * max(condition, 1.0e-300)
+    # n + 2 rounding units per term, plus the relative error eps |a x| that
+    # the rounded exponent -a x carries into its term
+    units = len(rates) + 2
+    error = _EPS * max(
+        math.fsum(abs(t) * (units + a * x) for t, a in zip(terms, rates)), 1.0e-300
+    )
     return min(max(value, 0.0), 1.0), error
 
 

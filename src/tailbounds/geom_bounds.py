@@ -3,14 +3,17 @@
 Closed-form upper bounds for P(X >= lam*mu), an upper bound for the lower
 tail P(X <= lam*mu), a matching lower bound for the upper tail, and two
 numerically optimized variants (a Chernoff exponent minimized over its free
-parameter t, and a generating-function bound minimized over z). Every bound
-is computed in log space and returned as a BoundResult.
+parameter t, and a generating-function bound minimized over z). Both
+objectives are convex, so each optimum is one bracketed root of an
+increasing derivative. Every bound is computed in log space and returned as
+a BoundResult.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 
 from .model import (
@@ -21,14 +24,6 @@ from .model import (
     log_pgf_geometric,
     pgf_pole_gap,
 )
-
-# Optimizer settings: relative interval width target, iteration cap, and the
-# fractional pull-back that keeps search domains away from poles.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_REL_WIDTH = 1e-12
-_MAX_ITER = 200
-_EDGE = 1.0 - 1e-12
-
 
 class Method(str, enum.Enum):
     """Identifiers for every bound this package computes."""
@@ -42,7 +37,6 @@ class Method(str, enum.Enum):
     LEMMA1 = "lemma1"
     OPT_CHERNOFF = "opt-chernoff"
     OPT_LEMMA1 = "opt-lemma1"
-    BEST = "best"
     TEXP_I = "texp-i"
     TEXP_II = "texp-ii"
     TEXP_III = "texp-iii"
@@ -73,10 +67,6 @@ class BoundResult:
         return self.log_bound.log_value
 
 
-class UnimodalityError(RuntimeError):
-    """Raised when a 1-D search detects an interior local maximum."""
-
-
 def _result(
     method: Method, lam: float, log_bound: float, internal_param: float | None = None
 ) -> BoundResult:
@@ -93,47 +83,6 @@ def _result(
 def _require_upper(lam: float) -> None:
     if not lam >= 1.0:
         raise LambdaOutOfRange(f"upper-tail bound needs lambda >= 1, got {lam}")
-
-
-def _minimize_unimodal(f, lo: float, hi: float):
-    """Golden-section minimum of a unimodal f on [lo, hi].
-
-    Stops at relative interval width 1e-12 or 200 iterations. The running
-    four-point pattern is checked for an interior local maximum, which a
-    unimodal function cannot have; detection raises UnimodalityError instead
-    of silently returning garbage.
-    """
-    if hi <= lo:
-        return lo, f(lo)
-    a, b = lo, hi
-    fa, fb = f(a), f(b)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = min(((a, fa), (x1, f1), (x2, f2), (b, fb)), key=lambda t: t[1])
-    for _ in range(_MAX_ITER):
-        slack = 1e-9 * (1.0 + abs(f1) + abs(f2))
-        if f1 > max(fa, f2) + slack or f2 > max(f1, fb) + slack:
-            raise UnimodalityError(
-                f"interior local maximum near [{a}, {b}]: "
-                f"f={fa, f1, f2, fb}; objective is not unimodal"
-            )
-        if b - a <= _REL_WIDTH * max(1.0, abs(a), abs(b)):
-            break
-        if f1 <= f2:
-            b, fb = x2, f2
-            x2, f2 = x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, fa = x1, f1
-            x1, f1 = x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx < best_f:
-                best_x, best_f = x, fx
-    return best_x, best_f
 
 
 def upper_tail_thm1(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -217,42 +166,71 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
         raise DomainError(
             f"z={z} is at or beyond the pole 1/(1-p_min) for p_min={spec.p_min}"
         )
-    log_bound = _lemma1_log(spec, x, z)
+    prefactor = pgf_pole_gap(spec.p_min, z) / spec.p_min
+    log_bound = math.log(prefactor) - x * math.log(z) + log_pgf_geometric(spec, z)
     return _result(Method.LEMMA1, x / spec.mu, log_bound, internal_param=z)
 
 
-def _lemma1_log(spec: GeometricSumSpec, x: float, z: float) -> float:
-    prefactor = pgf_pole_gap(spec.p_min, z) / spec.p_min
-    return math.log(prefactor) - x * math.log(z) + log_pgf_geometric(spec, z)
+def _bits(v: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", v))[0]
 
 
-def _chernoff_log(spec: GeometricSumSpec, lam: float, t: float) -> float:
-    # -t*lam*mu - sum ln(1 - t/p_i); convex in t on [0, p_min)
-    return -t * lam * spec.mu - math.fsum(
-        math.log1p(-t / p) for p in spec.params
-    )
+def _from_bits(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def _increasing_root(g, lo: float, hi: float) -> float:
+    """The smallest double in [lo, hi] (0 <= lo <= hi) where increasing g is >= 0.
+
+    Returns lo when g(lo) >= 0 and hi when g stays negative below hi.
+    Nonnegative doubles order like their bit patterns, so bisecting the
+    patterns ends on two adjacent doubles after at most 64 evaluations of g,
+    whatever the scale of the root.
+    """
+    if g(lo) >= 0.0:
+        return lo
+    a, b = _bits(lo), _bits(hi)
+    while b - a > 1:
+        m = (a + b) // 2
+        if g(_from_bits(m)) >= 0.0:
+            b = m
+        else:
+            a = m
+    return _from_bits(b)
 
 
 def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
-    """Chernoff bound with the exponent minimized numerically over t in [0, p_min).
+    """Chernoff bound with the exponent minimized over t in [0, p_min).
 
-    Never worse than the closed form of upper_tail_thm1, whose relaxation of
-    the exponent only loosens; the closed form's own t is kept as a candidate
-    so equal-probability specs reproduce it to machine precision.
+    The exponent -t lam mu - sum ln(1 - t/p_i) is convex in t, so its
+    minimizer is the root of the increasing derivative
+    -lam mu + sum 1/(p_i - t). Never worse than upper_tail_thm1, whose t is
+    one point of the same domain.
     """
     _require_upper(lam)
-    hi = spec.p_min * _EDGE
-    t_star, g_star = _minimize_unimodal(lambda t: _chernoff_log(spec, lam, t), 0.0, hi)
-    t_closed = min((1.0 - 1.0 / lam) * spec.p_min, hi)
-    for cand in (0.0, t_closed):
-        g = _chernoff_log(spec, lam, cand)
-        if g < g_star:
-            t_star, g_star = cand, g
-    return _result(Method.OPT_CHERNOFF, lam, g_star, internal_param=t_star)
+    target = lam * spec.mu
+    t = _increasing_root(
+        lambda t: math.fsum(1.0 / (p - t) for p in spec.params) - target,
+        0.0,
+        math.nextafter(spec.p_min, 0.0),
+    )
+    log_bound = -t * target - math.fsum(math.log1p(-t / p) for p in spec.params)
+    return _result(Method.OPT_CHERNOFF, lam, log_bound, internal_param=t)
 
 
 def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
-    """lemma1_bound minimized over z: coarse log-spaced grid, then golden-section.
+    """lemma1_bound minimized over the doubles z in [1, 1/(1-p_min)).
+
+    The prefactor (1 - z q*)/p_min cancels the pole factor of one summand
+    i* with p_i = p_min (q_i = 1 - p_i), so with u = ln z the log bound is
+
+        (n - x) u - sum_{i != i*} ln((1 - q_i z) / p_i),
+
+    convex in u and finite at the pole unless p_min is tied. Its minimizer
+    is the root of the increasing derivative n - x + sum_{i != i*}
+    q_i z / (1 - q_i z); when that stays negative the optimum sits at the
+    pole and z is the largest double below it. The bound is the cancelled
+    form at the reported z, which lemma1_bound at internal_param reproduces.
 
     For degenerate specs (p_min = 1, so X is a.s. its minimum value n) the z
     domain is unbounded and the infimum is 0 for x > n, 1 otherwise.
@@ -264,32 +242,23 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
             return _result(Method.OPT_LEMMA1, x / spec.mu, -math.inf)
         return _result(Method.OPT_LEMMA1, x / spec.mu, 0.0, internal_param=1.0)
 
-    z_hi = (1.0 / (1.0 - spec.p_min)) * _EDGE
-    if z_hi <= 1.0:
-        # p_min so small that no double sits between 1 and the pole
-        return _result(Method.OPT_LEMMA1, x / spec.mu, _lemma1_log(spec, x, 1.0),
-                       internal_param=1.0)
-    f = lambda z: _lemma1_log(spec, x, z)  # noqa: E731
-
-    grid = [math.exp(u * math.log(z_hi) / 64.0) for u in range(65)]
-    grid[0], grid[-1] = 1.0, z_hi
-    values = [f(z) for z in grid]
-    i0 = min(range(len(grid)), key=lambda i: values[i])
-    lo = grid[max(i0 - 1, 0)]
-    hi = grid[min(i0 + 1, len(grid) - 1)]
-    z_star, g_star = _minimize_unimodal(f, lo, hi)
-    if values[i0] < g_star:
-        z_star, g_star = grid[i0], values[i0]
-
-    # The closed-form z used by upper_tail_thm2's derivation is a good iterate
-    # for x >= mu; keeping it guarantees the optimum never exceeds that bound.
-    lam = x / spec.mu
-    if lam >= 1.0:
-        z_closed = min((lam - spec.p_min) / (lam * (1.0 - spec.p_min)), z_hi)
-        g = f(z_closed)
-        if g < g_star:
-            z_star, g_star = z_closed, g
-    return _result(Method.OPT_LEMMA1, lam, g_star, internal_param=z_star)
+    others = list(spec.params)
+    others.remove(spec.p_min)
+    # the largest z below the pole, both as 1/(1-p_min) rounds and by the gap
+    z_max = max(1.0, math.nextafter(1.0 / (1.0 - spec.p_min), 0.0))
+    while pgf_pole_gap(spec.p_min, z_max) <= 0.0:
+        z_max = math.nextafter(z_max, 0.0)
+    slope = spec.n - x
+    z = _increasing_root(
+        lambda z: slope
+        + math.fsum((1.0 - p) * z / pgf_pole_gap(p, z) for p in others),
+        1.0,
+        z_max,
+    )
+    log_bound = slope * math.log(z) - math.fsum(
+        math.log(pgf_pole_gap(p, z) / p) for p in others
+    )
+    return _result(Method.OPT_LEMMA1, x / spec.mu, log_bound, internal_param=z)
 
 
 def best_upper(spec: GeometricSumSpec, lam: float) -> BoundResult:

@@ -121,20 +121,6 @@ class TailQuery:
     lam: float
     x: float
 
-    def require_upper(self) -> "TailQuery":
-        if not self.lam >= 1.0:
-            raise LambdaOutOfRange(
-                f"upper-tail query needs lambda >= 1, got {self.lam} (x={self.x})"
-            )
-        return self
-
-    def require_lower(self) -> "TailQuery":
-        if not (0.0 < self.lam <= 1.0):
-            raise LambdaOutOfRange(
-                f"lower-tail query needs 0 < lambda <= 1, got {self.lam} (x={self.x})"
-            )
-        return self
-
 
 def make_geometric_spec(p: list[float] | tuple[float, ...]) -> GeometricSumSpec:
     """Validate success probabilities and build a spec with cached mu, p_min, sigma2."""
@@ -149,12 +135,22 @@ def make_exponential_spec(a: list[float] | tuple[float, ...]) -> ExponentialSumS
 def make_tail_query(
     mu: float, x: float | None = None, lam: float | None = None
 ) -> TailQuery:
-    """Resolve a query from exactly one of x (threshold) or lam (ratio), via x = lam*mu."""
+    """Resolve a query from exactly one of x (threshold) or lam (ratio), via x = lam*mu.
+
+    Both must come out finite: a NaN or infinite threshold has no tail to
+    bound, and would otherwise reach the oracles as a silent 0 or a crash.
+    """
     if (x is None) == (lam is None):
         raise DomainError("give exactly one of x or lambda")
     if x is None:
-        return TailQuery(lam=float(lam), x=float(lam) * mu)
-    return TailQuery(lam=float(x) / mu, x=float(x))
+        query = TailQuery(lam=float(lam), x=float(lam) * mu)
+    else:
+        query = TailQuery(lam=float(x) / mu, x=float(x))
+    if not (math.isfinite(query.lam) and math.isfinite(query.x)):
+        raise DomainError(
+            f"need a finite threshold, got x={query.x}, lambda={query.lam}"
+        )
+    return query
 
 
 def pgf_pole_gap(p: float, z: float) -> float:
@@ -164,8 +160,9 @@ def pgf_pole_gap(p: float, z: float) -> float:
     is exact at z = 1 for any p (the direct form collapses to 0 for p below
     machine epsilon), while for p > 1/2 the direct form is exact near the
     pole (1-p is Sterbenz-exact there) where the rearrangement cancels.
-    Both forms keep the error far below the 1e-12 pull-back the z searches
-    use, so near-pole evaluations never see a spurious sign.
+    Either form gets the sign right except within about one ulp of z
+    around the pole, so stepping down from the rounded pole reaches a
+    positive gap within a double or two.
     """
     if p <= 0.5:
         return (1.0 - z) + p * z

@@ -138,6 +138,14 @@ class TestBound:
         )
         assert code == 2
 
+    def test_infinite_lambda_is_domain_error(self, capsys):
+        code, _, err = run(
+            capsys, "bound", "--dist", "geom", "--p", "0.5,0.5",
+            "--lambda", "inf", "--method", "best",
+        )
+        assert code == 3
+        assert "finite" in err
+
 
 class TestExact:
     def test_geom(self, capsys):
@@ -161,6 +169,20 @@ class TestExact:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("dist, flag", [("geom", "--p"), ("exp", "--a")])
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_x_is_domain_error(self, capsys, dist, flag, x):
+        code, _, err = run(capsys, "exact", "--dist", dist, flag, "0.5,0.25", "--x", x)
+        assert code == 3
+        assert "finite" in err
+
+    def test_threshold_past_support_cap_is_domain_error(self, capsys):
+        code, _, err = run(
+            capsys, "exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "1e10"
+        )
+        assert code == 3
+        assert "cap" in err
+
 
 class TestMc:
     def test_prints_seed_and_is_deterministic(self, capsys):
@@ -180,6 +202,11 @@ class TestMc:
         with pytest.raises(SystemExit) as exc:
             main(["mc", "--dist", "geom", "--p", "0.5", "--x", "4", "--samples", "0"])
         assert exc.value.code == 2
+
+    def test_nan_x_is_domain_error(self, capsys):
+        code, out, _ = run(capsys, "mc", "--dist", "geom", "--p", "0.5", "--x", "nan")
+        assert code == 3
+        assert out == ""
 
 
 class TestSweep:
@@ -254,6 +281,15 @@ class TestSweep:
             "--lambda-from", "0.5", "--lambda-to", "2", "--steps", "3",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("lo, hi", [("1", "inf"), ("nan", "2"), ("1", "nan")])
+    def test_non_finite_range_is_domain_error(self, capsys, lo, hi):
+        code, out, _ = run(
+            capsys, "sweep", "--dist", "geom", "--p", "0.5",
+            "--lambda-from", lo, "--lambda-to", hi, "--steps", "1",
+        )
+        assert code == 3
+        assert out == ""
 
     def test_zero_steps_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

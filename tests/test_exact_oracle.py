@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_pmf, brute_force_tail, random_geom_specs
+from tailbounds import exact_oracle
 from tailbounds import (
     KTooSmall,
     NegativeX,
@@ -239,6 +241,83 @@ class TestHypoexpSurvival:
         h = 1e-6
         slope = (hypoexp_survival(spec, h).value - 1.0) / h
         assert abs(slope) < 1e-4
+
+
+class TestSupportCap:
+    # the cap is checked before the grid is allocated: x = 1e10 would ask
+    # for about 80 GB
+    @pytest.mark.parametrize("x", [1e10, math.inf, math.nan])
+    def test_cap_raises(self, x):
+        with pytest.raises(OutOfRange):
+            geom_tail_exact(HALF_HALF, x)
+        with pytest.raises(OutOfRange):
+            geom_lower_tail_exact(HALF_HALF, x)
+
+    def test_grid_growth_stops_at_cap(self, monkeypatch):
+        monkeypatch.setattr(exact_oracle, "_MAX_SUPPORT", 100)
+        assert geom_tail_exact(HALF_HALF, 40.0).value > 0.0
+        # P(X >= 95) ~ 5e-27 sends the query to the tail sum, which cannot be
+        # certified on a grid of 100 points
+        with pytest.raises(OutOfRange):
+            geom_tail_exact(HALF_HALF, 95.0)
+
+    def test_minus_infinity_is_whole_or_empty(self):
+        assert geom_tail_exact(HALF_HALF, -math.inf).value == 1.0
+        assert geom_lower_tail_exact(HALF_HALF, -math.inf).value == 0.0
+
+
+def _decimal_exp_sum(rates, x):
+    """Hypoexponential survival in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = [Decimal(r) for r in rates]
+        total = Decimal(0)
+        for i, ai in enumerate(a):
+            w = Decimal(1)
+            for j, aj in enumerate(a):
+                if j != i:
+                    w *= aj / (aj - ai)
+            total += w * (-ai * Decimal(x)).exp()
+        return total
+
+
+def _decimal_negbin_tail(p, n, m):
+    """P(Binomial(m-1, p) <= n-1) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dp = Decimal(p)
+        dq = 1 - dp
+        return sum(
+            math.comb(m - 1, j) * dp**j * dq ** (m - 1 - j) for j in range(n)
+        )
+
+
+class TestCertificates:
+    # Each value must lie within its own error_bound of a 50-digit reference,
+    # including in deep tails where rounding the exponent dominates.
+    def test_partial_fractions(self):
+        rng = np.random.default_rng(53)
+        checked = 0
+        while checked < 300:
+            n = int(rng.integers(1, 7))
+            rates = tuple(float(a) for a in np.sort(rng.uniform(0.1, 10.0, n)))
+            if any(b - a <= 1e-3 * b for a, b in zip(rates, rates[1:])):
+                continue
+            lam = float(rng.choice([0.5, 1.0, 2.0, 5.0, 10.0, 20.0]))
+            x = lam * math.fsum(1.0 / a for a in rates)
+            value, error = partial_fractions_survival(rates, x)
+            assert abs(Decimal(value) - _decimal_exp_sum(rates, x)) <= Decimal(error)
+            checked += 1
+
+    def test_iid_closed_form(self):
+        rng = np.random.default_rng(59)
+        for _ in range(300):
+            p = float(rng.uniform(0.02, 0.98))
+            n = int(rng.integers(1, 21))
+            x = float(rng.choice([1.5, 2.0, 3.0, 5.0, 10.0])) * n / p
+            est = iid_geom_tail(p, n, x)
+            ref = _decimal_negbin_tail(p, n, math.ceil(x))
+            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
 
 
 class TestTailEstimateValidation:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_geom_specs
@@ -9,7 +9,6 @@ from tailbounds import (
     DomainError,
     LambdaOutOfRange,
     Method,
-    UnimodalityError,
     best_upper,
     lemma1_bound,
     lemma_la_check,
@@ -23,7 +22,7 @@ from tailbounds import (
     upper_tail_thm1,
     upper_tail_thm2,
 )
-from tailbounds.geom_bounds import _minimize_unimodal, _result
+from tailbounds.geom_bounds import _increasing_root, _result
 
 # Frozen expected values, evaluated from the closed forms at 30-digit
 # precision with mpmath before being asserted here.
@@ -46,6 +45,17 @@ probs = st.lists(
     st.floats(min_value=0.05, max_value=1.0, allow_nan=False), min_size=1, max_size=8
 )
 lams = st.floats(min_value=1.0, max_value=6.0, allow_nan=False)
+
+
+@st.composite
+def edge_specs(draw):
+    """Specs with a tied p_min, summands with p_i = 1, or a tiny p_min."""
+    p = draw(probs)
+    if draw(st.booleans()):
+        p[0] = draw(st.floats(min_value=1e-300, max_value=1e-6))
+    p += [min(p)] * draw(st.integers(min_value=0, max_value=2))
+    p += [1.0] * draw(st.integers(min_value=0, max_value=2))
+    return make_geometric_spec(p)
 
 
 def log_le(a, b):
@@ -222,6 +232,27 @@ class TestOptimizedLemma1:
         assert r.value == 1.0
         assert r.internal_param == 1.0
 
+    @given(
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.integers(min_value=2, max_value=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_single_summand_is_exact(self, p, x):
+        # for n = 1 the optimum is the pole, where the bound is the exact
+        # tail (1-p)^(x-1); z is the largest double below the pole, which
+        # costs about eps/p relative, so p stays above 1e-3
+        r = optimized_lemma1(make_geometric_spec([p]), float(x))
+        exact = (x - 1) * math.log1p(-p)
+        assert abs(r.log_value - exact) <= 1e-12 * abs(exact)
+
+    @given(edge_specs(), st.floats(min_value=0.0, max_value=20.0))
+    @settings(max_examples=200, deadline=None)
+    def test_reported_z_reproduces_bound(self, spec, lam):
+        assume(spec.p_min < 1.0)
+        r = optimized_lemma1(spec, lam * spec.mu)
+        again = lemma1_bound(spec, lam * spec.mu, r.internal_param)
+        assert abs(again.log_value - r.log_value) <= 1e-12 * max(1.0, abs(r.log_value))
+
     @given(probs, st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=100, deadline=None)
     def test_z_in_range(self, p, x):
@@ -335,23 +366,22 @@ class TestLemmaLaCheck:
         assert lemma_la_check(A, frac / A)
 
 
-class TestMinimizer:
-    def test_finds_convex_minimum(self):
-        # near a quadratic minimum f is flat to machine precision within
-        # sqrt(eps) of the argmin, so the location tolerance is loose while
-        # the value tolerance is tight
-        x, fx = _minimize_unimodal(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-6)
-        assert fx == pytest.approx(1.0, abs=1e-12)
+class TestIncreasingRoot:
+    @pytest.mark.parametrize("root", [0.3, 1e-200, 5e-324, 0.999])
+    def test_exact_to_the_last_double(self, root):
+        calls = []
 
-    def test_boundary_minimum(self):
-        x, _ = _minimize_unimodal(lambda t: t, 0.0, 1.0)
-        assert x == pytest.approx(0.0, abs=1e-9)
+        def g(t):
+            calls.append(t)
+            return t - root
 
-    def test_rejects_interior_maximum(self):
-        # two valleys at the ends, a bump in the middle of the bracket
-        with pytest.raises(UnimodalityError):
-            _minimize_unimodal(lambda t: -math.cos(4.0 * math.pi * t), 0.0, 1.0)
+        assert _increasing_root(g, 0.0, 1.0) == root
+        assert len(calls) <= 64
+
+    def test_endpoints_without_sign_change(self):
+        assert _increasing_root(lambda t: t + 1.0, 0.0, 1.0) == 0.0
+        # g(hi) is never evaluated, so a pole there is harmless
+        assert _increasing_root(lambda t: -1.0 / (1.0 - t), 0.0, 1.0) == 1.0
 
 
 class TestResultClamping:

@@ -214,14 +214,33 @@ class TestTailQuery:
             make_tail_query(4.0, x=8.0, lam=2.0)
 
     def test_side_validation(self):
-        from tailbounds import LambdaOutOfRange
+        # a query's side is checked by the bound that receives it
+        from tailbounds import LambdaOutOfRange, lower_tail_tl1, upper_tail_thm1
 
-        make_tail_query(4.0, lam=2.0).require_upper()
-        make_tail_query(4.0, lam=0.5).require_lower()
+        spec = make_geometric_spec([0.5, 0.5])
+        upper = make_tail_query(spec.mu, lam=2.0)
+        lower = make_tail_query(spec.mu, lam=0.5)
+        upper_tail_thm1(spec, upper.lam)
+        lower_tail_tl1(spec, lower.lam)
         with pytest.raises(LambdaOutOfRange):
-            make_tail_query(4.0, lam=0.5).require_upper()
+            upper_tail_thm1(spec, lower.lam)
         with pytest.raises(LambdaOutOfRange):
-            make_tail_query(4.0, lam=2.0).require_lower()
+            lower_tail_tl1(spec, upper.lam)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"x": math.nan},
+            {"x": math.inf},
+            {"x": -math.inf},
+            {"lam": math.nan},
+            {"lam": math.inf},
+            {"lam": 1e308},  # finite ratio, but x = lam * mu overflows
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            make_tail_query(4.0, **kwargs)
 
 
 class TestLogProb:
