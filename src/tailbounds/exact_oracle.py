@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import logsumexp
 
 from .geom_bounds import upper_tail_thm2
 from .model import (
@@ -73,8 +71,11 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> np.ndarray:
         c_i(k) = (1-p_i) c_i(k-1) + p_i c_{i-1}(k-1),
 
     run as a first-order linear filter per summand (O(K) each, O(nK) total).
-    All coefficients are nonnegative, so no cancellation occurs.
+    All coefficients are nonnegative, so no cancellation occurs. scipy is
+    imported here, on first use, so that importing the package stays cheap.
     """
+    from scipy.signal import lfilter
+
     c = np.zeros(K + 1)
     c[0] = 1.0
     for p in spec.params:
@@ -112,7 +113,8 @@ def geom_tail_exact(
     Since X is integer valued, P(X >= x) = P(X >= max(ceil(x), n)). When the
     complement 1 - CDF is above 1e-9 it is returned directly; below that the
     tail is summed upward from ceil(x), extending the grid until the analytic
-    remainder falls under rel_tol times the partial sum.
+    remainder falls under rel_tol times the partial sum; a grid at the support
+    cap is the last one tried.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise OutOfRange(f"rel_tol {rel_tol} not in (0, 0.1]")
@@ -130,13 +132,17 @@ def geom_tail_exact(
 
     K = k0
     while True:
-        K = max(2 * K, k0 + 16)
-        _require_support(K)
+        K = min(max(2 * K, k0 + 16), _MAX_SUPPORT)
         grid = _pmf_grid(spec, K)
         partial = float(np.sum(grid[k0:]))
         remainder = _truncation_remainder(spec, K)
         if (K + 1) >= spec.mu and remainder <= rel_tol * partial:
             break
+        if K == _MAX_SUPPORT:
+            raise OutOfRange(
+                f"tail from {k0} is not certified within the support cap "
+                f"{_MAX_SUPPORT}: remainder {remainder} against partial sum {partial}"
+            )
     error = remainder + _EPS * (2.0 * K + spec.n) * max(partial, 1e-300)
     return TailEstimate(min(partial, 1.0), error, OracleMethod.CONVOLUTION)
 
@@ -177,8 +183,8 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
         for j in range(n)
     ]
     log_terms = [math.fsum(part) for part in parts]
-    value = float(np.exp(logsumexp(log_terms)))
-    value = min(value, 1.0)
+    top = max(log_terms)
+    value = min(math.exp(top) * math.fsum(math.exp(lt - top) for lt in log_terms), 1.0)
     # each log term is rounded on the scale of its parts, and exp turns that
     # absolute error into a relative error of its term
     exponent = math.fsum(
@@ -207,6 +213,13 @@ def partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[floa
     scales with the total weight magnitude, which measures the cancellation.
     """
     weights = _pf_weights(rates)
+    overflowed = [i for i, w in enumerate(weights) if not math.isfinite(w)]
+    if overflowed:
+        raise OutOfRange(
+            f"partial-fraction weights overflow: {len(overflowed)} of {len(rates)} "
+            f"are not finite, first at index {overflowed[0]} "
+            f"(rate {rates[overflowed[0]]!r})"
+        )
     terms = [w * math.exp(-a * x) for w, a in zip(weights, rates)]
     value = math.fsum(terms)
     # n + 2 rounding units per term, plus the relative error eps |a x| that

@@ -9,21 +9,27 @@ from __future__ import annotations
 
 import math
 
-from .geom_bounds import BoundResult, Method, _require_upper, _result
-from .model import ExponentialSumSpec, LambdaOutOfRange
+from .model import (
+    BoundResult,
+    ExponentialSumSpec,
+    LambdaOutOfRange,
+    Method,
+    bound_result,
+    require_upper,
+)
 
 
 def exp_upper_i(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     """P(X >= lam*mu) <= (1/lam) exp(-a_min*mu*(lam-1-ln lam)) for lam >= 1."""
-    _require_upper(lam)
+    require_upper(lam)
     log_bound = -math.log(lam) - spec.a_min * spec.mu * (lam - 1.0 - math.log(lam))
-    return _result(Method.TEXP_I, lam, log_bound)
+    return bound_result(Method.TEXP_I, lam, log_bound)
 
 
 def exp_upper_ii(lam: float) -> BoundResult:
     """Simpler, weaker, parameter-free: P(X >= lam*mu) <= e^(1-lam)."""
-    _require_upper(lam)
-    return _result(Method.TEXP_II, lam, 1.0 - lam)
+    require_upper(lam)
+    return bound_result(Method.TEXP_II, lam, 1.0 - lam)
 
 
 def exp_lower_tail_iii(spec: ExponentialSumSpec, lam: float) -> BoundResult:
@@ -31,13 +37,13 @@ def exp_lower_tail_iii(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     if not (0.0 < lam <= 1.0):
         raise LambdaOutOfRange(f"lower-tail bound needs 0 < lambda <= 1, got {lam}")
     log_bound = -spec.a_min * spec.mu * (lam - 1.0 - math.log(lam))
-    return _result(Method.TEXP_III, lam, log_bound)
+    return bound_result(Method.TEXP_III, lam, log_bound)
 
 
 def exp_tail_lower_iv(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     """LOWER bound: P(X >= lam*mu) >= exp(-a_min*mu*(lam-1)) / (2e a_min mu)."""
-    _require_upper(lam)
+    require_upper(lam)
     log_bound = -1.0 - math.log(2.0 * spec.a_min * spec.mu) - spec.a_min * spec.mu * (
         lam - 1.0
     )
-    return _result(Method.TEXP_IV, lam, log_bound)
+    return bound_result(Method.TEXP_IV, lam, log_bound)

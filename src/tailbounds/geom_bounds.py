@@ -11,92 +11,34 @@ a BoundResult.
 
 from __future__ import annotations
 
-import enum
 import math
 import struct
-from dataclasses import dataclass
 
 from .model import (
+    BoundResult,
     DomainError,
     GeometricSumSpec,
     LambdaOutOfRange,
-    LogProb,
+    Method,
+    bound_result,
     log_pgf_geometric,
     pgf_pole_gap,
+    require_upper,
 )
-
-class Method(str, enum.Enum):
-    """Identifiers for every bound this package computes."""
-
-    THM1 = "thm1"
-    THM2 = "thm2"
-    COR1 = "cor1"
-    COR2 = "cor2"
-    TL1 = "tl1"
-    TL = "tl"
-    LEMMA1 = "lemma1"
-    OPT_CHERNOFF = "opt-chernoff"
-    OPT_LEMMA1 = "opt-lemma1"
-    TEXP_I = "texp-i"
-    TEXP_II = "texp-ii"
-    TEXP_III = "texp-iii"
-    TEXP_IV = "texp-iv"
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """A bound value with its method, query ratio, and any optimized parameter.
-
-    ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min) or the
-    generating-function argument z (1 <= z < 1/(1-p_min)), when the method has
-    one. Bounds that exceed 1 after round-off are clamped to 1 and flagged.
-    """
-
-    log_bound: LogProb
-    method: Method
-    lam: float
-    internal_param: float | None = None
-    clamped: bool = False
-
-    @property
-    def value(self) -> float:
-        return self.log_bound.value
-
-    @property
-    def log_value(self) -> float:
-        return self.log_bound.log_value
-
-
-def _result(
-    method: Method, lam: float, log_bound: float, internal_param: float | None = None
-) -> BoundResult:
-    clamped = log_bound > 0.0
-    return BoundResult(
-        log_bound=LogProb(min(log_bound, 0.0)),
-        method=method,
-        lam=lam,
-        internal_param=internal_param,
-        clamped=clamped,
-    )
-
-
-def _require_upper(lam: float) -> None:
-    if not lam >= 1.0:
-        raise LambdaOutOfRange(f"upper-tail bound needs lambda >= 1, got {lam}")
 
 
 def upper_tail_thm1(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Closed-form Chernoff bound P(X >= lam*mu) <= exp(-p_min*mu*(lam-1-ln lam))."""
-    _require_upper(lam)
+    require_upper(lam)
     log_bound = -spec.p_min * spec.mu * (lam - 1.0 - math.log(lam))
     t = (1.0 - 1.0 / lam) * spec.p_min
-    return _result(Method.THM1, lam, log_bound, internal_param=t)
+    return bound_result(Method.THM1, lam, log_bound, internal_param=t)
 
 
 def upper_tail_cor1(lam: float) -> BoundResult:
     """Parameter-free bound P(X >= lam*mu) <= lam * e^(1-lam)."""
-    _require_upper(lam)
-    return _result(Method.COR1, lam, math.log(lam) + 1.0 - lam)
+    require_upper(lam)
+    return bound_result(Method.COR1, lam, math.log(lam) + 1.0 - lam)
 
 
 def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -106,21 +48,21 @@ def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     At lam = 1 the exponent factor vanishes and the bound is 1 regardless
     of p_min (the 0 * log(0) product is taken as 0, by continuity in lam).
     """
-    _require_upper(lam)
+    require_upper(lam)
     if lam == 1.0:
-        return _result(Method.THM2, lam, 0.0)
+        return bound_result(Method.THM2, lam, 0.0)
     if spec.p_min == 1.0:
-        return _result(Method.THM2, lam, -math.inf)
+        return bound_result(Method.THM2, lam, -math.inf)
     log_bound = -math.log(lam) + (lam - 1.0 - math.log(lam)) * spec.mu * math.log1p(
         -spec.p_min
     )
-    return _result(Method.THM2, lam, log_bound)
+    return bound_result(Method.THM2, lam, log_bound)
 
 
 def upper_tail_cor2(lam: float) -> BoundResult:
     """Parameter-free bound P(X >= lam*mu) <= e^(1-lam)."""
-    _require_upper(lam)
-    return _result(Method.COR2, lam, 1.0 - lam)
+    require_upper(lam)
+    return bound_result(Method.COR2, lam, 1.0 - lam)
 
 
 def lower_tail_tl1(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -129,7 +71,7 @@ def lower_tail_tl1(spec: GeometricSumSpec, lam: float) -> BoundResult:
         raise LambdaOutOfRange(f"lower-tail bound needs 0 < lambda <= 1, got {lam}")
     log_bound = -spec.p_min * spec.mu * (lam - 1.0 - math.log(lam))
     t = (1.0 / lam - 1.0) * spec.p_min
-    return _result(Method.TL1, lam, log_bound, internal_param=t)
+    return bound_result(Method.TL1, lam, log_bound, internal_param=t)
 
 
 def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -139,16 +81,16 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
 
     Degenerates to 0 when p_min = 1 (the sum is deterministic).
     """
-    _require_upper(lam)
+    require_upper(lam)
     if spec.p_min == 1.0:
-        return _result(Method.TL, lam, -math.inf)
+        return bound_result(Method.TL, lam, -math.inf)
     log1mp = math.log1p(-spec.p_min)
     log_bound = (
         (1.0 + 1.0 / spec.p_min) * log1mp
         - math.log(2.0 * spec.p_min * spec.mu)
         + (lam - 1.0) * spec.mu * log1mp
     )
-    return _result(Method.TL, lam, log_bound)
+    return bound_result(Method.TL, lam, log_bound)
 
 
 def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
@@ -168,7 +110,7 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
         )
     prefactor = pgf_pole_gap(spec.p_min, z) / spec.p_min
     log_bound = math.log(prefactor) - x * math.log(z) + log_pgf_geometric(spec, z)
-    return _result(Method.LEMMA1, x / spec.mu, log_bound, internal_param=z)
+    return bound_result(Method.LEMMA1, x / spec.mu, log_bound, internal_param=z)
 
 
 def _bits(v: float) -> int:
@@ -207,7 +149,7 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     -lam mu + sum 1/(p_i - t). Never worse than upper_tail_thm1, whose t is
     one point of the same domain.
     """
-    _require_upper(lam)
+    require_upper(lam)
     target = lam * spec.mu
     t = _increasing_root(
         lambda t: math.fsum(1.0 / (p - t) for p in spec.params) - target,
@@ -215,7 +157,7 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
         math.nextafter(spec.p_min, 0.0),
     )
     log_bound = -t * target - math.fsum(math.log1p(-t / p) for p in spec.params)
-    return _result(Method.OPT_CHERNOFF, lam, log_bound, internal_param=t)
+    return bound_result(Method.OPT_CHERNOFF, lam, log_bound, internal_param=t)
 
 
 def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
@@ -239,8 +181,8 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
         raise DomainError(f"need x >= 0, got {x}")
     if spec.p_min == 1.0:
         if x > spec.n:
-            return _result(Method.OPT_LEMMA1, x / spec.mu, -math.inf)
-        return _result(Method.OPT_LEMMA1, x / spec.mu, 0.0, internal_param=1.0)
+            return bound_result(Method.OPT_LEMMA1, x / spec.mu, -math.inf)
+        return bound_result(Method.OPT_LEMMA1, x / spec.mu, 0.0, internal_param=1.0)
 
     others = list(spec.params)
     others.remove(spec.p_min)
@@ -258,12 +200,12 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     log_bound = slope * math.log(z) - math.fsum(
         math.log(pgf_pole_gap(p, z) / p) for p in others
     )
-    return _result(Method.OPT_LEMMA1, x / spec.mu, log_bound, internal_param=z)
+    return bound_result(Method.OPT_LEMMA1, x / spec.mu, log_bound, internal_param=z)
 
 
 def best_upper(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """The smallest of all upper-tail bounds, reported under the winning method."""
-    _require_upper(lam)
+    require_upper(lam)
     candidates = [
         upper_tail_thm1(spec, lam),
         upper_tail_thm2(spec, lam),

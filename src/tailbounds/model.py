@@ -1,4 +1,4 @@
-"""Distribution specs, derived statistics, and generating functions.
+"""Distribution specs, derived statistics, generating functions and bound results.
 
 Everything downstream (bounds, oracles, Monte Carlo, CLI) consumes the
 immutable spec types defined here. All derived statistics are computed
@@ -7,6 +7,7 @@ once at construction with compensated summation and cached.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +53,68 @@ class LogProb:
     @property
     def value(self) -> float:
         return math.exp(self.log_value)
+
+
+class Method(str, enum.Enum):
+    """Identifiers for every bound this package computes."""
+
+    THM1 = "thm1"
+    THM2 = "thm2"
+    COR1 = "cor1"
+    COR2 = "cor2"
+    TL1 = "tl1"
+    TL = "tl"
+    LEMMA1 = "lemma1"
+    OPT_CHERNOFF = "opt-chernoff"
+    OPT_LEMMA1 = "opt-lemma1"
+    TEXP_I = "texp-i"
+    TEXP_II = "texp-ii"
+    TEXP_III = "texp-iii"
+    TEXP_IV = "texp-iv"
+
+
+@dataclass(frozen=True)
+class BoundResult:
+    """A bound value with its method, query ratio, and any optimized parameter.
+
+    ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min) or the
+    generating-function argument z (1 <= z < 1/(1-p_min)), when the method has
+    one. Bounds that exceed 1 after round-off are clamped to 1 and flagged.
+    """
+
+    log_bound: LogProb
+    method: Method
+    lam: float
+    internal_param: float | None = None
+    clamped: bool = False
+
+    @property
+    def value(self) -> float:
+        return self.log_bound.value
+
+    @property
+    def log_value(self) -> float:
+        return self.log_bound.log_value
+
+
+def bound_result(
+    method: Method, lam: float, log_bound: float, internal_param: float | None = None
+) -> BoundResult:
+    """Wrap a log bound as a BoundResult, clamping a value above 1 and flagging it."""
+    clamped = log_bound > 0.0
+    return BoundResult(
+        log_bound=LogProb(min(log_bound, 0.0)),
+        method=method,
+        lam=lam,
+        internal_param=internal_param,
+        clamped=clamped,
+    )
+
+
+def require_upper(lam: float) -> None:
+    """Refuse a tail ratio below 1, where an upper-tail bound does not apply."""
+    if not lam >= 1.0:
+        raise LambdaOutOfRange(f"upper-tail bound needs lambda >= 1, got {lam}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import tailbounds
 from tailbounds.cli import main
 
 
@@ -319,3 +325,69 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--trials", "0"])
         assert exc.value.code == 2
+
+
+# Runs the CLI as `python -m tailbounds.cli` would, then reports its exit
+# code and the scipy modules it loaded as JSON on the last line of stderr.
+_FRESH_CLI = """
+import json, runpy, sys
+code = 0
+try:
+    runpy.run_module("tailbounds.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+sys.stderr.write(json.dumps({"code": code, "scipy": scipy}) + "\\n")
+"""
+
+
+def python_fresh(*args) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tailbounds.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, scipy modules loaded) of the CLI in a new interpreter."""
+    proc = python_fresh("-c", _FRESH_CLI, *argv)
+    report = json.loads(proc.stderr.splitlines()[-1])
+    return report["code"], proc.stdout, report["scipy"]
+
+
+class TestFreshInterpreter:
+    """The closed-form paths never pay for importing scipy."""
+
+    def test_import_loads_no_scipy(self):
+        probe = (
+            "import sys, tailbounds; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        proc = python_fresh("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--dist", "geom", "--p", "0.5,0.5", "--lambda", "2",
+             "--method", "best"),
+            ("mc", "--dist", "geom", "--p", "0.5,0.5", "--x", "8",
+             "--samples", "1000"),
+            ("exact", "--dist", "exp", "--a", "1,2", "--x", "1"),
+        ],
+    )
+    def test_closed_form_commands_load_no_scipy(self, argv):
+        code, out, scipy = run_fresh(*argv)
+        assert code == 0
+        assert "value: " in out
+        assert scipy == []
+
+    def test_geom_exact_matches_in_process(self, capsys):
+        argv = ("exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "8")
+        code, out, scipy = run_fresh(*argv)
+        assert code == 0
+        assert scipy  # the convolution oracle loads it on first use
+        assert (code, out) == run(capsys, *argv)[:2]

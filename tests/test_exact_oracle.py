@@ -235,6 +235,16 @@ class TestHypoexpSurvival:
                 assert got.value == pytest.approx(expected, rel=1e-12, abs=1e-15)
                 assert got.method is OracleMethod.MATRIX_EXP
 
+    def test_overflowing_weights_are_refused(self):
+        # 1000 well-separated rates ~ U(0.1, 10): hundreds of the products
+        # prod_{j!=i} a_j/(a_j-a_i) pass the double range
+        rates = np.random.default_rng(2).uniform(0.1, 10.0, 1000)
+        ordered = np.sort(rates)
+        assert np.all(np.diff(ordered) > exact_oracle._RATE_GAP * ordered[1:])
+        spec = make_exponential_spec(list(rates))
+        with pytest.raises(OutOfRange, match="partial-fraction weights overflow"):
+            hypoexp_survival(spec, 1.5 * spec.mu)
+
     def test_density_vanishes_at_origin(self):
         # for n >= 2 the density at 0 is 0, so the survival has zero slope
         spec = make_exponential_spec([1.0, 3.0])
@@ -260,6 +270,17 @@ class TestSupportCap:
         # certified on a grid of 100 points
         with pytest.raises(OutOfRange):
             geom_tail_exact(HALF_HALF, 95.0)
+
+    def test_grid_at_cap_is_tried(self, monkeypatch):
+        monkeypatch.setattr(exact_oracle, "_MAX_SUPPORT", 100)
+        # doubling from k0 = 60 overshoots to 120; the grid clamped at 100
+        # certifies the tail (remainder ~2e-27 against ~1e-16)
+        est = geom_tail_exact(HALF_HALF, 60.0)
+        ref = iid_geom_tail(0.5, 2, 60.0)
+        assert est.value > 0.0
+        assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
+        with pytest.raises(OutOfRange, match="cap"):
+            geom_tail_exact(HALF_HALF, 101.0)
 
     def test_minus_infinity_is_whole_or_empty(self):
         assert geom_tail_exact(HALF_HALF, -math.inf).value == 1.0

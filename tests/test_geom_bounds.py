@@ -22,7 +22,8 @@ from tailbounds import (
     upper_tail_thm1,
     upper_tail_thm2,
 )
-from tailbounds.geom_bounds import _increasing_root, _result
+from tailbounds.geom_bounds import _increasing_root
+from tailbounds.model import bound_result
 
 # Frozen expected values, evaluated from the closed forms at 30-digit
 # precision with mpmath before being asserted here.
@@ -386,12 +387,12 @@ class TestIncreasingRoot:
 
 class TestResultClamping:
     def test_positive_log_clamped(self):
-        r = _result(Method.COR1, 1.0, 1e-14)
+        r = bound_result(Method.COR1, 1.0, 1e-14)
         assert r.value == 1.0
         assert r.clamped
 
     def test_zero_log_not_clamped(self):
-        assert not _result(Method.COR1, 1.0, 0.0).clamped
+        assert not bound_result(Method.COR1, 1.0, 0.0).clamped
 
 
 class TestSandwichSample:
