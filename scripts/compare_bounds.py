@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Compare every upper-tail bound against the exact tail over a lambda grid.
+"""Compare every geometric upper-tail bound against the exact tail over a lambda grid.
 
-Prints one row per lambda with the exact tail, each bound, and the exponent
-ratio log(bound)/log(exact) of the best bound (1.0 would be a perfectly
-sharp bound; the theory guarantees a constant-factor gap in the exponent).
+Prints one row per lambda with the exact tail, each bound of the method
+table (the upper bounds and the lower bound on the upper tail), and the
+exponent ratio log(bound)/log(exact) of the best bound (1.0 would be a
+perfectly sharp bound; the theory guarantees a constant-factor gap in the
+exponent).
 
     python scripts/compare_bounds.py --p 0.5,0.2,0.1 --lambda-max 6
 """
@@ -11,16 +13,8 @@ sharp bound; the theory guarantees a constant-factor gap in the exponent).
 import argparse
 import math
 
-from tailbounds import (
-    best_upper,
-    geom_tail_exact,
-    make_geometric_spec,
-    optimized_chernoff,
-    upper_tail_cor1,
-    upper_tail_lower_bound_tl,
-    upper_tail_thm1,
-    upper_tail_thm2,
-)
+from tailbounds import geom_tail_exact, make_geometric_spec, make_tail_query
+from tailbounds.methods import Side, best_upper, rows
 
 
 def main() -> None:
@@ -31,17 +25,18 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = make_geometric_spec([float(t) for t in args.p.split(",")])
+    columns = rows("geom", Side.UPPER, Side.UPPER_FROM_BELOW)
     print(f"params={list(spec.params)}  mu={spec.mu:.6g}  p_min={spec.p_min}  "
           f"sigma2={spec.sigma2:.6g}")
-    header = (
-        f"{'lambda':>7} {'exact':>12} {'tl_lower':>12} {'thm1':>12} "
-        f"{'thm2':>12} {'cor1':>12} {'opt':>12} {'best':>12} "
-        f"{'method':>12} {'exp_ratio':>9}"
+    print(
+        f"{'lambda':>7} {'exact':>12} "
+        + "".join(f"{row.column:>13}" for row in columns)
+        + f" {'best':>12} {'method':>12} {'exp_ratio':>9}"
     )
-    print(header)
     for i in range(args.steps):
         lam = 1.0 + (args.lambda_max - 1.0) * i / max(args.steps - 1, 1)
-        exact = geom_tail_exact(spec, lam * spec.mu).value
+        q = make_tail_query(spec.mu, lam=lam)
+        exact = geom_tail_exact(spec, q.x).value
         best = best_upper(spec, lam)
         ratio = (
             best.log_value / math.log(exact)
@@ -50,12 +45,8 @@ def main() -> None:
         )
         print(
             f"{lam:7.3f} {exact:12.5e} "
-            f"{upper_tail_lower_bound_tl(spec, lam).value:12.5e} "
-            f"{upper_tail_thm1(spec, lam).value:12.5e} "
-            f"{upper_tail_thm2(spec, lam).value:12.5e} "
-            f"{upper_tail_cor1(lam).value:12.5e} "
-            f"{optimized_chernoff(spec, lam).value:12.5e} "
-            f"{best.value:12.5e} {best.method.value:>12} {ratio:9.4f}"
+            + "".join(f" {row.evaluate(spec, q).value:12.5e}" for row in columns)
+            + f" {best.value:12.5e} {best.method.value:>12} {ratio:9.4f}"
         )
 
 

@@ -11,13 +11,13 @@ the sharper discrete bound is compared with its continuous analogue too.
 import argparse
 
 from tailbounds import (
-    exp_upper_i,
     geom_tail_exact,
     hypoexp_survival,
     make_exponential_spec,
     make_geometric_spec,
-    upper_tail_thm2,
+    make_tail_query,
 )
+from tailbounds.methods import BY_NAME
 
 
 def main() -> None:
@@ -30,7 +30,8 @@ def main() -> None:
     rates = [float(t) for t in args.a.split(",")]
     cont = make_exponential_spec(rates)
     exact_cont = hypoexp_survival(cont, args.lam * cont.mu).value
-    bound_cont = exp_upper_i(cont, args.lam).value
+    texp_i, thm2 = BY_NAME["texp-i"], BY_NAME["thm2"]
+    bound_cont = texp_i.evaluate(cont, make_tail_query(cont.mu, lam=args.lam)).value
     print(f"rates={rates}  lambda={args.lam}")
     print(f"continuous exact tail  {exact_cont:.10e}")
     print(f"continuous upper bound {bound_cont:.10e}")
@@ -40,7 +41,7 @@ def main() -> None:
         N = int(token)
         geom = make_geometric_spec([a / N for a in rates])
         exact_disc = geom_tail_exact(geom, args.lam * geom.mu).value
-        bound_disc = upper_tail_thm2(geom, args.lam).value
+        bound_disc = thm2.evaluate(geom, make_tail_query(geom.mu, lam=args.lam)).value
         print(
             f"{N:8d} {exact_disc:16.10e} "
             f"{abs(exact_disc - exact_cont) / exact_cont:10.2e} "

@@ -24,7 +24,6 @@ from .exp_bounds import (
     exp_upper_ii,
 )
 from .geom_bounds import (
-    best_upper,
     lemma1_bound,
     lemma_la_check,
     lower_tail_tl1,
@@ -36,6 +35,7 @@ from .geom_bounds import (
     upper_tail_thm1,
     upper_tail_thm2,
 )
+from .methods import best_upper
 from .model import (
     BoundResult,
     DomainError,
@@ -55,16 +55,11 @@ from .model import (
     make_exponential_spec,
     make_geometric_spec,
     make_tail_query,
-    mgf_exponential,
-    pgf_geometric,
     read_params_file,
 )
 from .montecarlo import (
     McConfig,
-    SplitMix64Stream,
     mc_tail,
-    sample_exponential_sum,
-    sample_geometric_sum,
     uniform_block,
     wilson_interval,
 )
@@ -85,7 +80,6 @@ __all__ = [
     "NegativeX",
     "OracleMethod",
     "OutOfRange",
-    "SplitMix64Stream",
     "TailBoundsError",
     "TailEstimate",
     "TailQuery",
@@ -109,14 +103,10 @@ __all__ = [
     "make_tail_query",
     "matrix_exp_survival",
     "mc_tail",
-    "mgf_exponential",
     "optimized_chernoff",
     "optimized_lemma1",
     "partial_fractions_survival",
-    "pgf_geometric",
     "read_params_file",
-    "sample_exponential_sum",
-    "sample_geometric_sum",
     "uniform_block",
     "upper_tail_cor1",
     "upper_tail_cor2",

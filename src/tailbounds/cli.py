@@ -12,10 +12,13 @@ import sys
 
 import numpy as np
 
-from . import exact_oracle, exp_bounds, geom_bounds, montecarlo
+from . import exact_oracle, geom_bounds, methods, montecarlo
+from .exact_oracle import TailEstimate
+from .methods import Side
 from .model import (
     ExponentialSumSpec,
     GeometricSumSpec,
+    LambdaOutOfRange,
     TailBoundsError,
     TailQuery,
     log_inequality_check,
@@ -76,39 +79,36 @@ def _query(args, spec) -> TailQuery:
     return make_tail_query(spec.mu, x=args.x, lam=args.lam)
 
 
-_GEOM_METHODS = {
-    "thm1": lambda spec, q, args: geom_bounds.upper_tail_thm1(spec, q.lam),
-    "thm2": lambda spec, q, args: geom_bounds.upper_tail_thm2(spec, q.lam),
-    "cor1": lambda spec, q, args: geom_bounds.upper_tail_cor1(q.lam),
-    "cor2": lambda spec, q, args: geom_bounds.upper_tail_cor2(q.lam),
-    "tl1": lambda spec, q, args: geom_bounds.lower_tail_tl1(spec, q.lam),
-    "tl": lambda spec, q, args: geom_bounds.upper_tail_lower_bound_tl(spec, q.lam),
-    "lemma1": lambda spec, q, args: geom_bounds.lemma1_bound(spec, q.x, _need_z(args)),
-    "opt-chernoff": lambda spec, q, args: geom_bounds.optimized_chernoff(spec, q.lam),
-    "opt-lemma1": lambda spec, q, args: geom_bounds.optimized_lemma1(spec, q.x),
-    "best": lambda spec, q, args: geom_bounds.best_upper(spec, q.lam),
-}
-
-_EXP_METHODS = {
-    "texp-i": lambda spec, q, args: exp_bounds.exp_upper_i(spec, q.lam),
-    "texp-ii": lambda spec, q, args: exp_bounds.exp_upper_ii(q.lam),
-    "texp-iii": lambda spec, q, args: exp_bounds.exp_lower_tail_iii(spec, q.lam),
-    "texp-iv": lambda spec, q, args: exp_bounds.exp_tail_lower_iv(spec, q.lam),
-}
+def _upper_exact(spec, x: float, rel_tol: float) -> TailEstimate:
+    """P(X >= x) from the exact oracle of the spec's distribution."""
+    if isinstance(spec, GeometricSumSpec):
+        return exact_oracle.geom_tail_exact(spec, x, rel_tol=rel_tol)
+    return exact_oracle.hypoexp_survival(spec, x)
 
 
-def _need_z(args) -> float:
-    if args.z is None:
-        raise CliUsageError("--method lemma1 requires --z")
-    return args.z
+def _lower_exact(spec, x: float) -> TailEstimate:
+    """P(X <= x) from the exact oracle of the spec's distribution."""
+    if isinstance(spec, GeometricSumSpec):
+        return exact_oracle.geom_lower_tail_exact(spec, x)
+    upper = exact_oracle.hypoexp_survival(spec, x)  # continuous: P(X = x) = 0
+    return TailEstimate(1.0 - upper.value, upper.error_bound, upper.method)
 
 
 def cmd_bound(args) -> int:
     spec = _load_spec(args)
-    table = _GEOM_METHODS if args.dist == "geom" else _EXP_METHODS
-    if args.method not in table:
+    row = methods.BY_NAME.get(args.method)
+    dist = "geom" if row is None else row.dist  # lemma1 and best are geometric
+    if dist != args.dist:
         raise CliUsageError(f"method {args.method!r} does not apply to --dist {args.dist}")
-    result = table[args.method](spec, _query(args, spec), args)
+    q = _query(args, spec)
+    if args.method == "lemma1":
+        if args.z is None:
+            raise CliUsageError("--method lemma1 requires --z")
+        result = geom_bounds.lemma1_bound(spec, q.x, args.z)
+    elif args.method == "best":
+        result = methods.best_upper(spec, q.lam)
+    else:
+        result = row.evaluate(spec, q)
     print(f"method: {result.method.value}")
     print(f"lambda: {_fmt(result.lam)}")
     print(f"x: {_fmt(result.lam * spec.mu)}")
@@ -124,10 +124,7 @@ def cmd_bound(args) -> int:
 def cmd_exact(args) -> int:
     spec = _load_spec(args)
     q = _query(args, spec)
-    if args.dist == "geom":
-        est = exact_oracle.geom_tail_exact(spec, q.x, rel_tol=args.rel_tol)
-    else:
-        est = exact_oracle.hypoexp_survival(spec, q.x)
+    est = _upper_exact(spec, q.x, args.rel_tol)
     print(f"method: {est.method.value}")
     print(f"x: {_fmt(q.x)}")
     print(f"value: {_fmt(est.value)}")
@@ -160,52 +157,18 @@ def cmd_sweep(args) -> int:
         make_tail_query(spec.mu, lam=v).lam for v in (args.lambda_from, args.lambda_to)
     )
     if not (1.0 <= lo <= hi):
-        raise geom_bounds.LambdaOutOfRange(f"need 1 <= from <= to, got {lo}..{hi}")
-    grid = np.linspace(lo, hi, args.steps)
+        raise LambdaOutOfRange(f"need 1 <= from <= to, got {lo}..{hi}")
     cfg = montecarlo.McConfig(samples=args.samples, seed=args.seed)
+    columns = methods.rows(args.dist, Side.UPPER, Side.UPPER_FROM_BELOW)
     rows = []
-    if args.dist == "geom":
-        header = (
-            "lambda,x,thm1,thm2,cor1,cor2,opt_chernoff,opt_lemma1,"
-            "tl_lower,exact,mc,mc_halfwidth"
-        )
-        for lam in grid:
-            lam = float(lam)
-            x = lam * spec.mu
-            mc = montecarlo.mc_tail(spec, x, cfg)
-            cells = [
-                lam,
-                x,
-                geom_bounds.upper_tail_thm1(spec, lam).value,
-                geom_bounds.upper_tail_thm2(spec, lam).value,
-                geom_bounds.upper_tail_cor1(lam).value,
-                geom_bounds.upper_tail_cor2(lam).value,
-                geom_bounds.optimized_chernoff(spec, lam).value,
-                geom_bounds.optimized_lemma1(spec, x).value,
-                geom_bounds.upper_tail_lower_bound_tl(spec, lam).value,
-                exact_oracle.geom_tail_exact(spec, x, rel_tol=args.rel_tol).value,
-                mc.value,
-                mc.error_bound,
-            ]
-            rows.append(cells)
-    else:
-        header = "lambda,x,texp_i,texp_ii,texp_iv,exact,mc,mc_halfwidth"
-        for lam in grid:
-            lam = float(lam)
-            x = lam * spec.mu
-            mc = montecarlo.mc_tail(spec, x, cfg)
-            cells = [
-                lam,
-                x,
-                exp_bounds.exp_upper_i(spec, lam).value,
-                exp_bounds.exp_upper_ii(lam).value,
-                exp_bounds.exp_tail_lower_iv(spec, lam).value,
-                exact_oracle.hypoexp_survival(spec, x).value,
-                mc.value,
-                mc.error_bound,
-            ]
-            rows.append(cells)
-    print(header)
+    for lam in np.linspace(lo, hi, args.steps):
+        q = make_tail_query(spec.mu, lam=float(lam))
+        mc = montecarlo.mc_tail(spec, q.x, cfg)
+        bounds = [row.evaluate(spec, q).value for row in columns]
+        exact = _upper_exact(spec, q.x, args.rel_tol).value
+        rows.append([q.lam, q.x, *bounds, exact, mc.value, mc.error_bound])
+    print(",".join(["lambda", "x", *(row.column for row in columns), "exact", "mc",
+                    "mc_halfwidth"]))
     for cells in rows:
         print(",".join(_fmt(c) for c in cells))
     return 0
@@ -217,91 +180,57 @@ def _check(ok: bool, failures: list[str], message: str) -> None:
         print(f"FAIL {message}")
 
 
-def _verify_geom_instance(spec: GeometricSumSpec, failures: list[str]) -> None:
+def _verify_instance(spec, dist: str, failures: list[str]) -> None:
+    """Check every row of the table for `dist` against the exact tails of `spec`.
+
+    Upper rows must lie above the exact upper tail, lower-bound-on-upper rows
+    below it, lower rows above the exact lower tail, each within the oracle's
+    error bound plus 1e-10; each row's log value must not exceed those of the
+    rows it never exceeds, within 1e-12 relative.
+    """
     slack = 1e-10
-    name = f"p={list(spec.params)}"
-    for lam in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0):
-        exact = exact_oracle.geom_tail_exact(spec, lam * spec.mu, rel_tol=1e-9)
-        tl = geom_bounds.upper_tail_lower_bound_tl(spec, lam)
-        thm1 = geom_bounds.upper_tail_thm1(spec, lam)
-        thm2 = geom_bounds.upper_tail_thm2(spec, lam)
-        cor1 = geom_bounds.upper_tail_cor1(lam)
-        cor2 = geom_bounds.upper_tail_cor2(lam)
-        opt = geom_bounds.optimized_chernoff(spec, lam)
-        pad = exact.error_bound + slack
-        _check(
-            tl.value <= exact.value + pad,
-            failures,
-            f"sandwich tl<=exact {name} lam={lam}: {tl.value} > {exact.value}",
-        )
-        _check(
-            exact.value <= thm2.value + pad,
-            failures,
-            f"sandwich exact<=thm2 {name} lam={lam}: {exact.value} > {thm2.value}",
-        )
-        _check(
-            exact.value <= cor2.value + pad,
-            failures,
-            f"sandwich exact<=cor2 {name} lam={lam}: {exact.value} > {cor2.value}",
-        )
-        for lo, hi, tag in (
-            (thm2, thm1, "thm2<=thm1"),
-            (thm1, cor1, "thm1<=cor1"),
-            (thm2, cor2, "thm2<=cor2"),
-            (cor2, cor1, "cor2<=cor1"),
-            (opt, thm1, "opt<=thm1"),
-        ):
-            _check(
-                lo.log_value <= hi.log_value + 1e-12 * (1.0 + abs(hi.log_value)),
-                failures,
-                f"dominance {tag} {name} lam={lam}: {lo.log_value} > {hi.log_value}",
-            )
-    for lam in (0.2, 0.5, 0.8, 1.0):
-        lower = exact_oracle.geom_lower_tail_exact(spec, lam * spec.mu)
-        tl1 = geom_bounds.lower_tail_tl1(spec, lam)
-        _check(
-            lower.value <= tl1.value + lower.error_bound + slack,
-            failures,
-            f"lower tail {name} lam={lam}: {lower.value} > {tl1.value}",
-        )
+    name = f"p={list(spec.params)}" if dist == "geom" else f"a={list(spec.rates)}"
+    for truth, oracle, lams, sides in (
+        ("exact", lambda x: _upper_exact(spec, x, 1e-9),
+         (1.0, 1.25, 1.5, 2.0, 3.0, 5.0), (Side.UPPER, Side.UPPER_FROM_BELOW)),
+        ("exact_lower", lambda x: _lower_exact(spec, x),
+         (0.2, 0.5, 0.8, 1.0), (Side.LOWER,)),
+    ):
+        table = methods.rows(dist, *sides)
+        for lam in lams:
+            q = make_tail_query(spec.mu, lam=lam)
+            exact = oracle(q.x)
+            pad = exact.error_bound + slack
+            results = {row.method: row.evaluate(spec, q) for row in table}
+            for row in table:
+                m = row.method.value
+                lo, hi = (m, truth) if row.side is Side.UPPER_FROM_BELOW else (truth, m)
+                v = {m: results[row.method].value, truth: exact.value}
+                _check(
+                    v[lo] <= v[hi] + pad,
+                    failures,
+                    f"sandwich {lo}<={hi} {name} lam={lam}: {v[lo]} > {v[hi]}",
+                )
+                for other in row.never_exceeds:
+                    a, b = results[row.method].log_value, results[other].log_value
+                    _check(
+                        a <= b + 1e-12 * (1.0 + abs(b)),
+                        failures,
+                        f"dominance {m}<={other.value} {name} lam={lam}: {a} > {b}",
+                    )
+    if dist != "geom":
+        return
     # pairwise tail-ratio floor: P(X>=j) >= (1-p_min)^(j-k) P(X>=k), j >= k
     base = max(spec.n, math.ceil(spec.mu))
     for j, k in ((base + 3, base), (base + 11, base + 2)):
-        pj = exact_oracle.geom_tail_exact(spec, j, rel_tol=1e-9)
-        pk = exact_oracle.geom_tail_exact(spec, k, rel_tol=1e-9)
+        pj = _upper_exact(spec, j, 1e-9)
+        pk = _upper_exact(spec, k, 1e-9)
         floor = (1.0 - spec.p_min) ** (j - k) * pk.value
         pad = pj.error_bound + pk.error_bound + slack
         _check(
             pj.value >= floor * (1.0 - 1e-9) - pad,
             failures,
             f"tail ratio {name} j={j} k={k}: {pj.value} < {floor}",
-        )
-
-
-def _verify_exp_instance(spec: ExponentialSumSpec, failures: list[str]) -> None:
-    slack = 1e-10
-    name = f"a={list(spec.rates)}"
-    for lam in (1.0, 1.5, 2.0, 3.0, 5.0):
-        x = lam * spec.mu
-        exact = exact_oracle.hypoexp_survival(spec, x)
-        upper_i = exp_bounds.exp_upper_i(spec, lam)
-        upper_ii = exp_bounds.exp_upper_ii(lam)
-        lower_iv = exp_bounds.exp_tail_lower_iv(spec, lam)
-        pad = exact.error_bound + slack
-        _check(
-            lower_iv.value <= exact.value + pad,
-            failures,
-            f"exp sandwich iv<=exact {name} lam={lam}: {lower_iv.value} > {exact.value}",
-        )
-        _check(
-            exact.value <= upper_i.value + pad,
-            failures,
-            f"exp sandwich exact<=i {name} lam={lam}: {exact.value} > {upper_i.value}",
-        )
-        _check(
-            upper_i.log_value <= upper_ii.log_value + 1e-12 * (1.0 + abs(upper_ii.log_value)),
-            failures,
-            f"exp dominance i<=ii {name} lam={lam}",
         )
 
 
@@ -325,7 +254,7 @@ def cmd_verify(args) -> int:
     lam = 2.0
     sandwich = (
         geom_bounds.upper_tail_lower_bound_tl(fixed, lam).value,
-        exact_oracle.geom_tail_exact(fixed, lam * fixed.mu).value,
+        _upper_exact(fixed, lam * fixed.mu, 1e-9).value,
         geom_bounds.upper_tail_thm2(fixed, lam).value,
         geom_bounds.upper_tail_thm1(fixed, lam).value,
         geom_bounds.upper_tail_cor1(lam).value,
@@ -342,16 +271,14 @@ def cmd_verify(args) -> int:
     )
 
     rng = np.random.default_rng(args.seed)
-    for _ in range(args.trials):
-        n = int(rng.integers(1, 9))
-        spec = make_geometric_spec(list(rng.uniform(0.05, 1.0, n)))
-        _verify_geom_instance(spec, failures)
-    print(f"geometric suite: {args.trials} random instances")
-    for _ in range(args.trials):
-        n = int(rng.integers(1, 7))
-        spec = make_exponential_spec(list(rng.uniform(0.1, 10.0, n)))
-        _verify_exp_instance(spec, failures)
-    print(f"exponential suite: {args.trials} random instances")
+    for dist, suite, n_max, make, lo, hi in (
+        ("geom", "geometric", 8, make_geometric_spec, 0.05, 1.0),
+        ("exp", "exponential", 6, make_exponential_spec, 0.1, 10.0),
+    ):
+        for _ in range(args.trials):
+            n = int(rng.integers(1, n_max + 1))
+            _verify_instance(make(list(rng.uniform(lo, hi, n))), dist, failures)
+        print(f"{suite} suite: {args.trials} random instances")
 
     if failures:
         print(f"verify: {len(failures)} violation(s)")
@@ -387,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument(
         "--method",
         required=True,
-        choices=sorted(set(_GEOM_METHODS) | set(_EXP_METHODS)),
+        choices=sorted([*methods.BY_NAME, "lemma1", "best"]),
     )
     bound.add_argument("--z", type=float, help="generating-function argument (lemma1)")
     bound.set_defaults(func=cmd_bound)

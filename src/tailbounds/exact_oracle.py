@@ -212,6 +212,7 @@ def partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[floa
     Requires pairwise-distinct rates. Returns (value, error bound); the error
     scales with the total weight magnitude, which measures the cancellation.
     """
+    rates = tuple(map(float, rates))  # numpy scalars would warn on overflow
     weights = _pf_weights(rates)
     overflowed = [i for i, w in enumerate(weights) if not math.isfinite(w)]
     if overflowed:

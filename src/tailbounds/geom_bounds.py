@@ -203,20 +203,6 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     return bound_result(Method.OPT_LEMMA1, x / spec.mu, log_bound, internal_param=z)
 
 
-def best_upper(spec: GeometricSumSpec, lam: float) -> BoundResult:
-    """The smallest of all upper-tail bounds, reported under the winning method."""
-    require_upper(lam)
-    candidates = [
-        upper_tail_thm1(spec, lam),
-        upper_tail_thm2(spec, lam),
-        upper_tail_cor1(lam),
-        upper_tail_cor2(lam),
-        optimized_chernoff(spec, lam),
-        optimized_lemma1(spec, lam * spec.mu),
-    ]
-    return min(candidates, key=lambda r: r.log_value)
-
-
 def lemma_la_check(A: float, x: float) -> bool:
     """Check A (x + ln(1-x)) <= ln(1 - A x^2 / 2) for A >= 1, 0 <= x <= 1/A.
 

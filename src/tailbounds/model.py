@@ -232,19 +232,6 @@ def pgf_pole_gap(p: float, z: float) -> float:
     return 1.0 - (1.0 - p) * z
 
 
-def pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
-    """Probability generating function E z^X = prod_i p_i z / (1 - (1-p_i) z).
-
-    Valid for z >= 0 with z (1-p_i) < 1 for every i; the pole nearest the
-    origin comes from p_min, so degenerate specs (p_min = 1) accept any z >= 0.
-    """
-    _check_pgf_domain(spec, z)
-    out = 1.0
-    for p in spec.params:
-        out *= p * z / pgf_pole_gap(p, z)
-    return out
-
-
 def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     """ln E z^X, summed factor by factor to survive deep arguments."""
     _check_pgf_domain(spec, z)
@@ -266,16 +253,6 @@ def _check_pgf_domain(spec: GeometricSumSpec, z: float) -> None:
         raise DomainError(
             f"z={z} is at or beyond the pgf pole 1/(1-p_min) for p_min={spec.p_min}"
         )
-
-
-def mgf_exponential(spec: ExponentialSumSpec, t: float) -> float:
-    """Moment generating function E e^(tX) = prod_i a_i / (a_i - t), for t < a_min."""
-    if not t < spec.a_min:
-        raise DomainError(f"mgf needs t < a_min={spec.a_min}, got t={t}")
-    out = 1.0
-    for a in spec.rates:
-        out *= a / (a - t)
-    return out
 
 
 def log_inequality_check(x: float, y: float) -> bool:

@@ -57,42 +57,6 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     return ((z >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-class SplitMix64Stream:
-    """Sequential reader over the counter stream (one uniform per call)."""
-
-    def __init__(self, seed: int, position: int = 0):
-        if not (0 <= seed < 2**64):
-            raise OutOfRange(f"seed {seed} not a 64-bit unsigned integer")
-        self.seed = seed
-        self.position = position
-
-    def uniform(self) -> float:
-        u = float(uniform_block(self.seed, self.position, 1)[0])
-        self.position += 1
-        return u
-
-
-def sample_geometric_sum(spec: GeometricSumSpec, rng: SplitMix64Stream) -> int:
-    """One draw of the sum, by inversion: X_i = ceil(ln U / ln(1-p_i)).
-
-    Consumes exactly one uniform per summand (degenerate p_i = 1 included,
-    so sequential and vectorized paths stay position-aligned).
-    """
-    total = 0
-    for p in spec.params:
-        u = rng.uniform()
-        if p == 1.0:
-            total += 1
-        else:
-            total += math.ceil(math.log(u) / math.log1p(-p))
-    return total
-
-
-def sample_exponential_sum(spec: ExponentialSumSpec, rng: SplitMix64Stream) -> float:
-    """One draw of the sum: sum of -ln(U_i)/a_i."""
-    return math.fsum(-math.log(rng.uniform()) / a for a in spec.rates)
-
-
 def wilson_interval(hits: int, samples: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for hits/samples at the given confidence."""
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_pmf, brute_force_tail, random_geom_specs
+from conftest import brute_force_pmf, brute_force_tail, pgf_geometric, random_geom_specs
 from tailbounds import exact_oracle
 from tailbounds import (
     KTooSmall,
@@ -23,7 +24,6 @@ from tailbounds import (
     make_geometric_spec,
     matrix_exp_survival,
     partial_fractions_survival,
-    pgf_geometric,
     upper_tail_thm2,
 )
 
@@ -244,6 +244,14 @@ class TestHypoexpSurvival:
         spec = make_exponential_spec(list(rates))
         with pytest.raises(OutOfRange, match="partial-fraction weights overflow"):
             hypoexp_survival(spec, 1.5 * spec.mu)
+
+    def test_numpy_rates_overflow_without_warning(self):
+        # numpy scalars would warn on the overflowing products before the refusal
+        rates = tuple(np.linspace(0.1, 10.0, 1000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="partial-fraction weights overflow"):
+                partial_fractions_survival(rates, 1.0)
 
     def test_density_vanishes_at_origin(self):
         # for n >= 2 the density at 0 is 0, so the survival has zero slope

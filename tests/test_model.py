@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mgf_exponential, pgf_geometric
 from tailbounds import (
     DomainError,
     EmptyParams,
@@ -14,8 +15,6 @@ from tailbounds import (
     make_exponential_spec,
     make_geometric_spec,
     make_tail_query,
-    mgf_exponential,
-    pgf_geometric,
     read_params_file,
 )
 

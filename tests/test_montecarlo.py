@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SplitMix64Stream, sample_exponential_sum, sample_geometric_sum
 from tailbounds import (
     McConfig,
     OracleMethod,
     OutOfRange,
-    SplitMix64Stream,
     geom_tail_exact,
     hypoexp_survival,
     make_exponential_spec,
     make_geometric_spec,
     mc_tail,
-    sample_exponential_sum,
-    sample_geometric_sum,
     uniform_block,
     wilson_interval,
 )
