@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_bounds import upper_tail_thm2
+from .geom_bounds import log_thm2, upper_tail_lower_bound_tl
 from .model import (
     ExponentialSumSpec,
     GeometricSumSpec,
@@ -34,7 +34,7 @@ _COMPLEMENT_FLOOR = 1e-9
 # the matrix exponential (cancellation in the weights grows like 1/gap).
 _RATE_GAP = 1e-6
 
-# Grow the pmf grid at most this far before giving up (cost is O(n*K)).
+# Largest pmf grid ever built, checked before it is allocated (cost is O(n*K)).
 _MAX_SUPPORT = 10_000_000
 
 
@@ -97,12 +97,31 @@ def geom_pmf_convolution(spec: GeometricSumSpec, K: int) -> np.ndarray:
     return _pmf_grid(spec, K)[spec.n :]
 
 
-def _truncation_remainder(spec: GeometricSumSpec, K: int) -> float:
-    """Analytic bound on P(X >= K+1), valid once K+1 >= mu."""
-    lam = (K + 1) / spec.mu
-    if lam < 1.0:
-        return 1.0
-    return upper_tail_thm2(spec, lam).value
+def _log_tail_bound(spec: GeometricSumSpec, k: int) -> float:
+    """Theorem 2's log bound on P(X >= k); 0 below the mean, where it does not apply."""
+    lam = k / spec.mu
+    return log_thm2(spec, lam) if lam >= 1.0 else 0.0
+
+
+def _sized_support(spec: GeometricSumSpec, k0: int, rel_tol: float) -> int:
+    """Smallest K >= k0 with thm2 at (K+1)/mu at most rel_tol/2 times tl at k0/mu.
+
+    tl is a lower bound on P(X >= k0), so a grid up to K holds at least
+    (1 - rel_tol/2) of that tail and the remainder certifies it. The search
+    stays in log space, where tl is finite long after its value underflows;
+    it gallops up from k0, then bisects, and stops at the support cap.
+    """
+    lam0 = max(k0 / spec.mu, 1.0)
+    target = math.log(0.5 * rel_tol) + upper_tail_lower_bound_tl(spec, lam0).log_value
+    lo = hi = k0
+    while not _log_tail_bound(spec, hi + 1) <= target:
+        if hi >= _MAX_SUPPORT:
+            return _MAX_SUPPORT
+        lo, hi = hi, min(2 * hi, _MAX_SUPPORT)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _log_tail_bound(spec, mid + 1) <= target else (mid, hi)
+    return hi
 
 
 def geom_tail_exact(
@@ -110,11 +129,13 @@ def geom_tail_exact(
 ) -> TailEstimate:
     """P(X >= x), exact up to round-off and a certified truncation remainder.
 
-    Since X is integer valued, P(X >= x) = P(X >= max(ceil(x), n)). When the
-    complement 1 - CDF is above 1e-9 it is returned directly; below that the
-    tail is summed upward from ceil(x), extending the grid until the analytic
-    remainder falls under rel_tol times the partial sum; a grid at the support
-    cap is the last one tried.
+    Since X is integer valued, P(X >= x) = P(X >= k0) with k0 = max(ceil(x), n).
+    Unless Theorem 2 already puts the tail below half of 1e-9, the pmf up to
+    k0 - 1 is summed and the complement 1 - CDF returned when it is above
+    1e-9. Otherwise the tail is summed upward from k0 on one grid, sized by
+    Theorem 2 against the matching lower bound tl so that the analytic
+    remainder falls under rel_tol times the partial sum; the grid never
+    passes the support cap.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise OutOfRange(f"rel_tol {rel_tol} not in (0, 0.1]")
@@ -123,26 +144,20 @@ def geom_tail_exact(
         return TailEstimate(1.0, 0.0, OracleMethod.CONVOLUTION)
     k0 = math.ceil(x)
 
-    pmf = _pmf_grid(spec, k0 - 1)
-    head = float(np.sum(pmf[spec.n :]))
-    roundoff = _EPS * (2.0 * k0 + spec.n)
-    complement = 1.0 - head
-    if complement > _COMPLEMENT_FLOOR:
-        return TailEstimate(min(complement, 1.0), roundoff, OracleMethod.CONVOLUTION)
+    if _log_tail_bound(spec, k0) > math.log(0.5 * _COMPLEMENT_FLOOR):
+        complement = 1.0 - float(np.sum(_pmf_grid(spec, k0 - 1)[spec.n :]))
+        if complement > _COMPLEMENT_FLOOR:
+            roundoff = _EPS * (2.0 * k0 + spec.n)
+            return TailEstimate(min(complement, 1.0), roundoff, OracleMethod.CONVOLUTION)
 
-    K = k0
-    while True:
-        K = min(max(2 * K, k0 + 16), _MAX_SUPPORT)
-        grid = _pmf_grid(spec, K)
-        partial = float(np.sum(grid[k0:]))
-        remainder = _truncation_remainder(spec, K)
-        if (K + 1) >= spec.mu and remainder <= rel_tol * partial:
-            break
-        if K == _MAX_SUPPORT:
-            raise OutOfRange(
-                f"tail from {k0} is not certified within the support cap "
-                f"{_MAX_SUPPORT}: remainder {remainder} against partial sum {partial}"
-            )
+    K = _sized_support(spec, k0, rel_tol)
+    partial = float(np.sum(_pmf_grid(spec, K)[k0:]))
+    remainder = math.exp(_log_tail_bound(spec, K + 1))
+    if not remainder <= rel_tol * partial:
+        raise OutOfRange(
+            f"tail from {k0} is not certified by a grid of {K} (support cap "
+            f"{_MAX_SUPPORT}): remainder {remainder} against partial sum {partial}"
+        )
     error = remainder + _EPS * (2.0 * K + spec.n) * max(partial, 1e-300)
     return TailEstimate(min(partial, 1.0), error, OracleMethod.CONVOLUTION)
 
@@ -263,6 +278,16 @@ def matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, floa
     return value, error
 
 
+def _rates_separated(rates: tuple[float, ...]) -> bool:
+    """Whether every two rates are more than _RATE_GAP apart, relative to the larger.
+
+    Sorted neighbours decide it: for a <= c <= b, b - a >= b - c, so the
+    closest pair to any b is its lower neighbour. O(n log n) instead of O(n^2).
+    """
+    s = sorted(rates)
+    return all(b - a > _RATE_GAP * b for a, b in zip(s, s[1:]))
+
+
 def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     """P(X > x) for a sum of independent exponentials.
 
@@ -272,12 +297,7 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     if not x >= 0.0:
         raise NegativeX(f"need x >= 0, got {x}")
     rates = spec.rates
-    separated = all(
-        abs(ai - aj) > _RATE_GAP * max(ai, aj)
-        for i, ai in enumerate(rates)
-        for aj in rates[i + 1 :]
-    )
-    if separated:
+    if _rates_separated(rates):
         method = OracleMethod.PARTIAL_FRACTIONS
         value, error = partial_fractions_survival(rates, x)
     else:

@@ -41,6 +41,19 @@ def upper_tail_cor1(lam: float) -> BoundResult:
     return bound_result(Method.COR1, lam, math.log(lam) + 1.0 - lam)
 
 
+def log_thm2(spec: GeometricSumSpec, lam: float) -> float:
+    """upper_tail_thm2's log bound as a plain float, for callers that evaluate
+    it many times; lam >= 1 is the caller's to check.
+    """
+    if lam == 1.0:
+        return 0.0
+    if spec.p_min == 1.0:
+        return -math.inf
+    return -math.log(lam) + (lam - 1.0 - math.log(lam)) * spec.mu * math.log1p(
+        -spec.p_min
+    )
+
+
 def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Sharper bound P(X >= lam*mu) <= (1/lam) (1-p_min)^((lam-1-ln lam) mu).
 
@@ -49,14 +62,7 @@ def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     of p_min (the 0 * log(0) product is taken as 0, by continuity in lam).
     """
     require_upper(lam)
-    if lam == 1.0:
-        return bound_result(Method.THM2, lam, 0.0)
-    if spec.p_min == 1.0:
-        return bound_result(Method.THM2, lam, -math.inf)
-    log_bound = -math.log(lam) + (lam - 1.0 - math.log(lam)) * spec.mu * math.log1p(
-        -spec.p_min
-    )
-    return bound_result(Method.THM2, lam, log_bound)
+    return bound_result(Method.THM2, lam, log_thm2(spec, lam))
 
 
 def upper_tail_cor2(lam: float) -> BoundResult:

@@ -1,6 +1,7 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from tailbounds import (
     make_geometric_spec,
     matrix_exp_survival,
     partial_fractions_survival,
+    upper_tail_lower_bound_tl,
     upper_tail_thm2,
 )
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])
+FIFTY = make_geometric_spec(list(np.random.default_rng(5).uniform(0.05, 1.0, 50)))
 
 
 class TestPmfConvolution:
@@ -190,6 +193,18 @@ class TestTailRatioFloor:
                 assert px >= floor * (1.0 - 1e-9) - 1e-14
 
 
+_rates = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _pairwise_separated(rates) -> bool:
+    """The O(n^2) definition of the partial-fractions route: every pair apart."""
+    return all(
+        abs(ai - aj) > exact_oracle._RATE_GAP * max(ai, aj)
+        for i, ai in enumerate(rates)
+        for aj in rates[i + 1 :]
+    )
+
+
 class TestHypoexpSurvival:
     def test_distinct_rates(self):
         est = hypoexp_survival(make_exponential_spec([1.0, 2.0]), 1.0)
@@ -253,6 +268,25 @@ class TestHypoexpSurvival:
             with pytest.raises(OutOfRange, match="partial-fraction weights overflow"):
                 partial_fractions_survival(rates, 1.0)
 
+    @given(
+        st.one_of(
+            st.lists(_rates, min_size=1, max_size=12),
+            st.tuples(_rates, st.lists(st.floats(0.0, 3e-6), min_size=1, max_size=12)).map(
+                lambda t: [t[0] * (1.0 + d) for d in t[1]]
+            ),
+            st.lists(_rates, min_size=1, max_size=6).flatmap(
+                lambda r: st.permutations(r + r[:1])
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_route_check_matches_pairwise(self, rates):
+        # random, clustered (relative gaps around _RATE_GAP) and tied rate sets
+        separated = _pairwise_separated(rates)
+        assert exact_oracle._rates_separated(tuple(rates)) == separated
+        route = hypoexp_survival(make_exponential_spec(rates), 1.0).method
+        assert (route is OracleMethod.PARTIAL_FRACTIONS) == separated
+
     def test_density_vanishes_at_origin(self):
         # for n >= 2 the density at 0 is 0, so the survival has zero slope
         spec = make_exponential_spec([1.0, 3.0])
@@ -293,6 +327,73 @@ class TestSupportCap:
     def test_minus_infinity_is_whole_or_empty(self):
         assert geom_tail_exact(HALF_HALF, -math.inf).value == 1.0
         assert geom_lower_tail_exact(HALF_HALF, -math.inf).value == 0.0
+
+
+def _grid_calls():
+    """Patch the pmf kernel with a wrapper that records the K of every grid."""
+    return mock.patch.object(exact_oracle, "_pmf_grid", wraps=exact_oracle._pmf_grid)
+
+
+def _sizes(grid) -> list[int]:
+    return [call.args[1] for call in grid.call_args_list]
+
+
+class TestSizedGrid:
+    # a tail-route call builds one pmf grid, sized up front by thm2 against tl
+    @pytest.mark.parametrize(
+        "spec, lam", [(HALF_HALF, 15.0), (FIFTY, 5.0)], ids=["half-half", "fifty"]
+    )
+    def test_one_grid_per_tail_call(self, spec, lam):
+        x = lam * spec.mu
+        with _grid_calls() as grid:
+            est = geom_tail_exact(spec, x)
+        assert len(_sizes(grid)) == 1
+        assert _sizes(grid)[0] >= math.ceil(x)
+        assert 0.0 < est.value < exact_oracle._COMPLEMENT_FLOOR
+
+    def test_underflowing_tail(self):
+        # P(X >= 3000) ~ 3000 * 2^-2999 ~ 1e-900: tl's value is 0, its log is
+        # about -2080, so the sizing has to stay in log space
+        tl = upper_tail_lower_bound_tl(HALF_HALF, 3000.0 / HALF_HALF.mu)
+        assert tl.value == 0.0 and -2100.0 < tl.log_value < -2000.0
+        with _grid_calls() as grid:
+            est = geom_tail_exact(HALF_HALF, 3000.0)
+        assert len(_sizes(grid)) == 1
+        assert est.value == 0.0
+        assert 0.0 < est.error_bound <= 3e-312
+
+    def test_deterministic_sum(self):
+        # p_min = 1: thm2 and tl are both -inf in log, and log1p(-1) must not run
+        with _grid_calls() as grid:
+            est = geom_tail_exact(make_geometric_spec([1.0, 1.0]), 3.0)
+        assert len(_sizes(grid)) == 1
+        assert est.value == 0.0
+
+    @given(
+        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=20),
+        st.booleans(),
+        st.floats(min_value=2.0, max_value=30.0),
+        st.sampled_from([1e-12, 1e-9, 1e-4, 0.1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tail_route_certificate(self, p, iid, lam, rel_tol):
+        if iid:
+            p = [p[0]] * len(p)
+        spec = make_geometric_spec(p)
+        x = lam * spec.mu
+        with _grid_calls() as grid:
+            est = geom_tail_exact(spec, x, rel_tol=rel_tol)
+        K = _sizes(grid)[-1]
+        if K < math.ceil(x):
+            return  # the 1 - CDF route
+        assert _sizes(grid).count(K) == 1
+        # remainder <= rel_tol/2 * tl, plus round-off on the scale of the sum;
+        # 1e-300 is the floor the round-off term keeps once the sum underflows
+        roundoff = exact_oracle._EPS * (2 * K + spec.n) * max(est.value, 1e-300)
+        assert est.error_bound <= 1.1 * rel_tol * est.value + roundoff
+        if iid:
+            ref = iid_geom_tail(p[0], spec.n, x)
+            assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
 
 
 def _decimal_exp_sum(rates, x):
