@@ -116,6 +116,8 @@ def cmd_bound(args) -> int:
     print(f"log_value: {_fmt(result.log_value)}")
     if result.internal_param is not None:
         print(f"internal_param: {_fmt(result.internal_param)}")
+    if result.evaluations is not None:
+        print(f"evaluations: {result.evaluations}")
     if result.clamped:
         print("clamped: true")
     return 0

@@ -5,14 +5,17 @@ tail P(X <= lam*mu), a matching lower bound for the upper tail, and two
 numerically optimized variants (a Chernoff exponent minimized over its free
 parameter t, and a generating-function bound minimized over z). Both
 objectives are convex, so each optimum is one bracketed root of an
-increasing derivative. Every bound is computed in log space and returned as
-a BoundResult.
+increasing convex derivative, found by safeguarded Newton steps with numpy
+over the spec's parameter array. Every bound is computed in log space and
+returned as a BoundResult.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+
+import numpy as np
 
 from .model import (
     BoundResult,
@@ -23,6 +26,7 @@ from .model import (
     bound_result,
     log_pgf_geometric,
     pgf_pole_gap,
+    pgf_pole_gaps,
     require_upper,
 )
 
@@ -106,8 +110,8 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
 
     for x >= 0 and 1 <= z < 1/(1-p_min).
     """
-    if not x >= 0.0:
-        raise DomainError(f"need x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"need a finite x >= 0, got {x}")
     if not z >= 1.0:
         raise DomainError(f"need z >= 1, got {z}")
     if pgf_pole_gap(spec.p_min, z) <= 0.0:
@@ -127,43 +131,103 @@ def _from_bits(i: int) -> float:
     return struct.unpack("<d", struct.pack("<q", i))[0]
 
 
-def _increasing_root(g, lo: float, hi: float) -> float:
-    """The smallest double in [lo, hi] (0 <= lo <= hi) where increasing g is >= 0.
+# Evaluations after which _increasing_root bisects bit patterns alone. The
+# nonnegative doubles span fewer than 2**63 patterns, so that adds at most 63.
+_NEWTON_EVALUATIONS = 64
 
-    Returns lo when g(lo) >= 0 and hi when g stays negative below hi.
-    Nonnegative doubles order like their bit patterns, so bisecting the
-    patterns ends on two adjacent doubles after at most 64 evaluations of g,
-    whatever the scale of the root.
+
+def _increasing_root(g, lo: float, hi: float) -> tuple[float, int]:
+    """The smallest double in [lo, hi] (0 <= lo <= hi) where increasing convex g
+    is >= 0, and how many times g was evaluated.
+
+    g(t) returns (g(t), g'(t)). The solve returns lo when g(lo) >= 0 and hi
+    when g(hi) < 0. Otherwise it keeps a bracket a < root <= b of doubles and
+    takes Newton steps from the last point evaluated, safeguarded as in
+    "rtsafe" (Press et al., Numerical Recipes 9.4): a step that leaves the
+    bracket or fails to halve the step before last, and any step with a
+    non-finite or zero g', becomes a bisection of the bracket's bit patterns.
+    Nonnegative doubles order like their bit patterns, so bisection works at
+    any scale. On a convex g a Newton step lands at or right of the root, so
+    Newton converges from the right. Once it stops moving (its next step is
+    at most one double, or falls behind a through round-off), probes 1, 2,
+    4, ... doubles away find the sign change, and the bracket closes on two
+    adjacent doubles. After 64 evaluations only bisection runs, so a solve
+    never takes more than 127.
     """
-    if g(lo) >= 0.0:
-        return lo
+    g_lo, _ = g(lo)
+    if g_lo >= 0.0:
+        return lo, 1
+    x = hi
+    gx, dx = g(hi)
+    if gx < 0.0:
+        return hi, 2
+    evaluations = 2
     a, b = _bits(lo), _bits(hi)
+    step = last = hi - lo
+    probe = 1
     while b - a > 1:
-        m = (a + b) // 2
-        if g(_from_bits(m)) >= 0.0:
-            b = m
+        c = (a + b) // 2
+        if evaluations < _NEWTON_EVALUATIONS and 0.0 < dx < math.inf:
+            t = x - gx / dx
+            if gx >= 0.0 and t <= _from_bits(a):
+                # from the right Newton only falls behind a through round-off,
+                # so the root is at a: probe the doubles just above it
+                c = a + probe
+                probe *= 2
+            elif abs(_bits(t) - _bits(x)) <= 1:
+                # Newton has converged to round-off: probe past x, doubling
+                # the distance while g keeps its sign
+                c = _bits(x) + (probe if gx < 0.0 else -probe)
+                probe *= 2
+            else:
+                probe = 1
+                if _from_bits(a) < t < _from_bits(b) and abs(t - x) <= 0.5 * last:
+                    c = _bits(t)
+            if not a < c < b:
+                c = (a + b) // 2
+        x_new = _from_bits(c)
+        step, last = abs(x_new - x), step
+        x = x_new
+        gx, dx = g(x)
+        evaluations += 1
+        if gx >= 0.0:
+            b = c
         else:
-            a = m
-    return _from_bits(b)
+            a = c
+    return _from_bits(b), evaluations
 
 
 def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Chernoff bound with the exponent minimized over t in [0, p_min).
 
     The exponent -t lam mu - sum ln(1 - t/p_i) is convex in t, so its
-    minimizer is the root of the increasing derivative
-    -lam mu + sum 1/(p_i - t). Never worse than upper_tail_thm1, whose t is
-    one point of the same domain.
+    minimizer is the root of the increasing convex derivative
+    -lam mu + sum 1/(p_i - t), with second derivative sum 1/(p_i - t)^2.
+    Never worse than upper_tail_thm1, whose t is one point of the same
+    domain.
     """
     require_upper(lam)
     target = lam * spec.mu
-    t = _increasing_root(
-        lambda t: math.fsum(1.0 / (p - t) for p in spec.params) - target,
-        0.0,
-        math.nextafter(spec.p_min, 0.0),
+    p = spec.param_array
+    p_min = spec.p_min
+    inv_p = 1.0 / p
+    excess = (lam - 1.0) * (spec.mu * p_min)
+
+    # The derivative times p_min, written with 1/(p_i - t) - 1/p_i =
+    # t/(p_i (p_i - t)) so that mu cancels exactly (g(0) = 0 at lam = 1).
+    # The factor p_min keeps g and g' finite off the pole for a tiny p_min.
+    def g(t: float) -> tuple[float, float]:
+        r = p_min / (p - t)
+        return float((t * inv_p) @ r) - excess, float(r @ r) / p_min
+
+    # 1/(p_min - t) <= sum 1/(p_i - t) <= mu/(1 - t/p_min) brackets the root
+    lo = (1.0 - 1.0 / lam) * p_min
+    hi = max(lo, min(p_min - 1.0 / target, math.nextafter(p_min, 0.0)))
+    t, evaluations = _increasing_root(g, lo, hi)
+    log_bound = -t * target - math.fsum(np.log1p(-t / p).tolist())
+    return bound_result(
+        Method.OPT_CHERNOFF, lam, log_bound, internal_param=t, evaluations=evaluations
     )
-    log_bound = -t * target - math.fsum(math.log1p(-t / p) for p in spec.params)
-    return bound_result(Method.OPT_CHERNOFF, lam, log_bound, internal_param=t)
 
 
 def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
@@ -175,38 +239,47 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
         (n - x) u - sum_{i != i*} ln((1 - q_i z) / p_i),
 
     convex in u and finite at the pole unless p_min is tied. Its minimizer
-    is the root of the increasing derivative n - x + sum_{i != i*}
-    q_i z / (1 - q_i z); when that stays negative the optimum sits at the
-    pole and z is the largest double below it. The bound is the cancelled
-    form at the reported z, which lemma1_bound at internal_param reproduces.
+    is the root of the increasing convex derivative n - x + sum_{i != i*}
+    q_i z / (1 - q_i z), with second derivative sum_{i != i*} q_i / (1 - q_i z)^2;
+    when the derivative stays negative the optimum sits at the pole and z
+    is the largest double below it. The bound is the cancelled form at the
+    reported z, which lemma1_bound at internal_param reproduces.
 
     For degenerate specs (p_min = 1, so X is a.s. its minimum value n) the z
     domain is unbounded and the infimum is 0 for x > n, 1 otherwise.
     """
-    if not x >= 0.0:
-        raise DomainError(f"need x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"need a finite x >= 0, got {x}")
+    lam = x / spec.mu
     if spec.p_min == 1.0:
         if x > spec.n:
-            return bound_result(Method.OPT_LEMMA1, x / spec.mu, -math.inf)
-        return bound_result(Method.OPT_LEMMA1, x / spec.mu, 0.0, internal_param=1.0)
+            return bound_result(Method.OPT_LEMMA1, lam, -math.inf, evaluations=0)
+        return bound_result(
+            Method.OPT_LEMMA1, lam, 0.0, internal_param=1.0, evaluations=0
+        )
 
-    others = list(spec.params)
-    others.remove(spec.p_min)
+    others = np.delete(spec.param_array, np.argmin(spec.param_array))
+    q = 1.0 - others
     # the largest z below the pole, both as 1/(1-p_min) rounds and by the gap
     z_max = max(1.0, math.nextafter(1.0 / (1.0 - spec.p_min), 0.0))
     while pgf_pole_gap(spec.p_min, z_max) <= 0.0:
         z_max = math.nextafter(z_max, 0.0)
     slope = spec.n - x
-    z = _increasing_root(
-        lambda z: slope
-        + math.fsum((1.0 - p) * z / pgf_pole_gap(p, z) for p in others),
-        1.0,
-        z_max,
-    )
+
+    def g(z: float) -> tuple[float, float]:
+        gap = pgf_pole_gaps(others, z)
+        r = q / gap
+        return slope + z * float(r.sum()), float((r / gap).sum())
+
+    # q/gap and q/gap^2 overflow next to a tied pole
+    with np.errstate(over="ignore"):
+        z, evaluations = _increasing_root(g, 1.0, z_max)
     log_bound = slope * math.log(z) - math.fsum(
-        math.log(pgf_pole_gap(p, z) / p) for p in others
+        np.log(pgf_pole_gaps(others, z) / others).tolist()
     )
-    return bound_result(Method.OPT_LEMMA1, x / spec.mu, log_bound, internal_param=z)
+    return bound_result(
+        Method.OPT_LEMMA1, lam, log_bound, internal_param=z, evaluations=evaluations
+    )
 
 
 def lemma_la_check(A: float, x: float) -> bool:

@@ -7,6 +7,7 @@ this table, so adding a bound or an ordering between bounds is one row here.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Callable
@@ -84,11 +85,14 @@ _GEOM_UPPER = rows("geom", Side.UPPER)
 
 
 def best_upper(spec: GeometricSumSpec, lam: float) -> BoundResult:
-    """The smallest geometric upper-tail bound, reported under the winning method.
+    """The smallest geometric upper-tail bound, reported under the winning method
+    with the evaluations of every root solve behind the choice.
 
     Ties go to the earlier row of the table.
     """
     require_upper(lam)
     query = TailQuery(lam=lam, x=lam * spec.mu)
-    candidates = (row.evaluate(spec, query) for row in _GEOM_UPPER)
-    return min(candidates, key=lambda r: r.log_value)
+    candidates = [row.evaluate(spec, query) for row in _GEOM_UPPER]
+    best = min(candidates, key=lambda r: r.log_value)
+    evaluations = sum(r.evaluations for r in candidates if r.evaluations is not None)
+    return dataclasses.replace(best, evaluations=evaluations)

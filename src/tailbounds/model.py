@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class TailBoundsError(ValueError):
     """Base for all domain/validation errors raised by this package."""
@@ -79,7 +81,9 @@ class BoundResult:
 
     ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min) or the
     generating-function argument z (1 <= z < 1/(1-p_min)), when the method has
-    one. Bounds that exceed 1 after round-off are clamped to 1 and flagged.
+    one. ``evaluations`` counts the derivative evaluations of the root solve
+    behind an optimized bound (0 when no solve ran). Bounds that exceed 1
+    after round-off are clamped to 1 and flagged.
     """
 
     log_bound: LogProb
@@ -87,6 +91,7 @@ class BoundResult:
     lam: float
     internal_param: float | None = None
     clamped: bool = False
+    evaluations: int | None = None
 
     @property
     def value(self) -> float:
@@ -98,7 +103,11 @@ class BoundResult:
 
 
 def bound_result(
-    method: Method, lam: float, log_bound: float, internal_param: float | None = None
+    method: Method,
+    lam: float,
+    log_bound: float,
+    internal_param: float | None = None,
+    evaluations: int | None = None,
 ) -> BoundResult:
     """Wrap a log bound as a BoundResult, clamping a value above 1 and flagging it."""
     clamped = log_bound > 0.0
@@ -108,6 +117,7 @@ def bound_result(
         lam=lam,
         internal_param=internal_param,
         clamped=clamped,
+        evaluations=evaluations,
     )
 
 
@@ -117,6 +127,17 @@ def require_upper(lam: float) -> None:
         raise LambdaOutOfRange(f"upper-tail bound needs lambda >= 1, got {lam}")
 
 
+def _sum_of_inverses(values: tuple[float, ...]) -> float:
+    """The mean sum 1/v of a spec, refusing one that overflows a double."""
+    try:
+        total = math.fsum(1.0 / v for v in values)
+    except OverflowError:  # fsum's intermediate sum overflowed
+        total = math.inf
+    if total == math.inf:
+        raise OutOfRange(f"the mean, sum 1/v, overflows; smallest v is {min(values)!r}")
+    return total
+
+
 @dataclass(frozen=True)
 class GeometricSumSpec:
     """Parameters of a sum of independent geometric variables on {1, 2, ...}.
@@ -124,12 +145,15 @@ class GeometricSumSpec:
     Each summand has success probability ``p_i`` in (0, 1] and pmf
     p_i (1-p_i)^(k-1). Derived statistics: mean ``mu`` = sum 1/p_i,
     smallest probability ``p_min``, and variance ``sigma2`` = sum (1-p_i)/p_i^2.
+    ``param_array`` holds ``params`` as a read-only float64 array for the
+    vectorized evaluations.
     """
 
     params: tuple[float, ...]
     mu: float = field(init=False)
     p_min: float = field(init=False)
     sigma2: float = field(init=False)
+    param_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.params) == 0:
@@ -138,12 +162,15 @@ class GeometricSumSpec:
             if not (0.0 < p <= 1.0):
                 raise OutOfRange(f"success probability {p!r} not in (0, 1]")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "mu", math.fsum(1.0 / p for p in self.params))
+        object.__setattr__(self, "mu", _sum_of_inverses(self.params))
         object.__setattr__(self, "p_min", min(self.params))
         # divide twice: p*p underflows to 0 for subnormal-range p
         object.__setattr__(
             self, "sigma2", math.fsum((1.0 - p) / p / p for p in self.params)
         )
+        array = np.array(self.params, dtype=np.float64)
+        array.flags.writeable = False
+        object.__setattr__(self, "param_array", array)
 
     @property
     def n(self) -> int:
@@ -169,7 +196,7 @@ class ExponentialSumSpec:
             if not (a > 0.0) or math.isinf(a):
                 raise OutOfRange(f"rate {a!r} not in (0, inf)")
         object.__setattr__(self, "rates", tuple(float(a) for a in self.rates))
-        object.__setattr__(self, "mu", math.fsum(1.0 / a for a in self.rates))
+        object.__setattr__(self, "mu", _sum_of_inverses(self.rates))
         object.__setattr__(self, "a_min", min(self.rates))
 
     @property
@@ -232,27 +259,23 @@ def pgf_pole_gap(p: float, z: float) -> float:
     return 1.0 - (1.0 - p) * z
 
 
+def pgf_pole_gaps(p: np.ndarray, z: float) -> np.ndarray:
+    """pgf_pole_gap of every element of p at one z, with one mask for the branch."""
+    return np.where(p <= 0.5, (1.0 - z) + p * z, 1.0 - (1.0 - p) * z)
+
+
 def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     """ln E z^X, summed factor by factor to survive deep arguments."""
-    _check_pgf_domain(spec, z)
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"pgf needs a finite z >= 0, got {z}")
     if z == 0.0:
         return -math.inf
-    terms = []
-    for p in spec.params:
-        d = pgf_pole_gap(p, z)
-        if d <= 0.0:  # pole reached through round-off
-            raise DomainError(f"z={z} is at or beyond the pgf pole for p={p}")
-        terms.append(math.log(p) + math.log(z) - math.log(d))
-    return math.fsum(terms)
-
-
-def _check_pgf_domain(spec: GeometricSumSpec, z: float) -> None:
-    if not z >= 0.0:
-        raise DomainError(f"pgf needs z >= 0, got {z}")
-    if pgf_pole_gap(spec.p_min, z) <= 0.0:
-        raise DomainError(
-            f"z={z} is at or beyond the pgf pole 1/(1-p_min) for p_min={spec.p_min}"
-        )
+    p = spec.param_array
+    gaps = pgf_pole_gaps(p, z)
+    if not (gaps > 0.0).all():  # at or beyond a pole, or on it through round-off
+        first = int(np.argmax(gaps <= 0.0))
+        raise DomainError(f"z={z} is at or beyond the pgf pole for p={spec.params[first]}")
+    return math.fsum((np.log(p) + math.log(z) - np.log(gaps)).tolist())
 
 
 def log_inequality_check(x: float, y: float) -> bool:

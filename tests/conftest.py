@@ -1,8 +1,11 @@
-"""Shared helpers: seeded random specs, slow independent oracles, scalar samplers."""
+"""Shared helpers: seeded random specs, slow independent oracles, scalar samplers,
+and the bisection solver the optimized bounds are checked against."""
 
 from __future__ import annotations
 
 import math
+import random
+import struct
 
 import numpy as np
 
@@ -13,7 +16,7 @@ from tailbounds import (
     make_geometric_spec,
     uniform_block,
 )
-from tailbounds.model import pgf_pole_gap
+from tailbounds.model import pgf_pole_gap, require_upper
 
 
 def random_geom_specs(seed: int, count: int, n_max: int = 8, p_lo: float = 0.05):
@@ -113,3 +116,85 @@ def sample_geometric_sum(spec, rng: SplitMix64Stream) -> int:
 def sample_exponential_sum(spec, rng: SplitMix64Stream) -> float:
     """One draw of the sum: sum of -ln(U_i)/a_i."""
     return math.fsum(-math.log(rng.uniform()) / a for a in spec.rates)
+
+
+def _bits(v: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", v))[0]
+
+
+def _from_bits(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def bisect_increasing_root(g, lo: float, hi: float) -> float:
+    """The smallest double in [lo, hi] where increasing g is >= 0, by bisecting
+    bit patterns (at most 64 evaluations of g, and g(hi) is never evaluated).
+
+    The reference solver for the package's Newton solver.
+    """
+    if g(lo) >= 0.0:
+        return lo
+    a, b = _bits(lo), _bits(hi)
+    while b - a > 1:
+        m = (a + b) // 2
+        if g(_from_bits(m)) >= 0.0:
+            b = m
+        else:
+            a = m
+    return _from_bits(b)
+
+
+def reference_chernoff_log(spec, lam: float) -> float:
+    """optimized_chernoff's log bound, from bisection and fsum over Python floats."""
+    require_upper(lam)
+    target = lam * spec.mu
+    t = bisect_increasing_root(
+        lambda t: math.fsum(1.0 / (p - t) for p in spec.params) - target,
+        0.0,
+        math.nextafter(spec.p_min, 0.0),
+    )
+    return min(0.0, -t * target - math.fsum(math.log1p(-t / p) for p in spec.params))
+
+
+def reference_lemma1_log(spec, x: float) -> float:
+    """optimized_lemma1's log bound, from bisection and fsum over Python floats."""
+    if spec.p_min == 1.0:
+        return -math.inf if x > spec.n else 0.0
+    others = list(spec.params)
+    others.remove(spec.p_min)
+    z_max = max(1.0, math.nextafter(1.0 / (1.0 - spec.p_min), 0.0))
+    while pgf_pole_gap(spec.p_min, z_max) <= 0.0:
+        z_max = math.nextafter(z_max, 0.0)
+    slope = spec.n - x
+    z = bisect_increasing_root(
+        lambda z: slope + math.fsum((1.0 - p) * z / pgf_pole_gap(p, z) for p in others),
+        1.0,
+        z_max,
+    )
+    log_bound = slope * math.log(z) - math.fsum(
+        math.log(pgf_pole_gap(p, z) / p) for p in others
+    )
+    return min(0.0, log_bound)
+
+
+OPTIMIZER_LAMS = (1.0, 1.01, 1.25, 2.0, 3.0, 5.0, 10.0, 20.0)
+
+
+def optimizer_corpus():
+    """400 specs that stress the root solves: 396 of up to 8 summands on
+    (0.05, 1), half of them with one p_min drawn log-uniformly from
+    [1e-300, 1e-6], with 0-2 copies of p_min (ties) and 0-2 summands with
+    p_i = 1; then 4 specs of 10^3 summands on (0.05, 1).
+    """
+    rng = random.Random(0)
+    specs = []
+    for _ in range(396):
+        p = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            p[0] = 10.0 ** rng.uniform(-300.0, -6.0)
+        p += [min(p)] * rng.randint(0, 2)
+        p += [1.0] * rng.randint(0, 2)
+        specs.append(make_geometric_spec(p))
+    for _ in range(4):
+        specs.append(make_geometric_spec([rng.uniform(0.05, 1.0) for _ in range(1000)]))
+    return specs

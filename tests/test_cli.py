@@ -25,6 +25,17 @@ class TestBound:
         assert "value: 0.541341132946" in out
         assert "log_value: " in out
         assert "internal_param: 0.25" in out
+        assert "evaluations" not in out  # a closed form solves nothing
+
+    @pytest.mark.parametrize("method", ["opt-chernoff", "opt-lemma1", "best"])
+    def test_optimized_methods_report_evaluations(self, capsys, method):
+        code, out, _ = run(
+            capsys, "bound", "--dist", "geom", "--p", "0.5,0.3,0.2",
+            "--lambda", "3", "--method", method,
+        )
+        assert code == 0
+        count = int(out.split("evaluations: ")[1].split()[0])
+        assert 1 <= count <= (256 if method == "best" else 128)
 
     def test_cor1_at_one(self, capsys):
         code, out, _ = run(
@@ -181,6 +192,13 @@ class TestExact:
         code, _, err = run(capsys, "exact", "--dist", dist, flag, "0.5,0.25", "--x", x)
         assert code == 3
         assert "finite" in err
+
+    @pytest.mark.parametrize("dist, flag", [("geom", "--p"), ("exp", "--a")])
+    def test_overflowing_mean_is_refused(self, capsys, dist, flag):
+        # each 1/v is finite but their sum is not: fsum raised OverflowError
+        code, _, err = run(capsys, "exact", "--dist", dist, flag, "1e-308,1e-308", "--x", "1")
+        assert code == 3
+        assert "overflows" in err
 
     def test_threshold_past_support_cap_is_domain_error(self, capsys):
         code, _, err = run(

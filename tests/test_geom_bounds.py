@@ -1,10 +1,19 @@
 import math
+import random
+import statistics
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_geom_specs
+from conftest import (
+    OPTIMIZER_LAMS,
+    optimizer_corpus,
+    random_geom_specs,
+    reference_chernoff_log,
+    reference_lemma1_log,
+)
 from tailbounds import (
     DomainError,
     LambdaOutOfRange,
@@ -172,6 +181,8 @@ class TestLemma1:
             lemma1_bound(HALF_HALF, 8.0, 0.9)
         with pytest.raises(DomainError):
             lemma1_bound(HALF_HALF, -1.0, 1.5)
+        with pytest.raises(DomainError):
+            lemma1_bound(HALF_HALF, math.inf, 1.5)
 
     def test_clamping_flag(self):
         # at x = 0 and z > 1 the raw product exceeds 1 and is clamped
@@ -219,6 +230,14 @@ class TestOptimizedLemma1:
         r = optimized_lemma1(HALF_HALF, 8.0)
         assert r.value <= LEMMA1_X8_Z15 * (1.0 + 1e-12)
         assert r.value >= 0.0625  # never crosses below the exact tail
+
+    def test_infinite_x_is_domain_error(self):
+        # lambda mu overflows here; slope * ln z was -inf * 0 = nan
+        spec = make_geometric_spec([2.2e-308, 0.3])
+        with pytest.raises(DomainError):
+            optimized_lemma1(spec, math.inf)
+        with pytest.raises(DomainError):
+            best_upper(spec, 20.0)
 
     def test_degenerate(self):
         spec = make_geometric_spec([1.0, 1.0])
@@ -374,15 +393,86 @@ class TestIncreasingRoot:
 
         def g(t):
             calls.append(t)
-            return t - root
+            return t - root, 1.0
 
-        assert _increasing_root(g, 0.0, 1.0) == root
+        assert _increasing_root(g, 0.0, 1.0) == (root, len(calls))
         assert len(calls) <= 64
 
     def test_endpoints_without_sign_change(self):
-        assert _increasing_root(lambda t: t + 1.0, 0.0, 1.0) == 0.0
-        # g(hi) is never evaluated, so a pole there is harmless
-        assert _increasing_root(lambda t: -1.0 / (1.0 - t), 0.0, 1.0) == 1.0
+        assert _increasing_root(lambda t: (t + 1.0, 1.0), 0.0, 1.0) == (0.0, 1)
+        # g stays negative up to hi, as at opt-lemma1's pole optimum
+        assert _increasing_root(lambda t: (t - 2.0, 1.0), 0.0, 1.0) == (1.0, 2)
+
+    def test_stalled_newton_is_capped(self):
+        # g' doubles with every call, so each Newton step is about half the
+        # one before it and the iterates stall short of the root; without
+        # the cap on Newton steps this solve takes 157 evaluations
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t - 0.3, 2.0 ** len(calls)
+
+        assert _increasing_root(g, 0.0, 1.0) == (0.3, len(calls))
+        assert len(calls) <= 128
+
+    @pytest.mark.parametrize("slope", [1e300, 0.0, math.inf])
+    def test_useless_derivative(self, slope):
+        # a huge g' stalls every Newton step; a zero or infinite one refuses it
+        root, evaluations = _increasing_root(lambda t: (t - 0.3, slope), 0.0, 1.0)
+        assert root == 0.3
+        assert evaluations <= 128
+
+
+class TestAgainstBisection:
+    """The Newton solves against bit bisection with fsum, on the corpus in conftest."""
+
+    def test_no_bound_looser_than_reference(self):
+        def assert_no_looser(new, ref, what):
+            if ref == -math.inf:
+                assert new == -math.inf, what
+            else:
+                assert new <= ref + 1e-12 * max(1.0, abs(ref)), what
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in optimizer_corpus():
+                for lam in OPTIMIZER_LAMS:
+                    x = lam * spec.mu
+                    what = (spec.params[:4], spec.n, lam)
+                    chernoff = reference_chernoff_log(spec, lam)
+                    lemma1 = reference_lemma1_log(spec, x)
+                    closed = (
+                        upper_tail_thm1(spec, lam),
+                        upper_tail_thm2(spec, lam),
+                        upper_tail_cor1(lam),
+                        upper_tail_cor2(lam),
+                    )
+                    best = min([chernoff, lemma1] + [r.log_value for r in closed])
+                    assert_no_looser(optimized_chernoff(spec, lam).log_value, chernoff, what)
+                    assert_no_looser(optimized_lemma1(spec, x).log_value, lemma1, what)
+                    assert_no_looser(best_upper(spec, lam).log_value, best, what)
+
+    def test_few_evaluations_at_n8(self):
+        rng = random.Random(8)
+        specs = [
+            make_geometric_spec([rng.uniform(0.05, 1.0) for _ in range(8)])
+            for _ in range(50)
+        ]
+        chernoff = [optimized_chernoff(s, lam).evaluations for s in specs for lam in OPTIMIZER_LAMS]
+        lemma1 = [
+            optimized_lemma1(s, lam * s.mu).evaluations for s in specs for lam in OPTIMIZER_LAMS
+        ]
+        assert statistics.median(chernoff) <= 15
+        assert statistics.median(lemma1) <= 15
+        assert max(chernoff + lemma1) <= 128
+
+    def test_best_upper_counts_both_solves(self):
+        spec = make_geometric_spec([0.5, 0.3, 0.2])
+        r = best_upper(spec, 3.0)
+        solves = optimized_chernoff(spec, 3.0), optimized_lemma1(spec, 3.0 * spec.mu)
+        assert r.evaluations == sum(s.evaluations for s in solves)
+        assert upper_tail_thm1(spec, 3.0).evaluations is None
 
 
 class TestResultClamping:

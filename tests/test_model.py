@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,14 +44,29 @@ class TestGeometricSpec:
         assert spec.p_min == 0.1
         assert spec.sigma2 == pytest.approx(112.0, rel=1e-12)
 
+    def test_param_array_is_cached_read_only(self):
+        spec = make_geometric_spec([0.5, 0.2, 0.1])
+        assert spec.param_array.dtype == np.float64
+        assert spec.param_array.tolist() == list(spec.params)
+        assert not spec.param_array.flags.writeable
+        # the array takes no part in equality, hashing or repr
+        again = make_geometric_spec([0.5, 0.2, 0.1])
+        assert spec == again and hash(spec) == hash(again)
+        assert "param_array" not in repr(spec)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyParams):
             make_geometric_spec([])
 
-    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.1, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.1, math.nan, 1e-310])
     def test_out_of_range_rejected(self, bad):
+        # 1e-310 is a valid probability, but its mean 1/p overflows
         with pytest.raises(OutOfRange):
             make_geometric_spec([0.5, bad])
+
+    def test_overflowing_mean_rejected(self):
+        with pytest.raises(OutOfRange):
+            make_geometric_spec([1e-308] * 2)
 
     @given(probs)
     @settings(max_examples=100, deadline=None)
@@ -85,6 +101,8 @@ class TestExponentialSpec:
             make_exponential_spec([1.0, 0.0])
         with pytest.raises(OutOfRange):
             make_exponential_spec([-1.0])
+        with pytest.raises(OutOfRange):  # the mean 1/a overflows
+            make_exponential_spec([1.0, 1e-310])
 
     @given(rates)
     @settings(max_examples=100, deadline=None)
@@ -134,6 +152,11 @@ class TestPgf:
                 pgf_geometric(spec, z), rel=1e-12
             )
         assert log_pgf_geometric(spec, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan, -1.0])
+    def test_log_variant_rejects_non_finite_z(self, z):
+        with pytest.raises(DomainError):
+            log_pgf_geometric(make_geometric_spec([1.0, 1.0]), z)
 
     @given(probs)
     @settings(max_examples=100, deadline=None)
