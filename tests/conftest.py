@@ -11,6 +11,7 @@ import numpy as np
 
 from tailbounds import (
     DomainError,
+    GeometricSumSpec,
     OutOfRange,
     make_exponential_spec,
     make_geometric_spec,
@@ -116,6 +117,26 @@ def sample_geometric_sum(spec, rng: SplitMix64Stream) -> int:
 def sample_exponential_sum(spec, rng: SplitMix64Stream) -> float:
     """One draw of the sum: sum of -ln(U_i)/a_i."""
     return math.fsum(-math.log(rng.uniform()) / a for a in spec.rates)
+
+
+def reference_sums_block(spec, seed: int, start: int, count: int) -> np.ndarray:
+    """Sums of samples start..start+count-1, inverted one summand column at a time.
+
+    The reference for the package's in-place block sampler, which must match
+    it bit for bit.
+    """
+    n = spec.n
+    u = uniform_block(seed, start * n, count * n).reshape(count, n)
+    if isinstance(spec, GeometricSumSpec):
+        draws = np.empty_like(u)
+        for j, p in enumerate(spec.params):
+            if p == 1.0:
+                draws[:, j] = 1.0
+            else:
+                draws[:, j] = np.ceil(np.log(u[:, j]) / math.log1p(-p))
+    else:
+        draws = -np.log(u) / np.asarray(spec.rates)
+    return draws.sum(axis=1)
 
 
 def _bits(v: float) -> int:

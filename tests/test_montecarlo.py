@@ -1,9 +1,16 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import SplitMix64Stream, sample_exponential_sum, sample_geometric_sum
+from conftest import (
+    SplitMix64Stream,
+    reference_sums_block,
+    sample_exponential_sum,
+    sample_geometric_sum,
+)
 from tailbounds import (
     McConfig,
     OracleMethod,
@@ -16,9 +23,18 @@ from tailbounds import (
     uniform_block,
     wilson_interval,
 )
-from tailbounds.montecarlo import _sums_block
+from tailbounds.montecarlo import BLOCK_DRAWS, _divisors, _sums_block
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])
+
+
+def sums_block(spec, seed, start, count):
+    return _sums_block(spec, _divisors(spec), seed, start, count)
+
+
+def big_geometric_spec(seed=3, n=1000):
+    rng = random.Random(seed)
+    return make_geometric_spec([rng.uniform(0.05, 1.0) for _ in range(n)])
 
 
 class TestConfig:
@@ -36,6 +52,20 @@ class TestConfig:
             McConfig(samples=10, seed=2**64)
         with pytest.raises(OutOfRange):
             McConfig(samples=10, confidence=1.0)
+
+    @pytest.mark.parametrize("samples", [10.5, 10.0, True, "10"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(OutOfRange):
+            McConfig(samples=samples)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(OutOfRange):
+            McConfig(samples=10, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        cfg = McConfig(samples=np.int64(100), seed=np.uint64(3))
+        assert mc_tail(HALF_HALF, 8.0, cfg) == mc_tail(HALF_HALF, 8.0, McConfig(100, 3))
 
 
 class TestUniformStream:
@@ -73,33 +103,78 @@ class TestSamplers:
     def test_geometric_mean_single(self):
         # empirical mean over 1e6 draws of Ge(0.5): mu = 2
         spec = make_geometric_spec([0.5])
-        sums = _sums_block(spec, seed=0, start=0, count=1_000_000)
+        sums = sums_block(spec, seed=0, start=0, count=1_000_000)
         assert abs(sums.mean() - 2.0) < 0.01
 
     def test_geometric_mean_mixed(self):
         spec = make_geometric_spec([0.5, 0.2])
-        sums = _sums_block(spec, seed=1, start=0, count=1_000_000)
+        sums = sums_block(spec, seed=1, start=0, count=1_000_000)
         assert abs(sums.mean() - 7.0) < 0.03
 
     def test_exponential_means(self):
         spec = make_exponential_spec([1.0])
-        sums = _sums_block(spec, seed=2, start=0, count=1_000_000)
+        sums = sums_block(spec, seed=2, start=0, count=1_000_000)
         assert abs(sums.mean() - 1.0) < 0.01
         spec = make_exponential_spec([1.0, 2.0])
-        sums = _sums_block(spec, seed=3, start=0, count=1_000_000)
+        sums = sums_block(spec, seed=3, start=0, count=1_000_000)
         assert abs(sums.mean() - 1.5) < 0.01
 
     def test_scalar_matches_vectorized(self):
         for spec in (HALF_HALF, make_geometric_spec([0.3, 1.0, 0.8])):
             rng = SplitMix64Stream(seed=77)
             scalar = [float(sample_geometric_sum(spec, rng)) for _ in range(40)]
-            block = _sums_block(spec, seed=77, start=0, count=40)
+            block = sums_block(spec, seed=77, start=0, count=40)
             assert scalar == pytest.approx(list(block), abs=0.0)
         spec = make_exponential_spec([0.4, 2.5])
         rng = SplitMix64Stream(seed=78)
         scalar = [sample_exponential_sum(spec, rng) for _ in range(40)]
-        block = _sums_block(spec, seed=78, start=0, count=40)
+        block = sums_block(spec, seed=78, start=0, count=40)
         assert scalar == pytest.approx(list(block), rel=1e-12)
+
+
+class TestBlockSampler:
+    """The in-place block sampler against the column-by-column reference."""
+
+    def assert_matches(self, spec, seed, start, count):
+        got = sums_block(spec, seed, start, count)
+        assert np.array_equal(got, reference_sums_block(spec, seed, start, count))
+
+    def test_geometric_with_degenerate_columns(self):
+        spec = make_geometric_spec([1.0, 0.3, 1e-6, 1.0, 0.999, 1.0])
+        for start in (0, 1, 4097):
+            self.assert_matches(spec, 11, start, 5000)
+
+    def test_sums_that_round(self):
+        # summands near 1e300, so the sums round and their order matters
+        spec = make_geometric_spec([1e-300, 0.5, 3e-299, 1.0, 1e-290] * 3)
+        self.assert_matches(spec, 10, 3, 5000)
+
+    def test_all_degenerate(self):
+        spec = make_geometric_spec([1.0] * 5)
+        assert np.array_equal(sums_block(spec, 0, 3, 100), np.full(100, 5.0))
+
+    def test_exponential(self):
+        for spec in (make_exponential_spec([0.4, 2.5, 1e-3]),
+                     make_exponential_spec([0.1 + 0.01 * i for i in range(1000)])):
+            self.assert_matches(spec, 12, 7, 300)
+
+    def test_n1_and_n1e3(self):
+        self.assert_matches(make_geometric_spec([0.2]), 13, 12345, 100_000)
+        self.assert_matches(make_exponential_spec([3.0]), 13, 5, 100_000)
+        big = big_geometric_spec()
+        for start in (0, 65, 1001):
+            self.assert_matches(big, 14, start, 131)
+
+    def test_random_specs(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            n = rng.choice([1, 2, 3, 8, rng.randint(1, 1000)])
+            p = [10.0 ** rng.uniform(-6.0, 0.0) for _ in range(n)]
+            for _ in range(rng.randint(0, 2)):
+                p[rng.randrange(n)] = 1.0
+            spec = make_geometric_spec(p)
+            self.assert_matches(spec, rng.getrandbits(64), rng.randrange(10**6),
+                                rng.randint(1, max(1, 20_000 // n)))
 
 
 class TestMcTail:
@@ -135,6 +210,40 @@ class TestMcTail:
             again = mc_tail(HALF_HALF, 8.0, cfg, chunk_size=chunk)
             assert again.value == baseline.value
             assert again.error_bound == baseline.error_bound
+
+    def test_reproducible_across_chunkings_n1e3(self):
+        spec = big_geometric_spec()
+        cfg = McConfig(samples=1001, seed=27)
+        x = 1.03 * spec.mu
+        baseline = mc_tail(spec, x, cfg)
+        assert 0.0 < baseline.value < 1.0
+        for chunk in (1, 7, BLOCK_DRAWS // spec.n + 1, 1000, 10**6):
+            assert mc_tail(spec, x, cfg, chunk_size=chunk) == baseline
+
+    def test_memory_bounded_by_block(self):
+        spec = big_geometric_spec()
+        cfg = McConfig(samples=10_000, seed=1)
+        tracemalloc.start()
+        try:
+            mc_tail(spec, 1.03 * spec.mu, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_nan_threshold_refused(self):
+        with pytest.raises(OutOfRange):
+            mc_tail(HALF_HALF, math.nan, McConfig(samples=10))
+
+    def test_infinite_thresholds(self):
+        cfg = McConfig(samples=100)
+        assert mc_tail(HALF_HALF, math.inf, cfg).value == 0.0
+        assert mc_tail(HALF_HALF, math.inf, cfg, side="lower").value == 1.0
+
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, True])
+    def test_chunk_size_validated(self, chunk):
+        with pytest.raises(OutOfRange):
+            mc_tail(HALF_HALF, 8.0, McConfig(samples=10), chunk_size=chunk)
 
     def test_reproducible_across_runs(self):
         cfg = McConfig(samples=50_000, seed=2718)
