@@ -57,6 +57,23 @@ def brute_force_tail(params, x: float, K: int) -> float:
     return sum(pr for k, pr in pmf.items() if k >= k0)
 
 
+def reference_pmf_grid(spec, K: int) -> np.ndarray:
+    """P(X = k) for k = 0..K, one ``lfilter`` per summand in the order of
+    ``spec.params``.
+
+    The reference for the package's one-call cascade, which must agree with
+    it within round-off.
+    """
+    from scipy.signal import lfilter
+
+    c = np.zeros(K + 1)
+    c[0] = 1.0
+    for p in spec.params:
+        shifted = np.concatenate(([0.0], c[:-1]))
+        c = lfilter([p], [1.0, -(1.0 - p)], shifted)
+    return c
+
+
 def pgf_geometric(spec, z: float) -> float:
     """Probability generating function E z^X = prod_i p_i z / (1 - (1-p_i) z).
 

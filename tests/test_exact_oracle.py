@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_pmf, brute_force_tail, pgf_geometric, random_geom_specs
+from conftest import (
+    brute_force_pmf,
+    brute_force_tail,
+    pgf_geometric,
+    random_geom_specs,
+    reference_pmf_grid,
+)
 from tailbounds import exact_oracle
 from tailbounds import (
     KTooSmall,
@@ -394,6 +400,93 @@ class TestSizedGrid:
         if iid:
             ref = iid_geom_tail(p[0], spec.n, x)
             assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
+
+
+def _kernel_specs():
+    """Specs with p = 1 entries, tied p and p down to 1e-6, n from 1 to 10^3."""
+    rng = np.random.default_rng(8)
+    specs = []
+    for n in (1, 2, 3, 8, 20, 50, 200, 1000):
+        for _ in range(2):
+            p = list(10.0 ** rng.uniform(-6.0, 0.0, n))
+            ones = int(rng.integers(0, min(n, 3) + 1))
+            p[:ones] = [1.0] * ones
+            if n > 1:
+                p[-1] = p[-2]
+            specs.append(make_geometric_spec(list(rng.permutation(p))))
+    specs.append(make_geometric_spec([1.0, 1.0, 1.0]))
+    return specs
+
+
+def _assert_matches_reference(spec, K):
+    grid = exact_oracle._pmf_grid(spec, K)
+    ref = reference_pmf_grid(spec, K)
+    # the round-off scale of the certificates, plus one smallest subnormal
+    # for each of the n (K + 1) filter steps: where the head of the pmf
+    # underflows, the two summation orders round to different subnormals
+    tiny = np.finfo(np.float64).smallest_subnormal
+    tol = exact_oracle._EPS * (2 * K + spec.n) * ref + spec.n * (K + 1) * tiny
+    assert grid.shape == ref.shape == (K + 1,)
+    assert np.all(np.abs(grid - ref) <= tol)
+    # below the support both are exact zeros
+    assert np.all(grid[: spec.n] == 0.0) and np.all(ref[: spec.n] == 0.0)
+    assert np.all(grid >= 0.0)
+
+
+class TestPmfKernel:
+    # the one-call sosfilt cascade against the per-summand lfilter loop
+
+    @pytest.mark.parametrize("K", [2.5, math.nan, exact_oracle._MAX_SUPPORT + 1])
+    def test_bad_support_refused_before_allocation(self, K):
+        spec = make_geometric_spec([0.5])
+        with mock.patch.object(exact_oracle.np, "zeros", side_effect=AssertionError):
+            with pytest.raises(OutOfRange):
+                geom_pmf_convolution(spec, K)
+            with pytest.raises(OutOfRange):
+                exact_oracle._pmf_grid(spec, K)
+
+    @pytest.mark.parametrize("spec", _kernel_specs(), ids=lambda s: f"n{s.n}")
+    def test_matches_reference(self, spec):
+        _assert_matches_reference(spec, spec.n + 2000)
+
+    def test_matches_reference_on_tail_grid(self):
+        # the grid of a tail-route call at n = 10^3, lambda = 3
+        rng = np.random.default_rng(3)
+        spec = make_geometric_spec(list(rng.uniform(0.05, 1.0, 1000)))
+        k0 = math.ceil(3.0 * spec.mu)
+        K = exact_oracle._sized_support(spec, k0, 1e-9)
+        assert K > k0
+        _assert_matches_reference(spec, K)
+
+    def test_permutation_invariant(self):
+        rng = np.random.default_rng(4)
+        for spec in _kernel_specs():
+            K = spec.n + 500
+            grid = exact_oracle._pmf_grid(spec, K)
+            shuffled = make_geometric_spec(list(rng.permutation(spec.params)))
+            assert exact_oracle._pmf_grid(shuffled, K).tobytes() == grid.tobytes()
+
+    def test_oracles_within_certificate_of_reference_kernel(self):
+        # 200 queries on both routes of the upper tail and on the lower tail:
+        # the same grids as with the reference kernel, and values within
+        # their own certificates of the reference kernel's
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 51))
+            p = list(rng.uniform(0.05, 1.0, n))
+            if rng.random() < 0.3:
+                p[0] = 1.0
+            if n > 1 and rng.random() < 0.3:
+                p[1] = p[-1]
+            spec = make_geometric_spec(p)
+            x = float(rng.uniform(0.3, 12.0)) * spec.mu
+            oracle = geom_tail_exact if rng.random() < 0.7 else geom_lower_tail_exact
+            with mock.patch.object(exact_oracle, "_pmf_grid", wraps=reference_pmf_grid) as g:
+                ref = oracle(spec, x)
+            with _grid_calls() as grid:
+                est = oracle(spec, x)
+            assert _sizes(grid) == _sizes(g)
+            assert abs(est.value - ref.value) <= est.error_bound
 
 
 def _decimal_exp_sum(rates, x):
