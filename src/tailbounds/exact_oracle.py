@@ -4,10 +4,14 @@ Geometric sums get an O(nK) iterated-convolution pmf, run as one
 ``scipy.signal.sosfilt`` cascade with a first-order section per summand in
 ascending p (the order keeps intermediate values out of the slow subnormal
 range), plus a closed-form negative-binomial cross-check for iid
-parameters. Exponential sums get the hypoexponential survival function by
-partial fractions or, for clustered rates, a scaling-and-squaring matrix
-exponential. Every estimate carries a rigorous error bound (round-off
-scale, truncation remainder, or both).
+parameters. A sum of independent geometrics has a log-concave pmf
+(convolution preserves discrete log-concavity; Keilson and Gerber 1971), so
+the ratio P(k+1)/P(k) never increases, and the last two values of a grid
+bound the tail past it: the deep-tail sum certifies itself, without the
+bounds that it is used to check. Exponential sums get the hypoexponential
+survival function by partial fractions or, for clustered rates, a
+scaling-and-squaring matrix exponential. Every estimate carries a rigorous
+error bound (round-off scale, truncation remainder, or both).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_bounds import log_thm2, upper_tail_lower_bound_tl
+from .geom_bounds import log_thm2
 from .model import (
     ExponentialSumSpec,
     GeometricSumSpec,
@@ -29,9 +33,10 @@ from .model import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 # 1 - CDF loses all significant digits below this; switch to summing the tail
-# directly, certified by the analytic truncation remainder.
+# directly, certified by the log-concave truncation remainder.
 _COMPLEMENT_FLOOR = 1e-9
 
 # Pairwise relative rate gap below which partial fractions are abandoned for
@@ -118,25 +123,53 @@ def _log_tail_bound(spec: GeometricSumSpec, k: int) -> float:
     return log_thm2(spec, lam) if lam >= 1.0 else 0.0
 
 
-def _sized_support(spec: GeometricSumSpec, k0: int, rel_tol: float) -> int:
-    """Smallest K >= k0 with thm2 at (K+1)/mu at most rel_tol/2 times tl at k0/mu.
+def _roundoff(n: int, K: int) -> tuple[float, float]:
+    """Round-off of each entry of a pmf grid up to K, as (relative, absolute).
 
-    tl is a lower bound on P(X >= k0), so a grid up to K holds at least
-    (1 - rel_tol/2) of that tail and the remainder certifies it. The search
-    stays in log space, where tl is finite long after its value underflows;
-    it gallops up from k0, then bisects, and stops at the support cap.
+    eps (2K + n) relative, plus one smallest subnormal for each of the
+    n (K + 1) filter steps: where the pmf underflows, the cascade rounds to
+    subnormals or to 0 instead of to a relatively close value.
     """
-    lam0 = max(k0 / spec.mu, 1.0)
-    target = math.log(0.5 * rel_tol) + upper_tail_lower_bound_tl(spec, lam0).log_value
-    lo = hi = k0
-    while not _log_tail_bound(spec, hi + 1) <= target:
-        if hi >= _MAX_SUPPORT:
-            return _MAX_SUPPORT
-        lo, hi = hi, min(2 * hi, _MAX_SUPPORT)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _log_tail_bound(spec, mid + 1) <= target else (mid, hi)
-    return hi
+    return _EPS * (2.0 * K + n), n * (K + 1) * _TINY
+
+
+def _first_extension(spec: GeometricSumSpec, k0: int, rel_tol: float) -> int:
+    """A first guess at how far past k0 the tail grid must reach: ln(2/rel_tol)/t.
+
+    t = (1 - 1/lam) p_min at lam = k0/mu is Theorem 1's tilt, the lower end
+    of the optimal Chernoff tilt's bracket, so the tail decays at least about
+    as fast as e^(-t k) past k0. Only a size guess: the certificate decides.
+    """
+    t = (1.0 - spec.mu / k0) * spec.p_min
+    extension = math.log(2.0 / rel_tol) / t if t > 0.0 else k0
+    return math.ceil(min(extension, _MAX_SUPPORT))
+
+
+def _log_concave_remainder(grid: np.ndarray, rel: float, floor: float) -> float:
+    """A bound on P(X > K) from a pmf grid up to K, or inf if it gives none.
+
+    The pmf is log-concave, so P(k+1)/P(k) never increases past any k:
+    with rho = P(j)/P(j-1) < 1, P(X > K) <= P(j) rho^(K+1-j) / (1 - rho).
+    Both values are widened by the grid's round-off, ``rel`` relative and
+    ``floor`` absolute (see ``_roundoff``). The pair is the last one,
+    j <= K, whose value at j - 1 is large enough that its absolute
+    round-off is no more than its relative one; where the tail underflows
+    (or is exactly 0, as for p = [1, 1]) that pair lies below K and the
+    power carries the bound the rest of the way.
+    """
+    K = grid.size - 1
+    i = K - 1
+    if not float(grid[i]) * rel >= floor:
+        above = np.flatnonzero(grid[:K] * rel >= floor)
+        if above.size == 0:
+            return math.inf
+        i = int(above[-1])
+    low = float(grid[i]) * (1.0 - rel) - floor
+    high = float(grid[i + 1]) * (1.0 + rel) + floor
+    rho = high / low
+    if not rho < 1.0:
+        return math.inf
+    return high * rho ** (K - i) / (1.0 - rho)
 
 
 def geom_tail_exact(
@@ -147,10 +180,12 @@ def geom_tail_exact(
     Since X is integer valued, P(X >= x) = P(X >= k0) with k0 = max(ceil(x), n).
     Unless Theorem 2 already puts the tail below half of 1e-9, the pmf up to
     k0 - 1 is summed and the complement 1 - CDF returned when it is above
-    1e-9. Otherwise the tail is summed upward from k0 on one grid, sized by
-    Theorem 2 against the matching lower bound tl so that the analytic
-    remainder falls under rel_tol times the partial sum; the grid never
-    passes the support cap.
+    1e-9; Theorem 2 only picks this route. Otherwise the tail is summed
+    upward from k0 on a grid up to K = k0 + ln(2/rel_tol)/t (Theorem 1's
+    tilt t), and the log-concave remainder past K must fall under rel_tol
+    times the partial sum. Where it does not, the extension past k0 doubles
+    and the grid is rebuilt; the grid never passes the support cap, and the
+    one clamped at the cap is tried once.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise OutOfRange(f"rel_tol {rel_tol} not in (0, 0.1]")
@@ -165,28 +200,41 @@ def geom_tail_exact(
             roundoff = _EPS * (2.0 * k0 + spec.n)
             return TailEstimate(min(complement, 1.0), roundoff, OracleMethod.CONVOLUTION)
 
-    K = _sized_support(spec, k0, rel_tol)
-    partial = float(np.sum(_pmf_grid(spec, K)[k0:]))
-    remainder = math.exp(_log_tail_bound(spec, K + 1))
-    if not remainder <= rel_tol * partial:
-        raise OutOfRange(
-            f"tail from {k0} is not certified by a grid of {K} (support cap "
-            f"{_MAX_SUPPORT}): remainder {remainder} against partial sum {partial}"
-        )
-    error = remainder + _EPS * (2.0 * K + spec.n) * max(partial, 1e-300)
+    extension = _first_extension(spec, k0, rel_tol)
+    while True:
+        K = min(k0 + extension, _MAX_SUPPORT)
+        grid = _pmf_grid(spec, K)
+        rel, floor = _roundoff(spec.n, K)
+        partial = float(np.sum(grid[k0:]))
+        remainder = _log_concave_remainder(grid, rel, floor)
+        if remainder <= rel_tol * partial:
+            break
+        if K == _MAX_SUPPORT:
+            raise OutOfRange(
+                f"tail from {k0} is not certified by a grid of {K} (support cap "
+                f"{_MAX_SUPPORT}): remainder {remainder} against partial sum {partial}"
+            )
+        extension *= 2
+    error = remainder + rel * partial + (K + 1 - k0) * floor
     return TailEstimate(min(partial, 1.0), error, OracleMethod.CONVOLUTION)
 
 
 def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
-    """P(X <= x) as a direct partial sum of the pmf (no cancellation)."""
+    """P(X <= x) as a direct partial sum of the pmf (no cancellation).
+
+    The terms are nonnegative, so the certificate is relative: the grid's
+    round-off, eps (2 k1 + n) times the value, plus its absolute subnormal
+    term once for each summed entry.
+    """
     _require_support(x)
     if x < spec.n:
         return TailEstimate(0.0, 0.0, OracleMethod.CONVOLUTION)
     k1 = math.floor(x)
     pmf = _pmf_grid(spec, k1)
     value = float(np.sum(pmf[spec.n :]))
-    roundoff = _EPS * (2.0 * k1 + spec.n)
-    return TailEstimate(min(value, 1.0), roundoff, OracleMethod.CONVOLUTION)
+    rel, floor = _roundoff(spec.n, k1)
+    error = rel * value + (k1 + 1 - spec.n) * floor
+    return TailEstimate(min(value, 1.0), error, OracleMethod.CONVOLUTION)
 
 
 def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:

@@ -321,8 +321,9 @@ class TestSupportCap:
 
     def test_grid_at_cap_is_tried(self, monkeypatch):
         monkeypatch.setattr(exact_oracle, "_MAX_SUPPORT", 100)
-        # doubling from k0 = 60 overshoots to 120; the grid clamped at 100
-        # certifies the tail (remainder ~2e-27 against ~1e-16)
+        # the first grid, k0 = 60 plus ln(2e9)/t = 46 points, passes the cap;
+        # the grid clamped at 100 certifies the tail (remainder ~8e-29
+        # against ~1e-16)
         est = geom_tail_exact(HALF_HALF, 60.0)
         ref = iid_geom_tail(0.5, 2, 60.0)
         assert est.value > 0.0
@@ -344,8 +345,18 @@ def _sizes(grid) -> list[int]:
     return [call.args[1] for call in grid.call_args_list]
 
 
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _sum_roundoff(n, K, value, terms):
+    """The round-off of a sum of `terms` entries of a pmf grid up to K: eps (2K + n)
+    times the sum, plus one smallest subnormal per filter step, n (K + 1), per entry."""
+    return exact_oracle._EPS * (2 * K + n) * value + terms * n * (K + 1) * _TINY
+
+
 class TestSizedGrid:
-    # a tail-route call builds one pmf grid, sized up front by thm2 against tl
+    # a tail-route call builds one pmf grid, k0 plus ln(2/rel_tol)/t points
+    # with Theorem 1's tilt t, certified by its own last two values
     @pytest.mark.parametrize(
         "spec, lam", [(HALF_HALF, 15.0), (FIFTY, 5.0)], ids=["half-half", "fifty"]
     )
@@ -358,8 +369,10 @@ class TestSizedGrid:
         assert 0.0 < est.value < exact_oracle._COMPLEMENT_FLOOR
 
     def test_underflowing_tail(self):
-        # P(X >= 3000) ~ 3000 * 2^-2999 ~ 1e-900: tl's value is 0, its log is
-        # about -2080, so the sizing has to stay in log space
+        # P(X >= 3000) ~ 3000 * 2^-2999 ~ 1e-900, where even tl's value is 0
+        # (its log is about -2080). Past k ~ 1030 the grid is too close to the
+        # subnormal floor for a ratio, so the certificate takes its ratio from
+        # the last pair before that and carries it the 2000 steps to K
         tl = upper_tail_lower_bound_tl(HALF_HALF, 3000.0 / HALF_HALF.mu)
         assert tl.value == 0.0 and -2100.0 < tl.log_value < -2000.0
         with _grid_calls() as grid:
@@ -369,7 +382,7 @@ class TestSizedGrid:
         assert 0.0 < est.error_bound <= 3e-312
 
     def test_deterministic_sum(self):
-        # p_min = 1: thm2 and tl are both -inf in log, and log1p(-1) must not run
+        # p_min = 1: the grid is 1 at k = 2 and exactly 0 past it
         with _grid_calls() as grid:
             est = geom_tail_exact(make_geometric_spec([1.0, 1.0]), 3.0)
         assert len(_sizes(grid)) == 1
@@ -393,10 +406,11 @@ class TestSizedGrid:
         if K < math.ceil(x):
             return  # the 1 - CDF route
         assert _sizes(grid).count(K) == 1
-        # remainder <= rel_tol/2 * tl, plus round-off on the scale of the sum;
-        # 1e-300 is the floor the round-off term keeps once the sum underflows
-        roundoff = exact_oracle._EPS * (2 * K + spec.n) * max(est.value, 1e-300)
-        assert est.error_bound <= 1.1 * rel_tol * est.value + roundoff
+        # remainder <= rel_tol * partial sum, plus round-off on the scale of
+        # the sum and a smallest subnormal per filter step for each entry
+        assert est.error_bound <= 1.1 * rel_tol * est.value + _sum_roundoff(
+            spec.n, K, est.value, K + 1 - math.ceil(x)
+        )
         if iid:
             ref = iid_geom_tail(p[0], spec.n, x)
             assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
@@ -453,9 +467,10 @@ class TestPmfKernel:
         # the grid of a tail-route call at n = 10^3, lambda = 3
         rng = np.random.default_rng(3)
         spec = make_geometric_spec(list(rng.uniform(0.05, 1.0, 1000)))
-        k0 = math.ceil(3.0 * spec.mu)
-        K = exact_oracle._sized_support(spec, k0, 1e-9)
-        assert K > k0
+        with _grid_calls() as grid:
+            geom_tail_exact(spec, 3.0 * spec.mu)
+        (K,) = _sizes(grid)
+        assert K > math.ceil(3.0 * spec.mu)
         _assert_matches_reference(spec, K)
 
     def test_permutation_invariant(self):
@@ -515,6 +530,56 @@ def _decimal_negbin_tail(p, n, m):
         )
 
 
+def _distinct_params(rng, n, lo=0.05):
+    """n success probabilities on (lo, 0.99), pairwise more than 1% apart relative,
+    so that the partial-fraction weights stay far inside 50 digits."""
+    p: list[float] = []
+    while len(p) < n:
+        c = float(rng.uniform(lo, 0.99))
+        if all(abs(c - b) > 0.01 * max(c, b) for b in p):
+            p.append(c)
+    return p
+
+
+def _decimal_geom_tail(params, k0):
+    """P(X >= k0) for distinct p < 1 by partial fractions, in 50-digit decimal.
+
+    prod_i p_i z / (1 - q_i z) = z^n prod_i p_i sum_i A_i / (1 - q_i z) with
+    A_i = prod_{j!=i} q_i / (q_i - q_j), so P(X = k) = prod_i p_i sum_i A_i q_i^(k-n)
+    and P(X >= k0) = prod_i p_i sum_i A_i q_i^(k0-n) / p_i.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = [Decimal(v) for v in params]
+        q = [1 - v for v in p]
+        total = Decimal(0)
+        for i, qi in enumerate(q):
+            a = Decimal(1)
+            for j, qj in enumerate(q):
+                if j != i:
+                    a *= qi / (qi - qj)
+            total += a * qi ** (k0 - len(p)) / p[i]
+        weight = Decimal(1)
+        for v in p:
+            weight *= v
+        return weight * total
+
+
+def _decimal_lower_tail(params, k1):
+    """P(X <= k1) from the pmf of X - n, convolved in 50-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = [Decimal(1)] + [Decimal(0)] * (k1 - len(params))
+        for v in params:
+            p = Decimal(v)
+            q = 1 - p
+            prev = Decimal(0)
+            for j, old in enumerate(d):  # d_i(j) = q d_i(j-1) + p d_{i-1}(j)
+                prev = q * prev + p * old
+                d[j] = prev
+        return sum(d)
+
+
 class TestCertificates:
     # Each value must lie within its own error_bound of a 50-digit reference,
     # including in deep tails where rounding the exponent dominates.
@@ -540,6 +605,90 @@ class TestCertificates:
             x = float(rng.choice([1.5, 2.0, 3.0, 5.0, 10.0])) * n / p
             est = iid_geom_tail(p, n, x)
             ref = _decimal_negbin_tail(p, n, math.ceil(x))
+            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+
+    def test_geom_lower_tail(self):
+        # a sum of nonnegative pmf terms: the certificate is relative, down
+        # to lower tails of 1e-100 (prod p_i at x = n, with p down to 3e-5)
+        rng = np.random.default_rng(67)
+        values = []
+        for _ in range(80):
+            n = int(rng.integers(1, 51))
+            spec = make_geometric_spec(list(10.0 ** rng.uniform(-4.5, 0.0, n)))
+            x = n + float(rng.uniform(0.0, 1.0)) ** 2 * min(spec.mu - n, 200.0)
+            est = geom_lower_tail_exact(spec, x)
+            k1 = math.floor(x)
+            ref = _decimal_lower_tail(spec.params, k1)
+            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+            assert est.error_bound <= _sum_roundoff(spec.n, k1, est.value, k1 + 1 - n)
+            values.append(est.value)
+        assert min(values) < 1e-100 and max(values) > 1e-3
+
+
+class TestLogConcaveCertificate:
+    # The tail sum is certified by the pmf's own log-concavity, not by the
+    # bounds that the oracle checks: P(X > K) <= P(K) rho / (1 - rho) with
+    # rho = P(K) / P(K - 1), both widened by the kernel's round-off.
+
+    def test_against_decimal_reference(self):
+        # distinct p, n <= 12, lambda up to 30: values from the complement
+        # switch at 1e-9 down to about 1e-250 (p_min near 0.8)
+        rng = np.random.default_rng(71)
+        values = []
+        while len(values) < 150:
+            n = int(rng.integers(1, 13))
+            spec = make_geometric_spec(_distinct_params(rng, n, rng.choice([0.05, 0.4, 0.8])))
+            lam = float(rng.uniform(1.5, 30.0))
+            rel_tol = float(rng.choice([1e-12, 1e-9, 1e-4]))
+            x = lam * spec.mu
+            k0 = math.ceil(x)
+            with _grid_calls() as grid:
+                est = geom_tail_exact(spec, x, rel_tol=rel_tol)
+            K = _sizes(grid)[-1]
+            if K < k0:
+                continue  # the 1 - CDF route
+            ref = _decimal_geom_tail(spec.params, k0)
+            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+            assert est.error_bound <= 1.1 * rel_tol * est.value + _sum_roundoff(
+                spec.n, K, est.value, K + 1 - k0
+            )
+            values.append(est.value)
+        assert min(values) < 1e-240 and max(values) > 1e-10
+
+    def test_independent_of_thm2(self, monkeypatch):
+        # Theorem 2 40 nats low sends these queries to the tail sum, where a
+        # thm2-certified grid would stop early (P(X >= 30) would come back
+        # as 2.70e-8 against 5.59e-8); thm2 only picks the route
+        thm2 = exact_oracle.log_thm2
+        monkeypatch.setattr(exact_oracle, "log_thm2", lambda spec, lam: thm2(spec, lam) - 40.0)
+        for x in (30.0, 60.0):
+            with _grid_calls() as grid:
+                est = geom_tail_exact(HALF_HALF, x)
+            assert _sizes(grid)[-1] >= x
+            ref = iid_geom_tail(0.5, 2, x)
+            assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
+        spec = make_geometric_spec(_distinct_params(np.random.default_rng(73), 8))
+        for lam in (3.0, 10.0):
+            x = lam * spec.mu
+            est = geom_tail_exact(spec, x)
+            ref = _decimal_geom_tail(spec.params, math.ceil(x))
+            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+
+    def test_short_first_grid_grows(self, monkeypatch):
+        # a first grid of one point past k0 cannot certify; the extension
+        # doubles until the grid's own ratio does
+        monkeypatch.setattr(exact_oracle, "_first_extension", lambda spec, k0, rel_tol: 1)
+        rng = np.random.default_rng(79)
+        for n, lam in ((2, 40.0), (5, 10.0), (8, 8.0), (8, 12.0), (12, 20.0)):
+            spec = make_geometric_spec(_distinct_params(rng, n))
+            x = lam * spec.mu
+            k0 = math.ceil(x)
+            with _grid_calls() as grid:
+                est = geom_tail_exact(spec, x)
+            extensions = [K - k0 for K in _sizes(grid) if K >= k0]
+            assert len(extensions) > 1
+            assert extensions == [2**i for i in range(len(extensions))]
+            ref = _decimal_geom_tail(spec.params, k0)
             assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
 
 
