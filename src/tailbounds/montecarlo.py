@@ -1,18 +1,25 @@
 """Seeded Monte Carlo tail estimation with Wilson confidence intervals.
 
 The generator is counter based: draw j of sample i reads position i*n + j of
-a splitmix64 stream, so the estimate is a pure function of (seed, samples)
+a splitmix64 stream (Steele, Lea & Flood 2014, "Fast splittable pseudorandom
+number generators"), so the estimate is a pure function of (seed, samples)
 and identical under any chunking or parallel partitioning of the sample
 indices. Uniforms are drawn from the open interval (0, 1).
 
 Samples are drawn in blocks of about BLOCK_DRAWS uniforms (one row of n when
-n is larger), each generated, inverted and summed in place. Memory is
-bounded by that block, whatever samples * n is.
+n is larger), each generated, inverted and summed in place. mc_tail splits
+the blocks into contiguous shards of whole blocks, one per CPU the process
+may run on, and runs each shard on a thread of its own with one workspace
+of buffers reused for every block; the hit counts are summed at the end.
+The estimate is bit-identical under any worker count, and memory is bounded
+by a few blocks per shard, whatever samples * n is.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -21,14 +28,16 @@ import numpy as np
 from .exact_oracle import OracleMethod, TailEstimate
 from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 
 # Uniforms per block: 512 KB of float64, which stays in cache through every
-# pass. The fastest of 2^12..2^20 at n = 8 and n = 10^3 (2^15 and 2^17 are
-# 5-25% slower, 2^20 about twice as slow).
+# pass. The fastest of 2^12..2^20 at n = 8 and n = 10^3 with a fresh block
+# per pass (2^15 and 2^17 were 5-25% slower, 2^20 about twice as slow); with
+# the reused workspace 2^15 is within noise of it and 2^14 5-12% slower.
 BLOCK_DRAWS = 1 << 16
 
 
@@ -56,6 +65,45 @@ class McConfig:
             raise OutOfRange(f"confidence {self.confidence} not in (0, 1)")
 
 
+class _Workspace:
+    """Buffers for blocks of up to len(steps) draws, reused block after block.
+
+    steps = (1..len(steps)) * gamma mod 2^64 is only read, so the shards of one
+    mc_tail call share it; z and t are this workspace's own.
+    """
+
+    def __init__(self, steps: np.ndarray):
+        self.steps = steps
+        self.z = np.empty_like(steps)
+        self.t = np.empty_like(steps)
+
+    def uniforms(self, seed: int, start: int, count: int) -> np.ndarray:
+        """Uniforms at stream positions start..start+count-1, in t's float64
+        view, which the next call overwrites."""
+        z, t = self.z[:count], self.t[:count]
+        offset = (int(start) * _GAMMA_INT + int(seed)) % 2**64
+        np.add(self.steps[:count], _U64(offset), out=z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, _U64(shift), out=t)
+            z ^= t
+            z *= mix
+        np.right_shift(z, _U64(31), out=t)
+        z ^= t
+        z >>= _U64(11)
+        u = t.view(np.float64)
+        u[...] = z.view(np.int64)  # exact below 2^53, and faster than from uint64
+        u += 0.5
+        u *= 2.0**-53
+        return u
+
+
+def _steps(draws: int) -> np.ndarray:
+    """(1..draws) * gamma mod 2^64: the counter offsets of a block of draws."""
+    steps = np.arange(1, draws + 1, dtype=np.uint64)
+    steps *= _GAMMA
+    return steps
+
+
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms in (0, 1) at stream positions start..start+count-1.
 
@@ -63,24 +111,21 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     output function on an affine counter, so any block can be regenerated
     independently of how earlier draws were grouped.
     """
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= _GAMMA
-    z += _U64(seed)
-    z ^= z >> _U64(30)
-    z *= _MIX1
-    z ^= z >> _U64(27)
-    z *= _MIX2
-    z ^= z >> _U64(31)
-    z >>= _U64(11)
-    u = z.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return u
+    return _Workspace(_steps(count)).uniforms(seed, start, count)
+
+
+def _two_sided_z(confidence: float) -> float:
+    """z with P(|Z| <= z) = confidence for a standard normal Z.
+
+    Taken from the lower quantile: 1 - confidence is exact for confidence >=
+    0.5, where 0.5 + confidence / 2 rounds to 1 just below confidence 1.
+    """
+    return -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
 
 
 def wilson_interval(hits: int, samples: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for hits/samples at the given confidence."""
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _two_sided_z(confidence)
     phat = hits / samples
     denom = 1.0 + z * z / samples
     center = (phat + z * z / (2.0 * samples)) / denom
@@ -90,27 +135,45 @@ def wilson_interval(hits: int, samples: int, confidence: float) -> tuple[float, 
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _divisors(spec) -> np.ndarray:
-    """d_j such that summand j is ln(U) / d_j, rounded up for a geometric spec.
+def _inversion(spec, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(d, ones): summand j of each of rows samples is ln(U) / d[:, j], rounded
+    up for a geometric spec.
 
-    Geometric: ln(1 - p_j) from math.log1p (1 where p_j = 1; _sums_block sets
-    those summands to 1). Exponential: -a_j.
+    Geometric: d_j = ln(1 - p_j) from math.log1p (1 where p_j = 1), and ones
+    indexes the columns with p_j = 1, which _sums_block sets to 1.
+    Exponential: d_j = -a_j, and ones is None (no rounding). d repeats the
+    row rows times, so the divide runs as one flat loop instead of one short
+    broadcast loop per row.
     """
     if isinstance(spec, GeometricSumSpec):
-        return np.array([1.0 if p == 1.0 else math.log1p(-p) for p in spec.params])
-    return -np.asarray(spec.rates)
+        row = [1.0 if p == 1.0 else math.log1p(-p) for p in spec.params]
+        ones = np.flatnonzero(spec.param_array == 1.0)
+    else:
+        row, ones = [-a for a in spec.rates], None
+    return np.tile(np.array(row), (rows, 1)), ones
 
 
-def _sums_block(spec, divisors: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
-    """Sums of samples start..start+count-1, inverted in place on one block."""
-    n = spec.n
-    u = uniform_block(seed, start * n, count * n).reshape(count, n)
+def _sums_block(divisors: np.ndarray, ones: np.ndarray | None, work: _Workspace,
+                seed: int, start: int, count: int) -> np.ndarray:
+    """Sums of samples start..start+count-1 (count <= len(divisors)), inverted
+    in place in work's buffers."""
+    n = divisors.shape[1]
+    u = work.uniforms(seed, start * n, count * n).reshape(count, n)
     np.log(u, out=u)
-    u /= divisors
-    if isinstance(spec, GeometricSumSpec):
+    u /= divisors[:count]
+    if ones is not None:
         np.ceil(u, out=u)
-        u[:, spec.param_array == 1.0] = 1.0
+        if len(ones):  # an empty fancy index still costs about 3 us a block
+            u[:, ones] = 1.0
     return u.sum(axis=1)
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def mc_tail(
@@ -123,26 +186,53 @@ def mc_tail(
     """Fraction of draws with sum >= x (side="upper") or <= x (side="lower").
 
     error_bound is the Wilson half-width at cfg.confidence, measured from the
-    empirical fraction. Samples are drawn chunk_size at a time, by default
-    max(1, BLOCK_DRAWS // n), so memory stays bounded by a fixed block of
-    draws whatever samples * n is. Output is bit-identical for fixed
-    (seed, samples) whatever chunk_size is used.
+    empirical fraction. Samples are drawn in blocks of max(1, BLOCK_DRAWS // n),
+    or chunk_size when that is smaller, so memory stays bounded by a few
+    blocks whatever samples * n is. The blocks are split into contiguous
+    shards, one per CPU this process may run on (see _workers); shards past
+    the first run on threads of their own, and each reuses one workspace for
+    all of its blocks. Output is bit-identical for fixed (seed, samples)
+    whatever chunk_size or worker count is used.
     """
     if side not in ("upper", "lower"):
         raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
     if math.isnan(x):
         raise OutOfRange("threshold x is NaN")
-    if chunk_size is None:
-        chunk_size = max(1, BLOCK_DRAWS // spec.n)
-    _require_int("chunk_size", chunk_size)
-    if chunk_size < 1:
-        raise OutOfRange(f"need chunk_size >= 1, got {chunk_size}")
-    divisors = _divisors(spec)
-    hits = 0
-    for start in range(0, cfg.samples, chunk_size):
-        count = min(chunk_size, cfg.samples - start)
-        sums = _sums_block(spec, divisors, cfg.seed, start, count)
-        hits += int(np.count_nonzero(sums >= x if side == "upper" else sums <= x))
+    rows = max(1, BLOCK_DRAWS // spec.n)
+    if chunk_size is not None:
+        _require_int("chunk_size", chunk_size)
+        if chunk_size < 1:
+            raise OutOfRange(f"need chunk_size >= 1, got {chunk_size}")
+        rows = min(rows, int(chunk_size))
+    divisors, ones = _inversion(spec, rows)
+    steps = _steps(rows * spec.n)
+    blocks = -(-cfg.samples // rows)
+    w = min(_workers(), blocks)
+    edges = [k * blocks // w * rows for k in range(w)] + [cfg.samples]
+    results: list = [0] * w  # each shard's hit count, or the exception it raised
+
+    def shard(k: int) -> None:
+        try:
+            work = _Workspace(steps)
+            hits, stop = 0, edges[k + 1]
+            for start in range(edges[k], stop, rows):
+                sums = _sums_block(divisors, ones, work, cfg.seed, start,
+                                   min(rows, stop - start))
+                hits += int(np.count_nonzero(sums >= x if side == "upper" else sums <= x))
+            results[k] = hits
+        except BaseException as exc:  # raised again in the caller, below
+            results[k] = exc
+
+    threads = [threading.Thread(target=shard, args=(k,), daemon=True) for k in range(1, w)]
+    for thread in threads:
+        thread.start()
+    shard(0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    hits = sum(results)
     phat = hits / cfg.samples
     lo, hi = wilson_interval(hits, cfg.samples, cfg.confidence)
     return TailEstimate(phat, max(hi - phat, phat - lo), OracleMethod.MONTE_CARLO)

@@ -232,6 +232,15 @@ class TestMc:
         assert code == 3
         assert out == ""
 
+    def test_confidence_just_below_one(self, capsys):
+        # 0.5 + c / 2 rounds to 1 here, where the normal quantile is infinite
+        code, out, _ = run(capsys, "mc", "--dist", "geom", "--p", "0.5,0.5",
+                           "--lambda", "2", "--samples", "1000",
+                           "--confidence", "0.9999999999999999")
+        assert code == 0
+        half = float(out.split("error_bound: ")[1].splitlines()[0])
+        assert 0.0 < half < 1.0
+
 
 class TestSweep:
     def test_single_trivial_row(self, capsys):

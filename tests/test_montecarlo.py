@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,13 +25,22 @@ from tailbounds import (
     uniform_block,
     wilson_interval,
 )
-from tailbounds.montecarlo import BLOCK_DRAWS, _divisors, _sums_block
+from tailbounds import montecarlo
+from tailbounds.montecarlo import (
+    BLOCK_DRAWS,
+    _inversion,
+    _steps,
+    _sums_block,
+    _two_sided_z,
+    _Workspace,
+)
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])
 
 
 def sums_block(spec, seed, start, count):
-    return _sums_block(spec, _divisors(spec), seed, start, count)
+    work = _Workspace(_steps(count * spec.n))
+    return _sums_block(*_inversion(spec, count), work, seed, start, count)
 
 
 def big_geometric_spec(seed=3, n=1000):
@@ -220,7 +231,9 @@ class TestMcTail:
         for chunk in (1, 7, BLOCK_DRAWS // spec.n + 1, 1000, 10**6):
             assert mc_tail(spec, x, cfg, chunk_size=chunk) == baseline
 
-    def test_memory_bounded_by_block(self):
+    def test_memory_bounded_by_block(self, monkeypatch):
+        # four shards, whatever this host has: two reused buffers each
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
         spec = big_geometric_spec()
         cfg = McConfig(samples=10_000, seed=1)
         tracemalloc.start()
@@ -230,6 +243,21 @@ class TestMcTail:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_large_chunk_size_capped_at_block(self, monkeypatch, workers):
+        # a chunk of 10^6 samples at n = 10^3 would be 8 GB of draws
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        spec = big_geometric_spec()
+        cfg = McConfig(samples=5000, seed=2)
+        tracemalloc.start()
+        try:
+            est = mc_tail(spec, 1.03 * spec.mu, cfg, chunk_size=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert est == mc_tail(spec, 1.03 * spec.mu, cfg)
 
     def test_nan_threshold_refused(self):
         with pytest.raises(OutOfRange):
@@ -250,6 +278,94 @@ class TestMcTail:
         a = mc_tail(make_exponential_spec([0.5, 3.0]), 4.0, cfg)
         b = mc_tail(make_exponential_spec([0.5, 3.0]), 4.0, cfg)
         assert a.value == b.value
+
+
+WIDE = make_exponential_spec([0.5 + (i % 7) for i in range(BLOCK_DRAWS + 3)])
+
+# (spec, x, side, samples, seed, chunk_size): several blocks with a partial
+# last one, p = 1 columns, both sides, one row per block (n > BLOCK_DRAWS),
+# and fewer samples or blocks than workers.
+SHARD_CASES = [
+    (make_geometric_spec([0.3, 1.0, 0.8, 1.0]), 6.0, "upper", 100_001, 5, None),
+    (make_exponential_spec([0.5, 3.0]), 1.0, "lower", 200_000, 9, None),
+    (make_exponential_spec([0.5, 3.0]), 1.0, "upper", 200_000, 9, None),
+    (big_geometric_spec(), 1.03 * big_geometric_spec().mu, "upper", 1001, 27, None),
+    (WIDE, WIDE.mu, "upper", 5, 2**64 - 1, None),
+    (HALF_HALF, 4.0, "upper", 3, 0, None),
+    (HALF_HALF, 4.0, "upper", 3, 0, 1),
+    (HALF_HALF, 4.0, "lower", 20, 1, 3),
+]
+
+
+class TestShards:
+    """mc_tail split over shards of whole blocks, one thread per shard."""
+
+    @pytest.mark.parametrize("case", SHARD_CASES)
+    def test_bit_identical_across_worker_counts(self, monkeypatch, case):
+        spec, x, side, samples, seed, chunk = case
+        cfg = McConfig(samples=samples, seed=seed)
+        got = []
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+            got.append(mc_tail(spec, x, cfg, side=side, chunk_size=chunk))
+        assert all(est == got[0] for est in got)
+
+    @pytest.mark.parametrize("case, expected", [
+        (SHARD_CASES[0][:-1], (0.5442345576544234, 0.004059555077328358)),
+        (SHARD_CASES[1][:-1], (0.283435, 0.002602863748877249)),
+        (SHARD_CASES[3][:-1], (0.22877122877122877, 0.03591726449367785)),
+        (SHARD_CASES[4][:-1], (0.4, 0.43134380198056765)),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pinned_values(self, monkeypatch, case, expected, workers):
+        # (value, error_bound) at the default confidence, pinned exactly
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        spec, x, side, samples, seed = case
+        est = mc_tail(spec, x, McConfig(samples=samples, seed=seed), side=side)
+        assert (est.value, est.error_bound) == expected
+
+    def test_many_shards_switching_often(self, monkeypatch):
+        # more threads than cores, switched every microsecond: a lost or
+        # misplaced hit count would change the estimate
+        spec, x, side, samples, seed, _ = SHARD_CASES[0]
+        cfg = McConfig(samples=samples, seed=seed)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        baseline = mc_tail(spec, x, cfg, side=side, chunk_size=997)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mc_tail(spec, x, cfg, side=side, chunk_size=997)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == baseline
+
+    def test_shards_run_on_threads(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+        seen = set()
+        inner = montecarlo._sums_block
+
+        def spy(divisors, ones, work, seed, start, count):
+            seen.add((threading.get_ident(), id(work)))
+            return inner(divisors, ones, work, seed, start, count)
+
+        monkeypatch.setattr(montecarlo, "_sums_block", spy)
+        mc_tail(HALF_HALF, 4.0, McConfig(samples=4 * (BLOCK_DRAWS // 2), seed=3))
+        assert len(seen) == 2  # two threads, one workspace each, reused per block
+
+    def test_exception_in_a_shard_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+        inner = montecarlo._sums_block
+
+        def failing(divisors, ones, work, seed, start, count):
+            if start > 0:
+                raise FloatingPointError(f"block at {start}")
+            return inner(divisors, ones, work, seed, start, count)
+
+        monkeypatch.setattr(montecarlo, "_sums_block", failing)
+        # two blocks of BLOCK_DRAWS // 2 samples: shard 0 draws only the first
+        with pytest.raises(FloatingPointError, match=f"block at {BLOCK_DRAWS // 2}"):
+            mc_tail(HALF_HALF, 4.0, McConfig(samples=BLOCK_DRAWS, seed=3))
 
 
 class TestWilson:
@@ -288,3 +404,12 @@ class TestWilson:
                 McConfig(samples=30_000, seed=seed),
             )
             assert abs(est.value - exact) <= 4.0 * est.error_bound
+
+    # sqrt(2) erfinv(c) at the double c, frozen from mpmath at 40 digits
+    @pytest.mark.parametrize("confidence, z", [
+        (0.9, 1.644853626951472822510732),
+        (0.999, 3.290526731491894543338878),
+        (1.0 - 1e-6, 4.891638475692931771825297),
+    ])
+    def test_z_matches_normal_quantile(self, confidence, z):
+        assert abs(_two_sided_z(confidence) - z) <= 1e-15 * z
