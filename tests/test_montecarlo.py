@@ -280,6 +280,7 @@ class TestMcTail:
         assert a.value == b.value
 
 
+BIG = big_geometric_spec()
 WIDE = make_exponential_spec([0.5 + (i % 7) for i in range(BLOCK_DRAWS + 3)])
 
 # (spec, x, side, samples, seed, chunk_size): several blocks with a partial
@@ -289,7 +290,7 @@ SHARD_CASES = [
     (make_geometric_spec([0.3, 1.0, 0.8, 1.0]), 6.0, "upper", 100_001, 5, None),
     (make_exponential_spec([0.5, 3.0]), 1.0, "lower", 200_000, 9, None),
     (make_exponential_spec([0.5, 3.0]), 1.0, "upper", 200_000, 9, None),
-    (big_geometric_spec(), 1.03 * big_geometric_spec().mu, "upper", 1001, 27, None),
+    (BIG, 1.03 * BIG.mu, "upper", 1001, 27, None),
     (WIDE, WIDE.mu, "upper", 5, 2**64 - 1, None),
     (HALF_HALF, 4.0, "upper", 3, 0, None),
     (HALF_HALF, 4.0, "upper", 3, 0, 1),
