@@ -7,19 +7,14 @@ and identical under any chunking or parallel partitioning of the sample
 indices. Uniforms are drawn from the open interval (0, 1).
 
 Samples are drawn in blocks of about BLOCK_DRAWS uniforms (one row of n when
-n is larger), each generated, inverted and summed in place. mc_tail splits
-the blocks into contiguous shards of whole blocks, one per CPU the process
-may run on, and runs each shard on a thread of its own with one workspace
-of buffers reused for every block; the hit counts are summed at the end.
-The estimate is bit-identical under any worker count, and memory is bounded
-by a few blocks per shard, whatever samples * n is.
+n is larger), each generated, inverted and summed in place in one workspace
+of buffers that mc_tail reuses for every block, so memory is bounded by a
+few blocks whatever samples * n is.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -66,16 +61,17 @@ class McConfig:
 
 
 class _Workspace:
-    """Buffers for blocks of up to len(steps) draws, reused block after block.
+    """Buffers for blocks of up to draws uniforms, reused block after block.
 
-    steps = (1..len(steps)) * gamma mod 2^64 is only read, so the shards of one
-    mc_tail call share it; z and t are this workspace's own.
+    steps = (1..draws) * gamma mod 2^64 holds the counter offsets of a block;
+    z and t are scratch.
     """
 
-    def __init__(self, steps: np.ndarray):
-        self.steps = steps
-        self.z = np.empty_like(steps)
-        self.t = np.empty_like(steps)
+    def __init__(self, draws: int):
+        self.steps = np.arange(1, draws + 1, dtype=np.uint64)
+        self.steps *= _GAMMA
+        self.z = np.empty_like(self.steps)
+        self.t = np.empty_like(self.steps)
 
     def uniforms(self, seed: int, start: int, count: int) -> np.ndarray:
         """Uniforms at stream positions start..start+count-1, in t's float64
@@ -97,13 +93,6 @@ class _Workspace:
         return u
 
 
-def _steps(draws: int) -> np.ndarray:
-    """(1..draws) * gamma mod 2^64: the counter offsets of a block of draws."""
-    steps = np.arange(1, draws + 1, dtype=np.uint64)
-    steps *= _GAMMA
-    return steps
-
-
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms in (0, 1) at stream positions start..start+count-1.
 
@@ -111,7 +100,7 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     output function on an affine counter, so any block can be regenerated
     independently of how earlier draws were grouped.
     """
-    return _Workspace(_steps(count)).uniforms(seed, start, count)
+    return _Workspace(count).uniforms(seed, start, count)
 
 
 def _two_sided_z(confidence: float) -> float:
@@ -168,14 +157,6 @@ def _sums_block(divisors: np.ndarray, ones: np.ndarray | None, work: _Workspace,
     return u.sum(axis=1)
 
 
-def _workers() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def mc_tail(
     spec: GeometricSumSpec | ExponentialSumSpec,
     x: float,
@@ -187,12 +168,9 @@ def mc_tail(
 
     error_bound is the Wilson half-width at cfg.confidence, measured from the
     empirical fraction. Samples are drawn in blocks of max(1, BLOCK_DRAWS // n),
-    or chunk_size when that is smaller, so memory stays bounded by a few
-    blocks whatever samples * n is. The blocks are split into contiguous
-    shards, one per CPU this process may run on (see _workers); shards past
-    the first run on threads of their own, and each reuses one workspace for
-    all of its blocks. Output is bit-identical for fixed (seed, samples)
-    whatever chunk_size or worker count is used.
+    or chunk_size when that is smaller, all in one reused workspace, so
+    memory stays bounded by a few blocks whatever samples * n is. Output is
+    bit-identical for fixed (seed, samples) whatever chunk_size is used.
     """
     if side not in ("upper", "lower"):
         raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
@@ -205,34 +183,12 @@ def mc_tail(
             raise OutOfRange(f"need chunk_size >= 1, got {chunk_size}")
         rows = min(rows, int(chunk_size))
     divisors, ones = _inversion(spec, rows)
-    steps = _steps(rows * spec.n)
-    blocks = -(-cfg.samples // rows)
-    w = min(_workers(), blocks)
-    edges = [k * blocks // w * rows for k in range(w)] + [cfg.samples]
-    results: list = [0] * w  # each shard's hit count, or the exception it raised
-
-    def shard(k: int) -> None:
-        try:
-            work = _Workspace(steps)
-            hits, stop = 0, edges[k + 1]
-            for start in range(edges[k], stop, rows):
-                sums = _sums_block(divisors, ones, work, cfg.seed, start,
-                                   min(rows, stop - start))
-                hits += int(np.count_nonzero(sums >= x if side == "upper" else sums <= x))
-            results[k] = hits
-        except BaseException as exc:  # raised again in the caller, below
-            results[k] = exc
-
-    threads = [threading.Thread(target=shard, args=(k,), daemon=True) for k in range(1, w)]
-    for thread in threads:
-        thread.start()
-    shard(0)
-    for thread in threads:
-        thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    hits = sum(results)
+    work = _Workspace(rows * spec.n)
+    hits = 0
+    for start in range(0, cfg.samples, rows):
+        sums = _sums_block(divisors, ones, work, cfg.seed, start,
+                           min(rows, cfg.samples - start))
+        hits += int(np.count_nonzero(sums >= x if side == "upper" else sums <= x))
     phat = hits / cfg.samples
     lo, hi = wilson_interval(hits, cfg.samples, cfg.confidence)
     return TailEstimate(phat, max(hi - phat, phat - lo), OracleMethod.MONTE_CARLO)

@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -25,11 +23,9 @@ from tailbounds import (
     uniform_block,
     wilson_interval,
 )
-from tailbounds import montecarlo
 from tailbounds.montecarlo import (
     BLOCK_DRAWS,
     _inversion,
-    _steps,
     _sums_block,
     _two_sided_z,
     _Workspace,
@@ -39,7 +35,7 @@ HALF_HALF = make_geometric_spec([0.5, 0.5])
 
 
 def sums_block(spec, seed, start, count):
-    work = _Workspace(_steps(count * spec.n))
+    work = _Workspace(count * spec.n)
     return _sums_block(*_inversion(spec, count), work, seed, start, count)
 
 
@@ -231,9 +227,7 @@ class TestMcTail:
         for chunk in (1, 7, BLOCK_DRAWS // spec.n + 1, 1000, 10**6):
             assert mc_tail(spec, x, cfg, chunk_size=chunk) == baseline
 
-    def test_memory_bounded_by_block(self, monkeypatch):
-        # four shards, whatever this host has: two reused buffers each
-        monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
+    def test_memory_bounded_by_block(self):
         spec = big_geometric_spec()
         cfg = McConfig(samples=10_000, seed=1)
         tracemalloc.start()
@@ -244,10 +238,8 @@ class TestMcTail:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_large_chunk_size_capped_at_block(self, monkeypatch, workers):
+    def test_large_chunk_size_capped_at_block(self):
         # a chunk of 10^6 samples at n = 10^3 would be 8 GB of draws
-        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
         spec = big_geometric_spec()
         cfg = McConfig(samples=5000, seed=2)
         tracemalloc.start()
@@ -283,90 +275,42 @@ class TestMcTail:
 BIG = big_geometric_spec()
 WIDE = make_exponential_spec([0.5 + (i % 7) for i in range(BLOCK_DRAWS + 3)])
 
-# (spec, x, side, samples, seed, chunk_size): several blocks with a partial
-# last one, p = 1 columns, both sides, one row per block (n > BLOCK_DRAWS),
-# and fewer samples or blocks than workers.
-SHARD_CASES = [
-    (make_geometric_spec([0.3, 1.0, 0.8, 1.0]), 6.0, "upper", 100_001, 5, None),
-    (make_exponential_spec([0.5, 3.0]), 1.0, "lower", 200_000, 9, None),
-    (make_exponential_spec([0.5, 3.0]), 1.0, "upper", 200_000, 9, None),
-    (BIG, 1.03 * BIG.mu, "upper", 1001, 27, None),
-    (WIDE, WIDE.mu, "upper", 5, 2**64 - 1, None),
-    (HALF_HALF, 4.0, "upper", 3, 0, None),
-    (HALF_HALF, 4.0, "upper", 3, 0, 1),
-    (HALF_HALF, 4.0, "lower", 20, 1, 3),
+# (spec, x, side, samples, seed): several blocks with a partial last one,
+# p = 1 columns, both sides, one row per block (n > BLOCK_DRAWS), and fewer
+# samples than one block.
+BLOCK_CASES = [
+    (make_geometric_spec([0.3, 1.0, 0.8, 1.0]), 6.0, "upper", 100_001, 5),
+    (make_exponential_spec([0.5, 3.0]), 1.0, "lower", 200_000, 9),
+    (make_exponential_spec([0.5, 3.0]), 1.0, "upper", 200_000, 9),
+    (BIG, 1.03 * BIG.mu, "upper", 1001, 27),
+    (WIDE, WIDE.mu, "upper", 5, 2**64 - 1),
+    (HALF_HALF, 4.0, "lower", 20, 1),
 ]
 
 
-class TestShards:
-    """mc_tail split over shards of whole blocks, one thread per shard."""
+class TestBlocks:
+    """mc_tail's blocks, drawn one after another in one reused workspace."""
 
-    @pytest.mark.parametrize("case", SHARD_CASES)
-    def test_bit_identical_across_worker_counts(self, monkeypatch, case):
-        spec, x, side, samples, seed, chunk = case
+    @pytest.mark.parametrize("case", [BLOCK_CASES[k] for k in (0, 1, 2, 4, 5)])
+    def test_bit_identical_across_chunkings(self, case):
+        spec, x, side, samples, seed = case
         cfg = McConfig(samples=samples, seed=seed)
-        got = []
-        for workers in (1, 2, 3, 7):
-            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-            got.append(mc_tail(spec, x, cfg, side=side, chunk_size=chunk))
-        assert all(est == got[0] for est in got)
+        baseline = mc_tail(spec, x, cfg, side=side)
+        for chunk in (3, 997):
+            assert mc_tail(spec, x, cfg, side=side, chunk_size=chunk) == baseline
 
     @pytest.mark.parametrize("case, expected", [
-        (SHARD_CASES[0][:-1], (0.5442345576544234, 0.004059555077328358)),
-        (SHARD_CASES[1][:-1], (0.283435, 0.002602863748877249)),
-        (SHARD_CASES[3][:-1], (0.22877122877122877, 0.03591726449367785)),
-        (SHARD_CASES[4][:-1], (0.4, 0.43134380198056765)),
+        (BLOCK_CASES[0], (0.5442345576544234, 0.004059555077328358)),
+        (BLOCK_CASES[1], (0.283435, 0.002602863748877249)),
+        (BLOCK_CASES[3], (0.22877122877122877, 0.03591726449367785)),
+        (BLOCK_CASES[4], (0.4, 0.43134380198056765)),
     ])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_pinned_values(self, monkeypatch, case, expected, workers):
-        # (value, error_bound) at the default confidence, pinned exactly
-        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    def test_pinned_values(self, case, expected):
+        # (value, error_bound) at the default confidence, as drawn before the
+        # workspace, pinned exactly
         spec, x, side, samples, seed = case
         est = mc_tail(spec, x, McConfig(samples=samples, seed=seed), side=side)
         assert (est.value, est.error_bound) == expected
-
-    def test_many_shards_switching_often(self, monkeypatch):
-        # more threads than cores, switched every microsecond: a lost or
-        # misplaced hit count would change the estimate
-        spec, x, side, samples, seed, _ = SHARD_CASES[0]
-        cfg = McConfig(samples=samples, seed=seed)
-        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
-        baseline = mc_tail(spec, x, cfg, side=side, chunk_size=997)
-        monkeypatch.setattr(montecarlo, "_workers", lambda: 16)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = mc_tail(spec, x, cfg, side=side, chunk_size=997)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == baseline
-
-    def test_shards_run_on_threads(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
-        seen = set()
-        inner = montecarlo._sums_block
-
-        def spy(divisors, ones, work, seed, start, count):
-            seen.add((threading.get_ident(), id(work)))
-            return inner(divisors, ones, work, seed, start, count)
-
-        monkeypatch.setattr(montecarlo, "_sums_block", spy)
-        mc_tail(HALF_HALF, 4.0, McConfig(samples=4 * (BLOCK_DRAWS // 2), seed=3))
-        assert len(seen) == 2  # two threads, one workspace each, reused per block
-
-    def test_exception_in_a_shard_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
-        inner = montecarlo._sums_block
-
-        def failing(divisors, ones, work, seed, start, count):
-            if start > 0:
-                raise FloatingPointError(f"block at {start}")
-            return inner(divisors, ones, work, seed, start, count)
-
-        monkeypatch.setattr(montecarlo, "_sums_block", failing)
-        # two blocks of BLOCK_DRAWS // 2 samples: shard 0 draws only the first
-        with pytest.raises(FloatingPointError, match=f"block at {BLOCK_DRAWS // 2}"):
-            mc_tail(HALF_HALF, 4.0, McConfig(samples=BLOCK_DRAWS, seed=3))
 
 
 class TestWilson:
