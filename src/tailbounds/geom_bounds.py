@@ -3,17 +3,17 @@
 Closed-form upper bounds for P(X >= lam*mu), an upper bound for the lower
 tail P(X <= lam*mu), a matching lower bound for the upper tail, and two
 numerically optimized variants (a Chernoff exponent minimized over its free
-parameter t, and a generating-function bound minimized over z). Both
-objectives are convex, so each optimum is one bracketed root of an
-increasing convex derivative, found by safeguarded Newton steps with numpy
-over the spec's parameter array. Every bound is computed in log space and
-returned as a BoundResult.
+parameter t, and a generating-function bound minimized over w = z - 1). Both
+objectives are convex, and each optimum is a root of
+sum_i 1/(a_i - b_i s) = T, with gaps a_i - b_i s linear in the variable s.
+One solver finds both by Newton steps on the reciprocal of the sum, which
+is concave, with numpy over the spec's parameter array. Every bound is
+computed in log space and returned as a BoundResult.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from .model import (
     LambdaOutOfRange,
     Method,
     bound_result,
-    log_pgf_geometric,
-    pgf_pole_gap,
-    pgf_pole_gaps,
     require_upper,
 )
 
@@ -103,6 +100,21 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
     return bound_result(Method.TL, lam, log_bound)
 
 
+def _lemma1_log(spec: GeometricSumSpec, x: float, w: float) -> float:
+    """lemma1_bound's log at z = 1 + w, with the prefactor cancelled against the
+    pole factor of one summand i* with p_i = p_min (q_i = 1 - p_i):
+
+        (n - x) ln(1 + w) - sum_{i != i*} ln(1 - q_i w / p_i).
+
+    Every gap p_i - q_i w is linear in w, so w resolves the domain up to the
+    pole 1 + w = 1/(1 - p_min) for any p_min, where z = 1 + w would round.
+    """
+    others = np.delete(spec.param_array, np.argmin(spec.param_array))
+    return (spec.n - x) * math.log1p(w) - math.fsum(
+        np.log1p(-(1.0 - others) * w / others).tolist()
+    )
+
+
 def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
     """Generating-function bound with its geometric-tail prefactor:
 
@@ -114,116 +126,60 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
         raise DomainError(f"need a finite x >= 0, got {x}")
     if not z >= 1.0:
         raise DomainError(f"need z >= 1, got {z}")
-    if pgf_pole_gap(spec.p_min, z) <= 0.0:
+    w = z - 1.0  # exact for z >= 1
+    if not spec.p_min - (1.0 - spec.p_min) * w > 0.0:
         raise DomainError(
             f"z={z} is at or beyond the pole 1/(1-p_min) for p_min={spec.p_min}"
         )
-    prefactor = pgf_pole_gap(spec.p_min, z) / spec.p_min
-    log_bound = math.log(prefactor) - x * math.log(z) + log_pgf_geometric(spec, z)
-    return bound_result(Method.LEMMA1, x / spec.mu, log_bound, internal_param=z)
+    return bound_result(
+        Method.LEMMA1, x / spec.mu, _lemma1_log(spec, x, w), internal_param=z
+    )
 
 
-def _bits(v: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", v))[0]
+def _reciprocal_root(a, b, c: float, target: float, lo: float, hi: float):
+    """Where R(s) = sum_i c/(a_i - b_i s) reaches target on [lo, hi], and how
+    many times R was evaluated (b_i >= 0, c > 0, every gap a_i - b_i hi > 0).
 
-
-def _from_bits(i: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", i))[0]
-
-
-# Evaluations after which _increasing_root bisects bit patterns alone. The
-# nonnegative doubles span fewer than 2**63 patterns, so that adds at most 63.
-_NEWTON_EVALUATIONS = 64
-
-
-def _increasing_root(g, lo: float, hi: float) -> tuple[float, int]:
-    """The smallest double in [lo, hi] (0 <= lo <= hi) where increasing convex g
-    is >= 0, and how many times g was evaluated.
-
-    g(t) returns (g(t), g'(t)). The solve returns lo when g(lo) >= 0 and hi
-    when g(hi) < 0. Otherwise it keeps a bracket a < root <= b of doubles and
-    takes Newton steps from the last point evaluated, safeguarded as in
-    "rtsafe" (Press et al., Numerical Recipes 9.4): a step that leaves the
-    bracket or fails to halve the step before last, and any step with a
-    non-finite or zero g', becomes a bisection of the bracket's bit patterns.
-    Nonnegative doubles order like their bit patterns, so bisection works at
-    any scale. On a convex g a Newton step lands at or right of the root, so
-    Newton converges from the right. Once it stops moving (its next step is
-    at most one double, or falls behind a through round-off), probes 1, 2,
-    4, ... doubles away find the sign change, and the bracket closes on two
-    adjacent doubles. After 64 evaluations only bisection runs, so a solve
-    never takes more than 127.
+    1/R is a multiple of the harmonic mean of gaps linear in s, so it is
+    concave and decreasing. Newton on 1/R - 1/target, started at hi, therefore
+    walks left and never passes the root; next to one dominant pole 1/R is
+    nearly linear and one step lands. The solve returns hi when R(hi) <=
+    target, and otherwise stops where R <= target, at the first step that
+    does not decrease s (round-off, or the root lies below lo), or where the
+    next step would gain under 1e-18 in the log bound. Both callers minimize
+    a log bound whose derivative is (R - target)/c times a factor in (0, 1],
+    so a quadratic model puts that gain at (R - target)^2 / (2 c R').
     """
-    g_lo, _ = g(lo)
-    if g_lo >= 0.0:
-        return lo, 1
-    x = hi
-    gx, dx = g(hi)
-    if gx < 0.0:
-        return hi, 2
-    evaluations = 2
-    a, b = _bits(lo), _bits(hi)
-    step = last = hi - lo
-    probe = 1
-    while b - a > 1:
-        c = (a + b) // 2
-        if evaluations < _NEWTON_EVALUATIONS and 0.0 < dx < math.inf:
-            t = x - gx / dx
-            if gx >= 0.0 and t <= _from_bits(a):
-                # from the right Newton only falls behind a through round-off,
-                # so the root is at a: probe the doubles just above it
-                c = a + probe
-                probe *= 2
-            elif abs(_bits(t) - _bits(x)) <= 1:
-                # Newton has converged to round-off: probe past x, doubling
-                # the distance while g keeps its sign
-                c = _bits(x) + (probe if gx < 0.0 else -probe)
-                probe *= 2
-            else:
-                probe = 1
-                if _from_bits(a) < t < _from_bits(b) and abs(t - x) <= 0.5 * last:
-                    c = _bits(t)
-            if not a < c < b:
-                c = (a + b) // 2
-        x_new = _from_bits(c)
-        step, last = abs(x_new - x), step
-        x = x_new
-        gx, dx = g(x)
+    s, evaluations = hi, 0
+    while True:
+        r = c / (a - b * s)
+        total = float(r.sum())
+        slope = float((b * r) @ r)  # c R'
         evaluations += 1
-        if gx >= 0.0:
-            b = c
-        else:
-            a = c
-    return _from_bits(b), evaluations
+        if total <= target or (total - target) ** 2 <= 2e-18 * slope:
+            return s, evaluations
+        step = max(lo, s + c * total * (1.0 - total / target) / slope) if slope else lo
+        if not step < s:
+            return s, evaluations
+        s = step
 
 
 def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Chernoff bound with the exponent minimized over t in [0, p_min).
 
-    The exponent -t lam mu - sum ln(1 - t/p_i) is convex in t, so its
-    minimizer is the root of the increasing convex derivative
-    -lam mu + sum 1/(p_i - t), with second derivative sum 1/(p_i - t)^2.
-    Never worse than upper_tail_thm1, whose t is one point of the same
-    domain.
+    The exponent -t lam mu - sum ln(1 - t/p_i) is convex in t, and its
+    minimizer is where sum 1/(p_i - t) = lam mu. Never worse than
+    upper_tail_thm1, whose t is one point of the same domain.
     """
     require_upper(lam)
     target = lam * spec.mu
     p = spec.param_array
     p_min = spec.p_min
-    inv_p = 1.0 / p
-    excess = (lam - 1.0) * (spec.mu * p_min)
-
-    # The derivative times p_min, written with 1/(p_i - t) - 1/p_i =
-    # t/(p_i (p_i - t)) so that mu cancels exactly (g(0) = 0 at lam = 1).
-    # The factor p_min keeps g and g' finite off the pole for a tiny p_min.
-    def g(t: float) -> tuple[float, float]:
-        r = p_min / (p - t)
-        return float((t * inv_p) @ r) - excess, float(r @ r) / p_min
-
-    # 1/(p_min - t) <= sum 1/(p_i - t) <= mu/(1 - t/p_min) brackets the root
+    # 1/(p_min - t) <= sum 1/(p_i - t) <= mu/(1 - t/p_min) brackets the root;
+    # the factor p_min keeps each term finite next to the pole
     lo = (1.0 - 1.0 / lam) * p_min
     hi = max(lo, min(p_min - 1.0 / target, math.nextafter(p_min, 0.0)))
-    t, evaluations = _increasing_root(g, lo, hi)
+    t, evaluations = _reciprocal_root(p, 1.0, p_min, lam * (spec.mu * p_min), lo, hi)
     log_bound = -t * target - math.fsum(np.log1p(-t / p).tolist())
     return bound_result(
         Method.OPT_CHERNOFF, lam, log_bound, internal_param=t, evaluations=evaluations
@@ -231,54 +187,40 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
 
 
 def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
-    """lemma1_bound minimized over the doubles z in [1, 1/(1-p_min)).
+    """lemma1_bound minimized over z = 1 + w, reported as w in [0, p_min/(1-p_min)).
 
-    The prefactor (1 - z q*)/p_min cancels the pole factor of one summand
-    i* with p_i = p_min (q_i = 1 - p_i), so with u = ln z the log bound is
+    The log bound of _lemma1_log is convex in ln(1 + w), and with
+    q z/(1 - q z) = 1/(1 - q z) - 1 its minimizer is where
+    sum_{i != i*} 1/(p_i - q_i w) = x - 1. For x <= n the bound is 1 at
+    w = 0. When the sum stays below x - 1 up to the pole, the optimum sits
+    there and w is the largest double with p_min - q_min w > 0.
 
-        (n - x) u - sum_{i != i*} ln((1 - q_i z) / p_i),
-
-    convex in u and finite at the pole unless p_min is tied. Its minimizer
-    is the root of the increasing convex derivative n - x + sum_{i != i*}
-    q_i z / (1 - q_i z), with second derivative sum_{i != i*} q_i / (1 - q_i z)^2;
-    when the derivative stays negative the optimum sits at the pole and z
-    is the largest double below it. The bound is the cancelled form at the
-    reported z, which lemma1_bound at internal_param reproduces.
-
-    For degenerate specs (p_min = 1, so X is a.s. its minimum value n) the z
-    domain is unbounded and the infimum is 0 for x > n, 1 otherwise.
+    For degenerate specs (p_min = 1, so X is a.s. its minimum value n) the
+    domain is unbounded and the infimum is 0 for x > n.
     """
     if not 0.0 <= x < math.inf:
         raise DomainError(f"need a finite x >= 0, got {x}")
     lam = x / spec.mu
-    if spec.p_min == 1.0:
-        if x > spec.n:
-            return bound_result(Method.OPT_LEMMA1, lam, -math.inf, evaluations=0)
-        return bound_result(
-            Method.OPT_LEMMA1, lam, 0.0, internal_param=1.0, evaluations=0
-        )
+    if x <= spec.n:
+        return bound_result(Method.OPT_LEMMA1, lam, 0.0, internal_param=0.0, evaluations=0)
+    p_min = spec.p_min
+    if p_min == 1.0:
+        return bound_result(Method.OPT_LEMMA1, lam, -math.inf, evaluations=0)
 
     others = np.delete(spec.param_array, np.argmin(spec.param_array))
-    q = 1.0 - others
-    # the largest z below the pole, both as 1/(1-p_min) rounds and by the gap
-    z_max = max(1.0, math.nextafter(1.0 / (1.0 - spec.p_min), 0.0))
-    while pgf_pole_gap(spec.p_min, z_max) <= 0.0:
-        z_max = math.nextafter(z_max, 0.0)
-    slope = spec.n - x
-
-    def g(z: float) -> tuple[float, float]:
-        gap = pgf_pole_gaps(others, z)
-        r = q / gap
-        return slope + z * float(r.sum()), float((r / gap).sum())
-
-    # q/gap and q/gap^2 overflow next to a tied pole
-    with np.errstate(over="ignore"):
-        z, evaluations = _increasing_root(g, 1.0, z_max)
-    log_bound = slope * math.log(z) - math.fsum(
-        np.log(pgf_pole_gaps(others, z) / others).tolist()
+    q_min = 1.0 - p_min
+    w_max = p_min / q_min
+    while not p_min - q_min * w_max > 0.0:
+        w_max = math.nextafter(w_max, 0.0)
+    w, evaluations = _reciprocal_root(
+        others, 1.0 - others, p_min, (x - 1.0) * p_min, 0.0, w_max
     )
     return bound_result(
-        Method.OPT_LEMMA1, lam, log_bound, internal_param=z, evaluations=evaluations
+        Method.OPT_LEMMA1,
+        lam,
+        _lemma1_log(spec, x, w),
+        internal_param=w,
+        evaluations=evaluations,
     )
 
 

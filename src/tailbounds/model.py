@@ -79,11 +79,12 @@ class Method(str, enum.Enum):
 class BoundResult:
     """A bound value with its method, query ratio, and any optimized parameter.
 
-    ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min) or the
-    generating-function argument z (1 <= z < 1/(1-p_min)), when the method has
-    one. ``evaluations`` counts the derivative evaluations of the root solve
-    behind an optimized bound (0 when no solve ran). Bounds that exceed 1
-    after round-off are clamped to 1 and flagged.
+    ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min), lemma1's
+    generating-function argument z (1 <= z < 1/(1-p_min)), or opt-lemma1's
+    w = z - 1 (0 <= w < p_min/(1-p_min)), when the method has one.
+    ``evaluations`` counts the evaluations of the root solve behind an
+    optimized bound (0 when no solve ran). Bounds that exceed 1 after
+    round-off are clamped to 1 and flagged.
     """
 
     log_bound: LogProb
@@ -109,10 +110,13 @@ def bound_result(
     internal_param: float | None = None,
     evaluations: int | None = None,
 ) -> BoundResult:
-    """Wrap a log bound as a BoundResult, clamping a value above 1 and flagging it."""
+    """Wrap a log bound as a BoundResult, clamping a value above 1 and flagging it.
+
+    A log bound of -0.0 (say -t * x at t = 0) is reported as 0.0.
+    """
     clamped = log_bound > 0.0
     return BoundResult(
-        log_bound=LogProb(min(log_bound, 0.0)),
+        log_bound=LogProb(min(log_bound, 0.0) + 0.0),  # -0.0 + 0.0 is 0.0
         method=method,
         lam=lam,
         internal_param=internal_param,
@@ -164,10 +168,11 @@ class GeometricSumSpec:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         object.__setattr__(self, "mu", _sum_of_inverses(self.params))
         object.__setattr__(self, "p_min", min(self.params))
-        # divide twice: p*p underflows to 0 for subnormal-range p
-        object.__setattr__(
-            self, "sigma2", math.fsum((1.0 - p) / p / p for p in self.params)
-        )
+        try:  # divide twice: p*p underflows to 0 for subnormal-range p
+            sigma2 = math.fsum((1.0 - p) / p / p for p in self.params)
+        except OverflowError:  # fsum's intermediate sum overflowed
+            sigma2 = math.inf
+        object.__setattr__(self, "sigma2", sigma2)
         array = np.array(self.params, dtype=np.float64)
         array.flags.writeable = False
         object.__setattr__(self, "param_array", array)
@@ -243,24 +248,15 @@ def make_tail_query(
     return query
 
 
-def pgf_pole_gap(p: float, z: float) -> float:
-    """Distance 1 - (1-p) z to the generating-function pole, evaluated stably.
+def pgf_pole_gaps(p: np.ndarray, z: float) -> np.ndarray:
+    """Distance 1 - (1-p_i) z to the generating-function pole of every element
+    of p at one z, evaluated stably, with one mask for the branch.
 
     Two algebraically equal forms with complementary round-off: (1-z) + p z
     is exact at z = 1 for any p (the direct form collapses to 0 for p below
     machine epsilon), while for p > 1/2 the direct form is exact near the
     pole (1-p is Sterbenz-exact there) where the rearrangement cancels.
-    Either form gets the sign right except within about one ulp of z
-    around the pole, so stepping down from the rounded pole reaches a
-    positive gap within a double or two.
     """
-    if p <= 0.5:
-        return (1.0 - z) + p * z
-    return 1.0 - (1.0 - p) * z
-
-
-def pgf_pole_gaps(p: np.ndarray, z: float) -> np.ndarray:
-    """pgf_pole_gap of every element of p at one z, with one mask for the branch."""
     return np.where(p <= 0.5, (1.0 - z) + p * z, 1.0 - (1.0 - p) * z)
 
 

@@ -17,7 +17,7 @@ from tailbounds import (
     make_geometric_spec,
     uniform_block,
 )
-from tailbounds.model import pgf_pole_gap, require_upper
+from tailbounds.model import require_upper
 
 
 def random_geom_specs(seed: int, count: int, n_max: int = 8, p_lo: float = 0.05):
@@ -72,6 +72,14 @@ def reference_pmf_grid(spec, K: int) -> np.ndarray:
         shifted = np.concatenate(([0.0], c[:-1]))
         c = lfilter([p], [1.0, -(1.0 - p)], shifted)
     return c
+
+
+def pgf_pole_gap(p: float, z: float) -> float:
+    """Distance 1 - (1-p) z to the generating-function pole, in the two forms
+    of the package's pgf_pole_gaps."""
+    if p <= 0.5:
+        return (1.0 - z) + p * z
+    return 1.0 - (1.0 - p) * z
 
 
 def pgf_geometric(spec, z: float) -> float:
@@ -195,22 +203,28 @@ def reference_chernoff_log(spec, lam: float) -> float:
 
 
 def reference_lemma1_log(spec, x: float) -> float:
-    """optimized_lemma1's log bound, from bisection and fsum over Python floats."""
+    """optimized_lemma1's log bound, from bisection in w = z - 1 over the doubles
+    with p_min - (1 - p_min) w > 0, and fsum over Python floats.
+
+    The bisected function is the derivative of the log bound in ln(1 + w),
+    n - x + (1 + w) sum_{i != i*} q_i / (p_i - q_i w), which is increasing.
+    """
     if spec.p_min == 1.0:
         return -math.inf if x > spec.n else 0.0
     others = list(spec.params)
     others.remove(spec.p_min)
-    z_max = max(1.0, math.nextafter(1.0 / (1.0 - spec.p_min), 0.0))
-    while pgf_pole_gap(spec.p_min, z_max) <= 0.0:
-        z_max = math.nextafter(z_max, 0.0)
+    q_min = 1.0 - spec.p_min
+    w_max = spec.p_min / q_min
+    while not spec.p_min - q_min * w_max > 0.0:
+        w_max = math.nextafter(w_max, 0.0)
     slope = spec.n - x
-    z = bisect_increasing_root(
-        lambda z: slope + math.fsum((1.0 - p) * z / pgf_pole_gap(p, z) for p in others),
-        1.0,
-        z_max,
+    w = bisect_increasing_root(
+        lambda w: slope + (1.0 + w) * math.fsum((1.0 - p) / (p - (1.0 - p) * w) for p in others),
+        0.0,
+        w_max,
     )
-    log_bound = slope * math.log(z) - math.fsum(
-        math.log(pgf_pole_gap(p, z) / p) for p in others
+    log_bound = slope * math.log1p(w) - math.fsum(
+        math.log1p(-(1.0 - p) * w / p) for p in others
     )
     return min(0.0, log_bound)
 

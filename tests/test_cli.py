@@ -7,6 +7,7 @@ import pytest
 
 import tailbounds
 from tailbounds.cli import main
+from tailbounds.methods import Side, rows
 
 
 def run(capsys, *argv):
@@ -36,6 +37,18 @@ class TestBound:
         assert code == 0
         count = int(out.split("evaluations: ")[1].split()[0])
         assert 1 <= count <= (256 if method == "best" else 128)
+
+    @pytest.mark.parametrize(
+        "method", [row.method.value for row in rows("geom", Side.UPPER)] + ["best"]
+    )
+    def test_no_negative_zero_at_lambda_one(self, capsys, method):
+        # a log bound of -t * x at t = 0 is -0.0, which printed as "-0"
+        code, out, _ = run(
+            capsys, "bound", "--dist", "geom", "--p", "0.5,0.5",
+            "--lambda", "1", "--method", method,
+        )
+        assert code == 0
+        assert "-0" not in out.split()
 
     def test_cor1_at_one(self, capsys):
         code, out, _ = run(

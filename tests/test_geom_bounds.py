@@ -3,6 +3,7 @@ import random
 import statistics
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from tailbounds import (
     upper_tail_thm1,
     upper_tail_thm2,
 )
-from tailbounds.geom_bounds import _increasing_root
+from tailbounds.geom_bounds import _lemma1_log, _reciprocal_root
 from tailbounds.model import bound_result
 
 # Frozen expected values, evaluated from the closed forms at 30-digit
@@ -224,7 +225,8 @@ class TestOptimizedLemma1:
     def test_x_zero(self):
         r = optimized_lemma1(HALF_HALF, 0.0)
         assert r.value == 1.0
-        assert r.internal_param == pytest.approx(1.0, abs=1e-9)
+        assert r.internal_param == 0.0  # x <= n: w = 0 without a solve
+        assert r.evaluations == 0
 
     def test_beats_fixed_z(self):
         r = optimized_lemma1(HALF_HALF, 8.0)
@@ -245,12 +247,13 @@ class TestOptimizedLemma1:
         assert optimized_lemma1(spec, 2.0).value == 1.0
 
     def test_tiny_probability_collapsed_domain(self):
-        # no double sits strictly between 1 and the pole, so z = 1 is the
-        # whole search domain and the bound degrades gracefully to 1
+        # no double z sits strictly between 1 and the pole 1/(1 - 1e-300), but
+        # w = z - 1 resolves [0, 1e-300): the optimum is the pole, where the
+        # bound is (1 - x) ln(1 + w), the exact tail (1 - p)^(x - 1)
         spec = make_geometric_spec([1e-300])
         r = optimized_lemma1(spec, 5.0)
-        assert r.value == 1.0
-        assert r.internal_param == 1.0
+        assert r.internal_param == math.nextafter(1e-300, 0.0)
+        assert r.log_value == pytest.approx(-4e-300, rel=1e-12)
 
     @given(
         st.floats(min_value=1e-3, max_value=0.999),
@@ -270,8 +273,8 @@ class TestOptimizedLemma1:
     def test_reported_z_reproduces_bound(self, spec, lam):
         assume(spec.p_min < 1.0)
         r = optimized_lemma1(spec, lam * spec.mu)
-        again = lemma1_bound(spec, lam * spec.mu, r.internal_param)
-        assert abs(again.log_value - r.log_value) <= 1e-12 * max(1.0, abs(r.log_value))
+        again = _lemma1_log(spec, lam * spec.mu, r.internal_param)
+        assert abs(again - r.log_value) <= 1e-12 * max(1.0, abs(r.log_value))
 
     @given(probs, st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=100, deadline=None)
@@ -279,7 +282,29 @@ class TestOptimizedLemma1:
         spec = make_geometric_spec(p)
         r = optimized_lemma1(spec, x)
         if r.internal_param is not None and spec.p_min < 1.0:
-            assert 1.0 <= r.internal_param < 1.0 / (1.0 - spec.p_min)
+            # w may equal the quotient p_min/(1 - p_min) where that rounds down
+            w, q_min = r.internal_param, 1.0 - spec.p_min
+            assert 0.0 <= w <= spec.p_min / q_min
+            assert spec.p_min - q_min * w > 0.0
+
+
+class TestTinyPmin:
+    """opt-lemma1 resolves its domain [0, p_min/(1 - p_min)) in w for any p_min,
+    where the doubles z in [1, 1/(1 - p_min)) are too few below p_min ~ 1e-13."""
+
+    @pytest.mark.parametrize("p_min", [1e-13, 1e-80, 1e-300])
+    @pytest.mark.parametrize("others", [[0.3, 0.7], ["tie", 0.3], [1.0, 1.0]])
+    @pytest.mark.parametrize("lam", [1.01, 2.0, 5.0, 20.0])
+    def test_between_chernoff_and_tl(self, p_min, others, lam):
+        spec = make_geometric_spec([p_min] + [p_min if o == "tie" else o for o in others])
+        lemma1 = optimized_lemma1(spec, lam * spec.mu)
+        assert log_le(lemma1, optimized_chernoff(spec, lam))
+        assert log_le(upper_tail_lower_bound_tl(spec, lam), lemma1)
+
+    def test_single_tiny_summand_at_the_pole(self):
+        # the exact tail (1 - p)^(x - 1) at x = 20/p is e^-20; z = 1 gave e^0
+        r = optimized_lemma1(make_geometric_spec([7.37e-81]), 20.0 / 7.37e-81)
+        assert r.log_value == pytest.approx(-20.0, rel=1e-12)
 
 
 class TestBestUpper:
@@ -387,41 +412,65 @@ class TestLemmaLaCheck:
 
 
 class TestIncreasingRoot:
+    """_reciprocal_root: where the increasing R(s) = sum c/(a_i - b_i s) reaches
+    its target."""
+
     @pytest.mark.parametrize("root", [0.3, 1e-200, 5e-324, 0.999])
     def test_exact_to_the_last_double(self, root):
-        calls = []
-
-        def g(t):
-            calls.append(t)
-            return t - root, 1.0
-
-        assert _increasing_root(g, 0.0, 1.0) == (root, len(calls))
-        assert len(calls) <= 64
+        # one pole: 1/R is linear, so the first Newton step from next to the
+        # pole lands on the root
+        hi = max(root, math.nextafter(2.0 * root, 0.0))
+        s, evaluations = _reciprocal_root(np.array([2.0 * root]), 1.0, root, 1.0, 0.0, hi)
+        assert s == root
+        assert evaluations <= 2
 
     def test_endpoints_without_sign_change(self):
-        assert _increasing_root(lambda t: (t + 1.0, 1.0), 0.0, 1.0) == (0.0, 1)
-        # g stays negative up to hi, as at opt-lemma1's pole optimum
-        assert _increasing_root(lambda t: (t - 2.0, 1.0), 0.0, 1.0) == (1.0, 2)
+        one = np.array([1.0])
+        # R(hi) = 2 stays below the target, as at opt-lemma1's pole optimum
+        assert _reciprocal_root(one, one, 1.0, 100.0, 0.0, 0.5) == (0.5, 1)
+        # the root 1/3 lies below lo: the solve stops there
+        assert _reciprocal_root(one, one, 1.0, 1.5, 0.5, 0.875) == (0.5, 2)
 
-    def test_stalled_newton_is_capped(self):
-        # g' doubles with every call, so each Newton step is about half the
-        # one before it and the iterates stall short of the root; without
-        # the cap on Newton steps this solve takes 157 evaluations
-        calls = []
-
-        def g(t):
-            calls.append(t)
-            return t - 0.3, 2.0 ** len(calls)
-
-        assert _increasing_root(g, 0.0, 1.0) == (0.3, len(calls))
-        assert len(calls) <= 128
-
-    @pytest.mark.parametrize("slope", [1e300, 0.0, math.inf])
+    @pytest.mark.parametrize("slope", [0.0])
     def test_useless_derivative(self, slope):
-        # a huge g' stalls every Newton step; a zero or infinite one refuses it
-        root, evaluations = _increasing_root(lambda t: (t - 0.3, slope), 0.0, 1.0)
-        assert root == 0.3
-        assert evaluations <= 128
+        # R is constant above its target: Newton cannot step, and the root is
+        # below lo (opt-lemma1 when every other summand has p_i = 1)
+        b = np.full(2, slope)
+        assert _reciprocal_root(np.ones(2), b, 1.0, 1.0, 0.25, 0.875) == (0.25, 2)
+
+    def test_iterates_decrease(self):
+        seen = []
+
+        class Recording(np.ndarray):
+            """A b that records every s at which the solve evaluates R."""
+
+            def __mul__(self, other):
+                if isinstance(other, float):
+                    seen.append(other)
+                return np.asarray(self) * other
+
+        p = np.array([0.05, 0.05, 0.2, 0.6, 0.9])  # a tied pole at p_min
+        target = 3.0 * 0.05 * float((1.0 / p).sum())
+        hi = math.nextafter(0.05, 0.0)
+        b = np.ones_like(p).view(Recording)
+        t, evaluations = _reciprocal_root(p, b, 0.05, target, 0.0, hi)
+        assert seen[0] == hi and seen[-1] == t
+        assert len(seen) == evaluations >= 3
+        assert all(a > b for a, b in zip(seen, seen[1:]))
+        assert float((0.05 / (p - t)).sum()) == pytest.approx(target, rel=1e-12)
+
+    def test_optimized_bounds_at_the_endpoints(self):
+        # opt-lemma1 for one summand sits at the pole after one evaluation;
+        # at x <= n it is 1 at w = 0 without a solve
+        spec = make_geometric_spec([0.3])
+        r = optimized_lemma1(spec, 10.0)
+        assert r.evaluations == 1
+        assert 0.3 - 0.7 * r.internal_param > 0.0
+        assert 0.3 - 0.7 * math.nextafter(r.internal_param, 1.0) <= 0.0
+        r = optimized_lemma1(HALF_HALF, 2.0)
+        assert (r.log_value, r.internal_param, r.evaluations) == (0.0, 0.0, 0)
+        # opt-chernoff at lam = 1 stops at lo = 0
+        assert optimized_chernoff(HALF_HALF, 1.0).internal_param == 0.0
 
 
 class TestAgainstBisection:
@@ -463,9 +512,9 @@ class TestAgainstBisection:
         lemma1 = [
             optimized_lemma1(s, lam * s.mu).evaluations for s in specs for lam in OPTIMIZER_LAMS
         ]
-        assert statistics.median(chernoff) <= 15
-        assert statistics.median(lemma1) <= 15
-        assert max(chernoff + lemma1) <= 128
+        assert statistics.median(chernoff) <= 5
+        assert statistics.median(lemma1) <= 5
+        assert max(chernoff + lemma1) <= 16
 
     def test_best_upper_counts_both_solves(self):
         spec = make_geometric_spec([0.5, 0.3, 0.2])

@@ -68,6 +68,10 @@ class TestGeometricSpec:
         with pytest.raises(OutOfRange):
             make_geometric_spec([1e-308] * 2)
 
+    def test_overflowing_variance_is_infinite(self):
+        # the mean 2.5e154 fits, the variance sum of two 1.6e308 does not
+        assert make_geometric_spec([8e-155] * 2).sigma2 == math.inf
+
     @given(probs)
     @settings(max_examples=100, deadline=None)
     def test_invariants(self, p):
