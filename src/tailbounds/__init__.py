@@ -14,8 +14,6 @@ from .exact_oracle import (
     geom_tail_exact,
     hypoexp_survival,
     iid_geom_tail,
-    matrix_exp_survival,
-    partial_fractions_survival,
 )
 from .exp_bounds import (
     exp_lower_tail_iii,
@@ -61,7 +59,6 @@ from .montecarlo import (
     McConfig,
     mc_tail,
     uniform_block,
-    wilson_interval,
 )
 
 __version__ = "0.1.0"
@@ -101,11 +98,9 @@ __all__ = [
     "make_exponential_spec",
     "make_geometric_spec",
     "make_tail_query",
-    "matrix_exp_survival",
     "mc_tail",
     "optimized_chernoff",
     "optimized_lemma1",
-    "partial_fractions_survival",
     "read_params_file",
     "uniform_block",
     "upper_tail_cor1",
@@ -113,5 +108,4 @@ __all__ = [
     "upper_tail_lower_bound_tl",
     "upper_tail_thm1",
     "upper_tail_thm2",
-    "wilson_interval",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,9 @@ from .model import (
     ExponentialSumSpec,
     GeometricSumSpec,
     KTooSmall,
-    NegativeX,
     OutOfRange,
+    require_count,
+    require_threshold,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -89,9 +89,7 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> np.ndarray:
     of ``spec.params``. scipy is imported here, on first use, so that
     importing the package stays cheap.
     """
-    if not isinstance(K, numbers.Integral):
-        raise OutOfRange(f"pmf support {K!r} is not an integer")
-    _require_support(K)
+    require_count("pmf support", K, 0, _MAX_SUPPORT)
     from scipy.signal import sosfilt
 
     p = np.sort(spec.param_array)
@@ -178,14 +176,14 @@ def geom_tail_exact(
     """P(X >= x), exact up to round-off and a certified truncation remainder.
 
     Since X is integer valued, P(X >= x) = P(X >= k0) with k0 = max(ceil(x), n).
-    Unless Theorem 2 already puts the tail below half of 1e-9, the pmf up to
-    k0 - 1 is summed and the complement 1 - CDF returned when it is above
-    1e-9; Theorem 2 only picks this route. Otherwise the tail is summed
-    upward from k0 on a grid up to K = k0 + ln(2/rel_tol)/t (Theorem 1's
-    tilt t), and the log-concave remainder past K must fall under rel_tol
-    times the partial sum. Where it does not, the extension past k0 doubles
-    and the grid is rebuilt; the grid never passes the support cap, and the
-    one clamped at the cap is tried once.
+    Unless Theorem 2 already puts the tail below half of 1e-9, the lower tail
+    P(X <= k0 - 1) of geom_lower_tail_exact is taken and its complement
+    1 - CDF returned when it is above 1e-9; Theorem 2 only picks this route.
+    Otherwise the tail is summed upward from k0 on a grid up to
+    K = k0 + ln(2/rel_tol)/t (Theorem 1's tilt t), and the log-concave
+    remainder past K must fall under rel_tol times the partial sum. Where it
+    does not, the extension past k0 doubles and the grid is rebuilt; the grid
+    never passes the support cap, and the one clamped at the cap is tried once.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise OutOfRange(f"rel_tol {rel_tol} not in (0, 0.1]")
@@ -195,10 +193,12 @@ def geom_tail_exact(
     k0 = math.ceil(x)
 
     if _log_tail_bound(spec, k0) > math.log(0.5 * _COMPLEMENT_FLOOR):
-        complement = 1.0 - float(np.sum(_pmf_grid(spec, k0 - 1)[spec.n :]))
+        lower = geom_lower_tail_exact(spec, k0 - 1)
+        complement = 1.0 - lower.value
         if complement > _COMPLEMENT_FLOOR:
-            roundoff = _EPS * (2.0 * k0 + spec.n)
-            return TailEstimate(min(complement, 1.0), roundoff, OracleMethod.CONVOLUTION)
+            # the lower sum's bound plus one rounding of the subtraction
+            error = lower.error_bound + _EPS * complement
+            return TailEstimate(complement, error, OracleMethod.CONVOLUTION)
 
     extension = _first_extension(spec, k0, rel_tol)
     while True:
@@ -243,14 +243,19 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
     Uses the finite identity P(X >= m) = P(Binomial(m-1, p) <= n-1), an
     n-term sum evaluated with log-gamma coefficients, so it terminates
     exactly and stays independent of the convolution route.
+
+    n is at most 10^5 (its log terms take about 240 bytes each, 24 MB at the
+    cap) and x at most 1e305, past which ln Gamma(x) nears overflow; x <= n,
+    -inf included, gives 1.
     """
     if not (0.0 < p <= 1.0):
         raise OutOfRange(f"success probability {p} not in (0, 1]")
-    if n < 1:
-        raise OutOfRange(f"need n >= 1, got {n}")
-    m = max(math.ceil(x), n)
-    if m <= n:
+    require_count("n", n, 1, 100_000)
+    if not x <= 1e305:
+        raise OutOfRange(f"need x <= 1e305, got x={x}")
+    if x <= n:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
+    m = math.ceil(x)
     if p == 1.0:
         return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
     log_p = math.log(p)
@@ -284,7 +289,7 @@ def _pf_weights(rates: tuple[float, ...]) -> list[float]:
     return weights
 
 
-def partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
+def _partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) = sum_i (prod_{j!=i} a_j/(a_j-a_i)) e^(-a_i x).
 
     Requires pairwise-distinct rates. Returns (value, error bound); the error
@@ -310,7 +315,7 @@ def partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[floa
     return min(max(value, 0.0), 1.0), error
 
 
-def matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
+def _matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) via the chain generator's matrix exponential.
 
     The transient generator is upper bidiagonal (diagonal -a_i, superdiagonal
@@ -356,16 +361,19 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
 
     Partial fractions when all pairwise rate gaps exceed 1e-6 relative;
     otherwise the matrix-exponential route (Erlang and near-Erlang cases).
+    x must be finite and >= 0, with max(a) x <= 2^1020 so that the matrix
+    route's scaling 2^s and the partial-fraction error bound stay finite.
     """
-    if not x >= 0.0:
-        raise NegativeX(f"need x >= 0, got {x}")
+    require_threshold(x)
     rates = spec.rates
+    if not max(rates) * x <= 2.0**1020:
+        raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
     if _rates_separated(rates):
         method = OracleMethod.PARTIAL_FRACTIONS
-        value, error = partial_fractions_survival(rates, x)
+        value, error = _partial_fractions_survival(rates, x)
     else:
         method = OracleMethod.MATRIX_EXP
-        value, error = matrix_exp_survival(rates, x)
+        value, error = _matrix_exp_survival(rates, x)
     if x == 0.0:
         return TailEstimate(1.0, 0.0, method)
     return TailEstimate(value, error, method)

@@ -12,9 +12,9 @@ import math
 from .model import (
     BoundResult,
     ExponentialSumSpec,
-    LambdaOutOfRange,
     Method,
     bound_result,
+    require_lower,
     require_upper,
 )
 
@@ -34,8 +34,7 @@ def exp_upper_ii(lam: float) -> BoundResult:
 
 def exp_lower_tail_iii(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     """P(X <= lam*mu) <= exp(-a_min*mu*(lam-1-ln lam)) for 0 < lam <= 1."""
-    if not (0.0 < lam <= 1.0):
-        raise LambdaOutOfRange(f"lower-tail bound needs 0 < lambda <= 1, got {lam}")
+    require_lower(lam)
     log_bound = -spec.a_min * spec.mu * (lam - 1.0 - math.log(lam))
     return bound_result(Method.TEXP_III, lam, log_bound)
 

@@ -21,9 +21,10 @@ from .model import (
     BoundResult,
     DomainError,
     GeometricSumSpec,
-    LambdaOutOfRange,
     Method,
     bound_result,
+    require_lower,
+    require_threshold,
     require_upper,
 )
 
@@ -74,8 +75,7 @@ def upper_tail_cor2(lam: float) -> BoundResult:
 
 def lower_tail_tl1(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Lower-tail bound P(X <= lam*mu) <= exp(-p_min*mu*(lam-1-ln lam)), 0 < lam <= 1."""
-    if not (0.0 < lam <= 1.0):
-        raise LambdaOutOfRange(f"lower-tail bound needs 0 < lambda <= 1, got {lam}")
+    require_lower(lam)
     log_bound = -spec.p_min * spec.mu * (lam - 1.0 - math.log(lam))
     t = (1.0 / lam - 1.0) * spec.p_min
     return bound_result(Method.TL1, lam, log_bound, internal_param=t)
@@ -122,8 +122,7 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
 
     for x >= 0 and 1 <= z < 1/(1-p_min).
     """
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"need a finite x >= 0, got {x}")
+    require_threshold(x)
     if not z >= 1.0:
         raise DomainError(f"need z >= 1, got {z}")
     w = z - 1.0  # exact for z >= 1
@@ -176,9 +175,11 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     p = spec.param_array
     p_min = spec.p_min
     # 1/(p_min - t) <= sum 1/(p_i - t) <= mu/(1 - t/p_min) brackets the root;
-    # the factor p_min keeps each term finite next to the pole
-    lo = (1.0 - 1.0 / lam) * p_min
-    hi = max(lo, min(p_min - 1.0 / target, math.nextafter(p_min, 0.0)))
+    # the factor p_min keeps each term finite next to the pole, and both ends
+    # stay below the pole (Theorem 1's t can round to p_min for lam past about 2^53)
+    below_pole = math.nextafter(p_min, 0.0)
+    lo = min((1.0 - 1.0 / lam) * p_min, below_pole)
+    hi = max(lo, min(p_min - 1.0 / target, below_pole))
     t, evaluations = _reciprocal_root(p, 1.0, p_min, lam * (spec.mu * p_min), lo, hi)
     log_bound = -t * target - math.fsum(np.log1p(-t / p).tolist())
     return bound_result(
@@ -198,8 +199,7 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     For degenerate specs (p_min = 1, so X is a.s. its minimum value n) the
     domain is unbounded and the infimum is 0 for x > n.
     """
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"need a finite x >= 0, got {x}")
+    require_threshold(x)
     lam = x / spec.mu
     if x <= spec.n:
         return bound_result(Method.OPT_LEMMA1, lam, 0.0, internal_param=0.0, evaluations=0)

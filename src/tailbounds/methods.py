@@ -19,6 +19,7 @@ from .model import (
     GeometricSumSpec,
     Method,
     TailQuery,
+    make_tail_query,
     require_upper,
 )
 
@@ -91,7 +92,7 @@ def best_upper(spec: GeometricSumSpec, lam: float) -> BoundResult:
     Ties go to the earlier row of the table.
     """
     require_upper(lam)
-    query = TailQuery(lam=lam, x=lam * spec.mu)
+    query = make_tail_query(spec.mu, lam=lam)
     candidates = [row.evaluate(spec, query) for row in _GEOM_UPPER]
     best = min(candidates, key=lambda r: r.log_value)
     evaluations = sum(r.evaluations for r in candidates if r.evaluations is not None)

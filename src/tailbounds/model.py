@@ -3,12 +3,18 @@
 Everything downstream (bounds, oracles, Monte Carlo, CLI) consumes the
 immutable spec types defined here. All derived statistics are computed
 once at construction with compensated summation and cached.
+
+Every public entry point first checks its query against the paper's
+domains with the four validators here: ``require_upper`` (finite lam >= 1),
+``require_lower`` (0 < lam <= 1), ``require_threshold`` (finite x >= 0) and
+``require_count`` (an integer in a range).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,9 +132,30 @@ def bound_result(
 
 
 def require_upper(lam: float) -> None:
-    """Refuse a tail ratio below 1, where an upper-tail bound does not apply."""
-    if not lam >= 1.0:
-        raise LambdaOutOfRange(f"upper-tail bound needs lambda >= 1, got {lam}")
+    """Refuse a tail ratio that is not finite and >= 1 (upper-tail bounds)."""
+    if not 1.0 <= lam < math.inf:
+        raise LambdaOutOfRange(f"upper-tail bound needs a finite lambda >= 1, got {lam}")
+
+
+def require_lower(lam: float) -> None:
+    """Refuse a tail ratio outside (0, 1] (lower-tail bounds)."""
+    if not 0.0 < lam <= 1.0:
+        raise LambdaOutOfRange(f"lower-tail bound needs 0 < lambda <= 1, got {lam}")
+
+
+def require_threshold(x: float) -> None:
+    """Refuse a threshold that is not finite and >= 0."""
+    if x < 0.0:
+        raise NegativeX(f"need x >= 0, got {x}")
+    if not x < math.inf:
+        raise DomainError(f"need a finite x >= 0, got {x}")
+
+
+def require_count(name: str, value, lo: int, hi: float) -> None:
+    """Refuse a count outside [lo, hi] or not an integer (numpy's are, a bool is not)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and lo <= value <= hi):
+        raise OutOfRange(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 def _sum_of_inverses(values: tuple[float, ...]) -> float:
@@ -248,18 +275,6 @@ def make_tail_query(
     return query
 
 
-def pgf_pole_gaps(p: np.ndarray, z: float) -> np.ndarray:
-    """Distance 1 - (1-p_i) z to the generating-function pole of every element
-    of p at one z, evaluated stably, with one mask for the branch.
-
-    Two algebraically equal forms with complementary round-off: (1-z) + p z
-    is exact at z = 1 for any p (the direct form collapses to 0 for p below
-    machine epsilon), while for p > 1/2 the direct form is exact near the
-    pole (1-p is Sterbenz-exact there) where the rearrangement cancels.
-    """
-    return np.where(p <= 0.5, (1.0 - z) + p * z, 1.0 - (1.0 - p) * z)
-
-
 def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     """ln E z^X, summed factor by factor to survive deep arguments."""
     if not 0.0 <= z < math.inf:
@@ -267,7 +282,11 @@ def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     if z == 0.0:
         return -math.inf
     p = spec.param_array
-    gaps = pgf_pole_gaps(p, z)
+    # 1 - (1-p) z in two forms with complementary round-off: (1-z) + p z is
+    # exact at z = 1 for any p (the direct form collapses to 0 for p below
+    # machine epsilon), while for p > 1/2 the direct form is exact near the
+    # pole (1-p is Sterbenz-exact there) where the rearrangement cancels
+    gaps = np.where(p <= 0.5, (1.0 - z) + p * z, 1.0 - (1.0 - p) * z)
     if not (gaps > 0.0).all():  # at or beyond a pole, or on it through round-off
         first = int(np.argmax(gaps <= 0.0))
         raise DomainError(f"z={z} is at or beyond the pgf pole for p={spec.params[first]}")

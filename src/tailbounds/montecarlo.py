@@ -21,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .exact_oracle import OracleMethod, TailEstimate
-from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange
+from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange, require_count
 
 _GAMMA_INT = 0x9E3779B97F4A7C15
 _GAMMA = np.uint64(_GAMMA_INT)
@@ -35,10 +35,7 @@ _U64 = np.uint64
 # the reused workspace 2^15 is within noise of it and 2^14 5-12% slower.
 BLOCK_DRAWS = 1 << 16
 
-
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise OutOfRange(f"{name} must be an integer, got {value!r}")
+_MAX_U64 = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -50,12 +47,8 @@ class McConfig:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        _require_int("samples", self.samples)
-        _require_int("seed", self.seed)
-        if self.samples < 1:
-            raise OutOfRange(f"need samples >= 1, got {self.samples}")
-        if not (0 <= self.seed < 2**64):
-            raise OutOfRange(f"seed {self.seed} not a 64-bit unsigned integer")
+        require_count("samples", self.samples, 1, math.inf)
+        require_count("seed", self.seed, 0, _MAX_U64)
         if not (0.0 < self.confidence < 1.0):
             raise OutOfRange(f"confidence {self.confidence} not in (0, 1)")
 
@@ -98,8 +91,13 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
 
     Stateless: position c maps to mix64(seed + (c+1)*gamma), the splitmix64
     output function on an affine counter, so any block can be regenerated
-    independently of how earlier draws were grouped.
+    independently of how earlier draws were grouped. seed and start are
+    64-bit unsigned integers; count is at most 2^22, as the workspace takes
+    24 bytes a draw (about 100 MB at the cap).
     """
+    require_count("seed", seed, 0, _MAX_U64)
+    require_count("start", start, 0, _MAX_U64)
+    require_count("count", count, 0, 1 << 22)
     return _Workspace(count).uniforms(seed, start, count)
 
 
@@ -112,7 +110,7 @@ def _two_sided_z(confidence: float) -> float:
     return -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
 
 
-def wilson_interval(hits: int, samples: int, confidence: float) -> tuple[float, float]:
+def _wilson_interval(hits: int, samples: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for hits/samples at the given confidence."""
     z = _two_sided_z(confidence)
     phat = hits / samples
@@ -178,9 +176,7 @@ def mc_tail(
         raise OutOfRange("threshold x is NaN")
     rows = max(1, BLOCK_DRAWS // spec.n)
     if chunk_size is not None:
-        _require_int("chunk_size", chunk_size)
-        if chunk_size < 1:
-            raise OutOfRange(f"need chunk_size >= 1, got {chunk_size}")
+        require_count("chunk_size", chunk_size, 1, math.inf)
         rows = min(rows, int(chunk_size))
     divisors, ones = _inversion(spec, rows)
     work = _Workspace(rows * spec.n)
@@ -190,5 +186,5 @@ def mc_tail(
                            min(rows, cfg.samples - start))
         hits += int(np.count_nonzero(sums >= x if side == "upper" else sums <= x))
     phat = hits / cfg.samples
-    lo, hi = wilson_interval(hits, cfg.samples, cfg.confidence)
+    lo, hi = _wilson_interval(hits, cfg.samples, cfg.confidence)
     return TailEstimate(phat, max(hi - phat, phat - lo), OracleMethod.MONTE_CARLO)

@@ -76,7 +76,7 @@ def reference_pmf_grid(spec, K: int) -> np.ndarray:
 
 def pgf_pole_gap(p: float, z: float) -> float:
     """Distance 1 - (1-p) z to the generating-function pole, in the two forms
-    of the package's pgf_pole_gaps."""
+    that the package's log_pgf_geometric uses."""
     if p <= 0.5:
         return (1.0 - z) + p * z
     return 1.0 - (1.0 - p) * z

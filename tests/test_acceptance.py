@@ -26,17 +26,19 @@ from tailbounds import (
     lower_tail_tl1,
     make_exponential_spec,
     make_geometric_spec,
-    matrix_exp_survival,
     mc_tail,
     optimized_chernoff,
-    partial_fractions_survival,
     upper_tail_cor1,
     upper_tail_cor2,
     upper_tail_lower_bound_tl,
     upper_tail_thm1,
     upper_tail_thm2,
-    wilson_interval,
 )
+from tailbounds.exact_oracle import _matrix_exp_survival as matrix_exp_survival
+from tailbounds.exact_oracle import (
+    _partial_fractions_survival as partial_fractions_survival,
+)
+from tailbounds.montecarlo import _wilson_interval as wilson_interval
 
 SLACK = 1e-10
 UPPER_LAMBDAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)

@@ -220,6 +220,19 @@ class TestExact:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("rates", ["1,1", "1,2"])
+    def test_huge_x_is_domain_error(self, rates):
+        # 1,1 takes the matrix exponential, whose norm 2 a x overflowed into
+        # a traceback; 1,2 the partial fractions, whose error bound was NaN
+        proc = python_fresh(
+            "-m", "tailbounds.cli", "exact", "--dist", "exp", "--a", rates, "--x", "1e308"
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "x=1e+308" in lines[0]
+
 
 class TestMc:
     def test_prints_seed_and_is_deterministic(self, capsys):

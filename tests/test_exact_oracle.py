@@ -29,10 +29,12 @@ from tailbounds import (
     iid_geom_tail,
     make_exponential_spec,
     make_geometric_spec,
-    matrix_exp_survival,
-    partial_fractions_survival,
     upper_tail_lower_bound_tl,
     upper_tail_thm2,
+)
+from tailbounds.exact_oracle import _matrix_exp_survival as matrix_exp_survival
+from tailbounds.exact_oracle import (
+    _partial_fractions_survival as partial_fractions_survival,
 )
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])

@@ -21,13 +21,13 @@ from tailbounds import (
     make_geometric_spec,
     mc_tail,
     uniform_block,
-    wilson_interval,
 )
 from tailbounds.montecarlo import (
     BLOCK_DRAWS,
     _inversion,
     _sums_block,
     _two_sided_z,
+    _wilson_interval as wilson_interval,
     _Workspace,
 )
 
