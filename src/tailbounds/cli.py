@@ -162,16 +162,15 @@ def cmd_sweep(args) -> int:
         raise LambdaOutOfRange(f"need 1 <= from <= to, got {lo}..{hi}")
     cfg = montecarlo.McConfig(samples=args.samples, seed=args.seed)
     columns = methods.rows(args.dist, Side.UPPER, Side.UPPER_FROM_BELOW)
-    rows = []
-    for lam in np.linspace(lo, hi, args.steps):
-        q = make_tail_query(spec.mu, lam=float(lam))
-        mc = montecarlo.mc_tail(spec, q.x, cfg)
-        bounds = [row.evaluate(spec, q).value for row in columns]
-        exact = _upper_exact(spec, q.x, args.rel_tol).value
-        rows.append([q.lam, q.x, *bounds, exact, mc.value, mc.error_bound])
     print(",".join(["lambda", "x", *(row.column for row in columns), "exact", "mc",
                     "mc_halfwidth"]))
-    for cells in rows:
+    step = (hi - lo) / max(args.steps - 1, 1)  # np.linspace's, one lambda at a time
+    for i in range(args.steps):
+        lam = hi if 0 < i == args.steps - 1 else lo + i * step
+        q = make_tail_query(spec.mu, lam=lam)
+        mc = montecarlo.mc_tail(spec, q.x, cfg)
+        cells = [q.lam, q.x, *(row.evaluate(spec, q).value for row in columns),
+                 _upper_exact(spec, q.x, args.rel_tol).value, mc.value, mc.error_bound]
         print(",".join(_fmt(c) for c in cells))
     return 0
 

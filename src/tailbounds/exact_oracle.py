@@ -9,9 +9,10 @@ parameters. A sum of independent geometrics has a log-concave pmf
 the ratio P(k+1)/P(k) never increases, and the last two values of a grid
 bound the tail past it: the deep-tail sum certifies itself, without the
 bounds that it is used to check. Exponential sums get the hypoexponential
-survival function by partial fractions or, for clustered rates, a
-scaling-and-squaring matrix exponential. Every estimate carries a rigorous
-error bound (round-off scale, truncation remainder, or both).
+survival function by partial fractions in log space, or by a scaling-and-
+squaring matrix exponential where their own error bound is neither within
+1e-9 relative nor below the matrix route's. Every estimate carries a
+rigorous error bound (round-off scale, truncation remainder, or both).
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 # directly, certified by the log-concave truncation remainder.
 _COMPLEMENT_FLOOR = 1e-9
 
-# Pairwise relative rate gap below which partial fractions are abandoned for
-# the matrix exponential (cancellation in the weights grows like 1/gap).
-_RATE_GAP = 1e-6
+# Relative accuracy aimed at: geom_tail_exact's default, hypoexp_survival's route.
+_REL_TOL = 1e-9
 
 # Largest pmf grid ever built, checked before it is allocated (cost is O(n*K)).
 _MAX_SUPPORT = 10_000_000
@@ -171,7 +171,7 @@ def _log_concave_remainder(grid: np.ndarray, rel: float, floor: float) -> float:
 
 
 def geom_tail_exact(
-    spec: GeometricSumSpec, x: float, rel_tol: float = 1e-9
+    spec: GeometricSumSpec, x: float, rel_tol: float = _REL_TOL
 ) -> TailEstimate:
     """P(X >= x), exact up to round-off and a certified truncation remainder.
 
@@ -278,41 +278,58 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
     return TailEstimate(value, error, OracleMethod.CLOSED_FORM)
 
 
-def _pf_weights(rates: tuple[float, ...]) -> list[float]:
-    weights = []
-    for i, ai in enumerate(rates):
-        w = 1.0
-        for j, aj in enumerate(rates):
-            if j != i:
-                w *= aj / (aj - ai)
-        weights.append(w)
-    return weights
-
-
 def _partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
-    """Hypoexponential P(X > x) = sum_i (prod_{j!=i} a_j/(a_j-a_i)) e^(-a_i x).
+    """P(X > x) = sum_i w_i e^(-a_i x), w_i = prod_{j!=i} a_j/(a_j-a_i), in log space.
 
-    Requires pairwise-distinct rates. Returns (value, error bound); the error
-    scales with the total weight magnitude, which measures the cancellation.
+    Over sorted rates a_1 < ... < a_n, term i is (-1)^(i-1) exp(E_i), where E_i =
+    sum_j ln a_j - ln a_i - sum_{j!=i} ln|a_j - a_i| - a_i x; each pair's log goes
+    to both rows, split by sign, in O(n) memory. Returns (value, error bound), or
+    (nan, inf) for two equal rates or a term past the double range.
+
+    The bound. With u = eps/2, logs and exps are within 2u, other operations
+    within u, and a rounded gap moves its log by u. Bounding each partial sum by
+    the magnitudes of its parts, E_i is off by at most u times (n+4) S + 5|ln a_i|
+    + (n+3) G_i + 4 a_i x + n - 1 <= (n+9) m_i, where S = sum_j |ln a_j|, G_i =
+    sum_{j!=i} |ln|a_j - a_i|| and m_i = 1 + S + G_i + a_i x. exp adds 2u, and the
+    two fsums and their difference 2u of the terms' sum, so term i is within a
+    factor e^d_i of exact, d_i = (n+13) u m_i. A term above the smallest subnormal
+    has E_i > -746, so a_i x < 746 + 2 S + G_i; every log is below 745 in size, so
+    m_i < 3725 n and d_i < 1/2 for n below 10^6, where e^d - 1 < 2 d. The bound
+    is the sum of 2 d_i t_i, plus a smallest subnormal per term for underflow.
     """
-    rates = tuple(map(float, rates))  # numpy scalars would warn on overflow
-    weights = _pf_weights(rates)
-    overflowed = [i for i, w in enumerate(weights) if not math.isfinite(w)]
-    if overflowed:
-        raise OutOfRange(
-            f"partial-fraction weights overflow: {len(overflowed)} of {len(rates)} "
-            f"are not finite, first at index {overflowed[0]} "
-            f"(rate {rates[overflowed[0]]!r})"
-        )
-    terms = [w * math.exp(-a * x) for w, a in zip(weights, rates)]
-    value = math.fsum(terms)
-    # n + 2 rounding units per term, plus the relative error eps |a x| that
-    # the rounded exponent -a x carries into its term
-    units = len(rates) + 2
-    error = _EPS * max(
-        math.fsum(abs(t) * (units + a * x) for t, a in zip(terms, rates)), 1.0e-300
-    )
+    a = sorted(map(float, rates))  # numpy scalars would warn on overflow
+    n = len(a)
+    logs = list(map(math.log, a))
+    total, base, scale = sum(logs), 1.0 + sum(map(abs, logs)), (n + 13) * _EPS
+    above, below = [0.0] * n, [0.0] * n  # each row's gap logs >= 0 and < 0
+    try:
+        for j in range(1, n):
+            aj, p, q = a[j], 0.0, 0.0  # row j's logs to the rates below it
+            for i in range(j):
+                g = math.log(aj - a[i])
+                if g < 0.0:
+                    q += g
+                    below[i] += g
+                else:
+                    p += g
+                    above[i] += g
+            above[j], below[j] = p, q  # the rows after j add theirs later
+        terms = [math.exp(total - lv - v * x - (p + q))
+                 for lv, v, p, q in zip(logs, a, above, below)]
+        value = math.fsum(terms[::2]) - math.fsum(terms[1::2])
+    except (ValueError, OverflowError):
+        return math.nan, math.inf
+    error = n * _TINY + scale * sum([t * (base + p - q + v * x)
+                                     for t, v, p, q in zip(terms, a, above, below)])
     return min(max(value, 0.0), 1.0), error
+
+
+def _matrix_exp_scaling(rates: tuple[float, ...], x: float) -> tuple[int, float]:
+    """The squarings s and the error bound of ``_matrix_exp_survival(rates, x)``."""
+    norm = x * max(2.0 * max(rates[:-1], default=0.0), rates[-1])  # rows (-a x, a x)
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    trunc = (0.5**14 / math.factorial(14)) * 2.0
+    return s, (s + 14) * len(rates) * _EPS + trunc * (s + 1)
 
 
 def _matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
@@ -325,13 +342,9 @@ def _matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, flo
     errors beyond one round-off unit per squaring.
     """
     n = len(rates)
-    Q = np.zeros((n, n))
-    for i, a in enumerate(rates):
-        Q[i, i] = -a * x
-        if i + 1 < n:
-            Q[i, i + 1] = a * x
-    norm = float(np.abs(Q).sum(axis=1).max())
-    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    ax = np.asarray(rates, dtype=float) * x
+    Q = np.diag(-ax) + np.diag(ax[:-1], 1)
+    s, error = _matrix_exp_scaling(rates, x)
     B = Q / float(2**s)
     T = np.eye(n)
     acc = np.eye(n)
@@ -341,39 +354,26 @@ def _matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, flo
     for _ in range(s):
         T = T @ T
     value = float(np.clip(T[0].sum(), 0.0, 1.0))
-    trunc = (0.5**14 / math.factorial(14)) * 2.0
-    error = (s + 14) * n * _EPS + trunc * (s + 1)
     return value, error
-
-
-def _rates_separated(rates: tuple[float, ...]) -> bool:
-    """Whether every two rates are more than _RATE_GAP apart, relative to the larger.
-
-    Sorted neighbours decide it: for a <= c <= b, b - a >= b - c, so the
-    closest pair to any b is its lower neighbour. O(n log n) instead of O(n^2).
-    """
-    s = sorted(rates)
-    return all(b - a > _RATE_GAP * b for a, b in zip(s, s[1:]))
 
 
 def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     """P(X > x) for a sum of independent exponentials.
 
-    Partial fractions when all pairwise rate gaps exceed 1e-6 relative;
-    otherwise the matrix-exponential route (Erlang and near-Erlang cases).
+    Partial fractions in log space run first, and their answer stands unless
+    its error bound (infinite for tied rates or a term past the double range)
+    passes both 1e-9 of its value and the bound the matrix route would report.
     x must be finite and >= 0, with max(a) x <= 2^1020 so that the matrix
-    route's scaling 2^s and the partial-fraction error bound stay finite.
+    route's scaling 2^s stays finite.
     """
     require_threshold(x)
     rates = spec.rates
     if not max(rates) * x <= 2.0**1020:
         raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
-    if _rates_separated(rates):
-        method = OracleMethod.PARTIAL_FRACTIONS
-        value, error = _partial_fractions_survival(rates, x)
-    else:
-        method = OracleMethod.MATRIX_EXP
-        value, error = _matrix_exp_survival(rates, x)
     if x == 0.0:
-        return TailEstimate(1.0, 0.0, method)
-    return TailEstimate(value, error, method)
+        return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
+    value, error = _partial_fractions_survival(rates, x)
+    if error <= _REL_TOL * value or error <= _matrix_exp_scaling(rates, x)[1]:
+        return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
+    value, error = _matrix_exp_survival(rates, x)
+    return TailEstimate(value, error, OracleMethod.MATRIX_EXP)

@@ -110,9 +110,8 @@ def _lemma1_log(spec: GeometricSumSpec, x: float, w: float) -> float:
     pole 1 + w = 1/(1 - p_min) for any p_min, where z = 1 + w would round.
     """
     others = np.delete(spec.param_array, np.argmin(spec.param_array))
-    return (spec.n - x) * math.log1p(w) - math.fsum(
-        np.log1p(-(1.0 - others) * w / others).tolist()
-    )
+    log_gaps = np.log1p(-(1.0 - others) * w / others)
+    return (spec.n - x) * math.log1p(w) - float(log_gaps.sum())
 
 
 def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
@@ -181,7 +180,7 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     lo = min((1.0 - 1.0 / lam) * p_min, below_pole)
     hi = max(lo, min(p_min - 1.0 / target, below_pole))
     t, evaluations = _reciprocal_root(p, 1.0, p_min, lam * (spec.mu * p_min), lo, hi)
-    log_bound = -t * target - math.fsum(np.log1p(-t / p).tolist())
+    log_bound = -t * target - float(np.log1p(-t / p).sum())
     return bound_result(
         Method.OPT_CHERNOFF, lam, log_bound, internal_param=t, evaluations=evaluations
     )

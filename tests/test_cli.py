@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tailbounds
+from tailbounds import OutOfRange, montecarlo
 from tailbounds.cli import main
 from tailbounds.methods import Side, rows
 
@@ -333,6 +335,37 @@ class TestSweep:
         for line in out.strip().splitlines()[1:]:
             for cell in line.split(","):
                 assert format(float(cell), ".12g") == cell
+
+    def test_lambdas_as_linspace(self, capsys):
+        _, out, _ = run(
+            capsys, "sweep", "--dist", "exp", "--a", "1,2",
+            "--lambda-from", "1.1", "--lambda-to", "2.3", "--steps", "7",
+            "--samples", "1000",
+        )
+        lams = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert lams == [format(v, ".12g") for v in np.linspace(1.1, 2.3, 7)]
+
+    def test_rows_print_as_computed(self, capsys, monkeypatch):
+        # a failure in the second row leaves the header and the first row on stdout
+        calls = []
+        mc_tail = montecarlo.mc_tail
+
+        def fail_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OutOfRange("second row")
+            return mc_tail(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "mc_tail", fail_second)
+        code, out, _ = run(
+            capsys, "sweep", "--dist", "geom", "--p", "0.5,0.5",
+            "--lambda-from", "1", "--lambda-to", "2", "--steps", "3",
+            "--samples", "1000",
+        )
+        assert code == 3
+        header, first = out.splitlines()
+        assert header.startswith("lambda,x,")
+        assert first.startswith("1,4,")
 
     def test_bad_range(self, capsys):
         code, _, _ = run(

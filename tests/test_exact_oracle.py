@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from decimal import Decimal, localcontext
 from unittest import mock
@@ -203,14 +204,10 @@ class TestTailRatioFloor:
 
 _rates = st.floats(min_value=1e-3, max_value=1e3)
 
-
-def _pairwise_separated(rates) -> bool:
-    """The O(n^2) definition of the partial-fractions route: every pair apart."""
-    return all(
-        abs(ai - aj) > exact_oracle._RATE_GAP * max(ai, aj)
-        for i, ai in enumerate(rates)
-        for aj in rates[i + 1 :]
-    )
+# 1000 distinct rates ~ U(0.1, 10): 349 of the product weights
+# prod_{j!=i} a_j/(a_j-a_i) pass the double range, although every term is small
+_rng = random.Random(1)
+_RANDOM_1E3 = tuple(_rng.uniform(0.1, 10.0) for _ in range(1000))
 
 
 class TestHypoexpSurvival:
@@ -258,23 +255,38 @@ class TestHypoexpSurvival:
                 assert got.value == pytest.approx(expected, rel=1e-12, abs=1e-15)
                 assert got.method is OracleMethod.MATRIX_EXP
 
-    def test_overflowing_weights_are_refused(self):
-        # 1000 well-separated rates ~ U(0.1, 10): hundreds of the products
-        # prod_{j!=i} a_j/(a_j-a_i) pass the double range
-        rates = np.random.default_rng(2).uniform(0.1, 10.0, 1000)
-        ordered = np.sort(rates)
-        assert np.all(np.diff(ordered) > exact_oracle._RATE_GAP * ordered[1:])
-        spec = make_exponential_spec(list(rates))
-        with pytest.raises(OutOfRange, match="partial-fraction weights overflow"):
-            hypoexp_survival(spec, 1.5 * spec.mu)
+    def test_product_overflow_spec_is_certified(self):
+        # 1000 distinct rates ~ U(0.1, 10), where hundreds of the product
+        # weights would overflow: the log-space terms stay small, and their
+        # certificate beats the matrix route's absolute one (about 6.5e-12)
+        rates = tuple(float(a) for a in np.random.default_rng(2).uniform(0.1, 10.0, 1000))
+        spec = make_exponential_spec(rates)
+        x = 1.5 * spec.mu
+        est = hypoexp_survival(spec, x)
+        assert est.method is OracleMethod.PARTIAL_FRACTIONS
+        assert abs(Decimal(est.value) - _decimal_exp_sum(rates, x)) <= Decimal(est.error_bound)
+        assert est.error_bound < exact_oracle._matrix_exp_scaling(rates, x)[1]
+
+    @pytest.mark.parametrize("lam", [1.5, 3.0])
+    def test_random_1e3_spec_is_certified(self, lam):
+        spec = make_exponential_spec(_RANDOM_1E3)
+        x = lam * spec.mu
+        est = hypoexp_survival(spec, x)
+        assert est.method is OracleMethod.PARTIAL_FRACTIONS
+        assert 0.0 < est.value
+        assert abs(Decimal(est.value) - _decimal_exp_sum(_RANDOM_1E3, x)) <= Decimal(
+            est.error_bound
+        )
 
     def test_numpy_rates_overflow_without_warning(self):
-        # numpy scalars would warn on the overflowing products before the refusal
+        # 1000 evenly spaced rates at x = 1: one exponent E_i reaches 734, past
+        # exp's range, so there is no partial-fraction answer; numpy scalars
+        # must not warn on the way, and no answer is an infinite bound
         rates = tuple(np.linspace(0.1, 10.0, 1000))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="partial-fraction weights overflow"):
-                partial_fractions_survival(rates, 1.0)
+            _, error = partial_fractions_survival(rates, 1.0)
+        assert error == math.inf
 
     @given(
         st.one_of(
@@ -288,12 +300,24 @@ class TestHypoexpSurvival:
         )
     )
     @settings(max_examples=300, deadline=None)
-    def test_route_check_matches_pairwise(self, rates):
-        # random, clustered (relative gaps around _RATE_GAP) and tied rate sets
-        separated = _pairwise_separated(rates)
-        assert exact_oracle._rates_separated(tuple(rates)) == separated
-        route = hypoexp_survival(make_exponential_spec(rates), 1.0).method
-        assert (route is OracleMethod.PARTIAL_FRACTIONS) == separated
+    def test_route_follows_certificate(self, rates):
+        # random, near-tied and tied rate sets: partial fractions are kept
+        # unless their bound passes both 1e-9 of their value and the matrix
+        # route's bound; tied rates have no partial-fraction answer. Every
+        # partial-fraction answer, kept or not, lies within its own bound.
+        # (The matrix route's bound is not checked: next to a stiff rate it
+        # can understate the error a few times.)
+        rates = tuple(rates)
+        est = hypoexp_survival(make_exponential_spec(rates), 1.0)
+        value, error = partial_fractions_survival(rates, 1.0)
+        keep = error <= 1e-9 * value or error <= matrix_exp_survival(rates, 1.0)[1]
+        assert (est.method is OracleMethod.PARTIAL_FRACTIONS) == keep
+        if len(set(rates)) < len(rates):
+            assert error == math.inf and not keep
+            return
+        assert abs(Decimal(value) - _decimal_exp_sum(rates, 1.0)) <= Decimal(error)
+        if keep:
+            assert (est.value, est.error_bound) == (value, error)
 
     def test_density_vanishes_at_origin(self):
         # for n >= 2 the density at 0 is 0, so the survival has zero slope
@@ -507,18 +531,27 @@ class TestPmfKernel:
 
 
 def _decimal_exp_sum(rates, x):
-    """Hypoexponential survival in 50-digit decimal arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        a = [Decimal(r) for r in rates]
-        total = Decimal(0)
-        for i, ai in enumerate(a):
-            w = Decimal(1)
-            for j, aj in enumerate(a):
-                if j != i:
-                    w *= aj / (aj - ai)
-            total += w * (-ai * Decimal(x)).exp()
-        return total
+    """Hypoexponential survival by partial fractions in decimal arithmetic.
+
+    Each term carries 60 significant digits. Where the terms cancel, the sum
+    is redone with the digits they cancel added, so about 50 always remain.
+    """
+    digits = 60
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            a = [Decimal(r) for r in rates]
+            whole = math.prod(a)
+            terms = [
+                whole / ai / math.prod(aj - ai for aj in a if aj is not ai)
+                * (-ai * Decimal(x)).exp()
+                for ai in a
+            ]
+            total = sum(terms)
+            lost = (sum(map(abs, terms)) / abs(total)).adjusted() if total else digits
+            if digits - lost >= 50:
+                return total
+            digits = 50 + lost
 
 
 def _decimal_negbin_tail(p, n, m):
