@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,25 +303,25 @@ def _partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[flo
     logs = list(map(math.log, a))
     total, base, scale = sum(logs), 1.0 + sum(map(abs, logs)), (n + 13) * _EPS
     above, below = [0.0] * n, [0.0] * n  # each row's gap logs >= 0 and < 0
+    terms, parts = [], []  # t_i and m_i
     try:
-        for j in range(1, n):
-            aj, p, q = a[j], 0.0, 0.0  # row j's logs to the rates below it
-            for i in range(j):
-                g = math.log(aj - a[i])
+        for i, ai in enumerate(a):
+            p, q = above[i], below[i]  # the rows before i have added theirs
+            for j in range(i + 1, n):
+                g = math.log(a[j] - ai)
                 if g < 0.0:
                     q += g
-                    below[i] += g
+                    below[j] += g
                 else:
                     p += g
-                    above[i] += g
-            above[j], below[j] = p, q  # the rows after j add theirs later
-        terms = [math.exp(total - lv - v * x - (p + q))
-                 for lv, v, p, q in zip(logs, a, above, below)]
+                    above[j] += g
+            ax = ai * x
+            terms.append(math.exp(total - logs[i] - ax - (p + q)))
+            parts.append(base + p - q + ax)
         value = math.fsum(terms[::2]) - math.fsum(terms[1::2])
     except (ValueError, OverflowError):
         return math.nan, math.inf
-    error = n * _TINY + scale * sum([t * (base + p - q + v * x)
-                                     for t, v, p, q in zip(terms, a, above, below)])
+    error = n * _TINY + scale * sum(map(operator.mul, terms, parts))
     return min(max(value, 0.0), 1.0), error
 
 
