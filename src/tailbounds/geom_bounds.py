@@ -175,10 +175,11 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     p_min = spec.p_min
     # 1/(p_min - t) <= sum 1/(p_i - t) <= mu/(1 - t/p_min) brackets the root;
     # the factor p_min keeps each term finite next to the pole, and both ends
-    # stay below the pole (Theorem 1's t can round to p_min for lam past about 2^53)
+    # stay below the pole (Theorem 1's t can round to p_min for lam past about 2^53);
+    # at lam = 1 the root is lo = 0 exactly, as R(0) = mu p_min is the target
     below_pole = math.nextafter(p_min, 0.0)
     lo = min((1.0 - 1.0 / lam) * p_min, below_pole)
-    hi = max(lo, min(p_min - 1.0 / target, below_pole))
+    hi = lo if lam == 1.0 else max(lo, min(p_min - 1.0 / target, below_pole))
     t, evaluations = _reciprocal_root(p, 1.0, p_min, lam * (spec.mu * p_min), lo, hi)
     log_bound = -t * target - float(np.log1p(-t / p).sum())
     return bound_result(

@@ -1,15 +1,17 @@
 """Seeded Monte Carlo tail estimation with Wilson confidence intervals.
 
-The generator is counter based: draw j of sample i reads position i*n + j of
-a splitmix64 stream (Steele, Lea & Flood 2014, "Fast splittable pseudorandom
-number generators"), so the estimate is a pure function of (seed, samples)
-and identical under any chunking or parallel partitioning of the sample
-indices. Uniforms are drawn from the open interval (0, 1).
+Uniforms come from numpy's PCG64DXSM generator (O'Neill 2014, "PCG: A family
+of simple fast space-efficient statistically good algorithms for random
+number generation"), seeded with the 64-bit seed. Draw j of sample i is the
+uniform at stream position i*n + j, which PCG64DXSM.advance reaches directly,
+so the estimate is a pure function of (seed, samples) and identical under
+any chunking of the sample indices. Uniforms are drawn from the open
+interval (0, 1).
 
 Samples are drawn in blocks of about BLOCK_DRAWS uniforms (one row of n when
-n is larger), each generated, inverted and summed in place in one workspace
-of buffers that mc_tail reuses for every block, so memory is bounded by a
-few blocks whatever samples * n is.
+n is larger), each generated, inverted and summed in place in one buffer
+that mc_tail reuses for every block, so memory is bounded by a few blocks
+whatever samples * n is.
 """
 
 from __future__ import annotations
@@ -23,16 +25,10 @@ import numpy as np
 from .exact_oracle import OracleMethod, TailEstimate
 from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange, require_count
 
-_GAMMA_INT = 0x9E3779B97F4A7C15
-_GAMMA = np.uint64(_GAMMA_INT)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64
-
 # Uniforms per block: 512 KB of float64, which stays in cache through every
 # pass. The fastest of 2^12..2^20 at n = 8 and n = 10^3 with a fresh block
 # per pass (2^15 and 2^17 were 5-25% slower, 2^20 about twice as slow); with
-# the reused workspace 2^15 is within noise of it and 2^14 5-12% slower.
+# reused buffers 2^15 is within noise of it and 2^14 5-12% slower.
 BLOCK_DRAWS = 1 << 16
 
 _MAX_U64 = 2**64 - 1
@@ -53,52 +49,31 @@ class McConfig:
             raise OutOfRange(f"confidence {self.confidence} not in (0, 1)")
 
 
-class _Workspace:
-    """Buffers for blocks of up to draws uniforms, reused block after block.
+def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with gen's next uniforms, mapped into (0, 1), and return it.
 
-    steps = (1..draws) * gamma mod 2^64 holds the counter offsets of a block;
-    z and t are scratch.
+    random() gives k * 2^-53 with 0 <= k < 2^53; raising k = 0 to 2^-54
+    leaves every value in [2^-54, 1 - 2^-53] with no rounding. (Adding 2^-54
+    instead would round k = 2^53 - 1 up to 1.)
     """
-
-    def __init__(self, draws: int):
-        self.steps = np.arange(1, draws + 1, dtype=np.uint64)
-        self.steps *= _GAMMA
-        self.z = np.empty_like(self.steps)
-        self.t = np.empty_like(self.steps)
-
-    def uniforms(self, seed: int, start: int, count: int) -> np.ndarray:
-        """Uniforms at stream positions start..start+count-1, in t's float64
-        view, which the next call overwrites."""
-        z, t = self.z[:count], self.t[:count]
-        offset = (int(start) * _GAMMA_INT + int(seed)) % 2**64
-        np.add(self.steps[:count], _U64(offset), out=z)
-        for shift, mix in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(z, _U64(shift), out=t)
-            z ^= t
-            z *= mix
-        np.right_shift(z, _U64(31), out=t)
-        z ^= t
-        z >>= _U64(11)
-        u = t.view(np.float64)
-        u[...] = z.view(np.int64)  # exact below 2^53, and faster than from uint64
-        u += 0.5
-        u *= 2.0**-53
-        return u
+    gen.random(out=out)
+    return np.maximum(out, 2.0**-54, out=out)
 
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms in (0, 1) at stream positions start..start+count-1.
 
-    Stateless: position c maps to mix64(seed + (c+1)*gamma), the splitmix64
-    output function on an affine counter, so any block can be regenerated
-    independently of how earlier draws were grouped. seed and start are
-    64-bit unsigned integers; count is at most 2^22, as the workspace takes
-    24 bytes a draw (about 100 MB at the cap).
+    Stateless: the generator seeded with seed is advanced to position start,
+    so any block can be regenerated independently of how earlier draws were
+    grouped, and it matches what mc_tail draws there. seed and start are
+    64-bit unsigned integers; count is at most 2^22 (8 bytes a draw, 32 MB
+    at the cap).
     """
     require_count("seed", seed, 0, _MAX_U64)
     require_count("start", start, 0, _MAX_U64)
     require_count("count", count, 0, 1 << 22)
-    return _Workspace(count).uniforms(seed, start, count)
+    gen = np.random.Generator(np.random.PCG64DXSM(seed).advance(int(start)))
+    return _uniforms(gen, np.empty(count))
 
 
 def _two_sided_z(confidence: float) -> float:
@@ -140,12 +115,12 @@ def _inversion(spec, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
     return np.tile(np.array(row), (rows, 1)), ones
 
 
-def _sums_block(divisors: np.ndarray, ones: np.ndarray | None, work: _Workspace,
-                seed: int, start: int, count: int) -> np.ndarray:
-    """Sums of samples start..start+count-1 (count <= len(divisors)), inverted
-    in place in work's buffers."""
+def _sums_block(divisors: np.ndarray, ones: np.ndarray | None,
+                gen: np.random.Generator, buf: np.ndarray, count: int) -> np.ndarray:
+    """Sums of gen's next count samples (count <= len(divisors)), inverted in
+    place in buf."""
     n = divisors.shape[1]
-    u = work.uniforms(seed, start * n, count * n).reshape(count, n)
+    u = _uniforms(gen, buf[:count * n]).reshape(count, n)
     np.log(u, out=u)
     u /= divisors[:count]
     if ones is not None:
@@ -166,7 +141,7 @@ def mc_tail(
 
     error_bound is the Wilson half-width at cfg.confidence, measured from the
     empirical fraction. Samples are drawn in blocks of max(1, BLOCK_DRAWS // n),
-    or chunk_size when that is smaller, all in one reused workspace, so
+    or chunk_size when that is smaller, all in one reused buffer, so
     memory stays bounded by a few blocks whatever samples * n is. Output is
     bit-identical for fixed (seed, samples) whatever chunk_size is used.
     """
@@ -179,11 +154,11 @@ def mc_tail(
         require_count("chunk_size", chunk_size, 1, math.inf)
         rows = min(rows, int(chunk_size))
     divisors, ones = _inversion(spec, rows)
-    work = _Workspace(rows * spec.n)
+    gen = np.random.Generator(np.random.PCG64DXSM(cfg.seed))
+    buf = np.empty(rows * spec.n)
     hits = 0
     for start in range(0, cfg.samples, rows):
-        sums = _sums_block(divisors, ones, work, cfg.seed, start,
-                           min(rows, cfg.samples - start))
+        sums = _sums_block(divisors, ones, gen, buf, min(rows, cfg.samples - start))
         hits += int(np.count_nonzero(sums >= x if side == "upper" else sums <= x))
     phat = hits / cfg.samples
     lo, hi = _wilson_interval(hits, cfg.samples, cfg.confidence)

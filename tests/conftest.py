@@ -108,8 +108,9 @@ def mgf_exponential(spec, t: float) -> float:
     return out
 
 
-class SplitMix64Stream:
-    """Sequential reader over the Monte Carlo counter stream (one uniform per call)."""
+class UniformStream:
+    """Sequential reader over the Monte Carlo uniform stream, one uniform per
+    call, each read by seeking to its position with uniform_block."""
 
     def __init__(self, seed: int, position: int = 0):
         if not (0 <= seed < 2**64):
@@ -123,7 +124,7 @@ class SplitMix64Stream:
         return u
 
 
-def sample_geometric_sum(spec, rng: SplitMix64Stream) -> int:
+def sample_geometric_sum(spec, rng: UniformStream) -> int:
     """One draw of the sum, by inversion: X_i = ceil(ln U / ln(1-p_i)).
 
     Consumes exactly one uniform per summand (degenerate p_i = 1 included,
@@ -139,7 +140,7 @@ def sample_geometric_sum(spec, rng: SplitMix64Stream) -> int:
     return total
 
 
-def sample_exponential_sum(spec, rng: SplitMix64Stream) -> float:
+def sample_exponential_sum(spec, rng: UniformStream) -> float:
     """One draw of the sum: sum of -ln(U_i)/a_i."""
     return math.fsum(-math.log(rng.uniform()) / a for a in spec.rates)
 

@@ -213,6 +213,16 @@ class TestOptimizedChernoff:
         spec = make_geometric_spec(p)
         assert log_le(optimized_chernoff(spec, lam), upper_tail_thm1(spec, lam))
 
+    @given(edge_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_lam_one_is_t_zero(self, spec):
+        # the root is lo = 0 exactly, since R(0) = mu p_min is the target
+        r = optimized_chernoff(spec, 1.0)
+        assert r.internal_param == 0.0
+        assert r.log_value == 0.0
+        assert not r.clamped
+        assert r.evaluations == 1
+
     @given(probs, lams)
     @settings(max_examples=100, deadline=None)
     def test_t_in_range(self, p, lam):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    SplitMix64Stream,
+    UniformStream,
     reference_sums_block,
     sample_exponential_sum,
     sample_geometric_sum,
@@ -27,16 +27,16 @@ from tailbounds.montecarlo import (
     _inversion,
     _sums_block,
     _two_sided_z,
+    _uniforms,
     _wilson_interval as wilson_interval,
-    _Workspace,
 )
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])
 
 
 def sums_block(spec, seed, start, count):
-    work = _Workspace(count * spec.n)
-    return _sums_block(*_inversion(spec, count), work, seed, start, count)
+    gen = np.random.Generator(np.random.PCG64DXSM(seed).advance(start * spec.n))
+    return _sums_block(*_inversion(spec, count), gen, np.empty(count * spec.n), count)
 
 
 def big_geometric_spec(seed=3, n=1000):
@@ -83,7 +83,7 @@ class TestUniformStream:
         assert abs(u.mean() - 0.5) < 0.005
 
     def test_stateless_blocks_match_stream(self):
-        stream = SplitMix64Stream(seed=99)
+        stream = UniformStream(seed=99)
         sequential = [stream.uniform() for _ in range(64)]
         assert sequential == pytest.approx(list(uniform_block(99, 0, 64)), abs=0.0)
 
@@ -95,15 +95,35 @@ class TestUniformStream:
     def test_different_seeds_differ(self):
         assert not np.array_equal(uniform_block(1, 0, 32), uniform_block(2, 0, 32))
 
+    def test_pinned_stream(self):
+        # numpy's PCG64DXSM stream and Generator.random, pinned exactly
+        assert list(uniform_block(0, 0, 4)) == [
+            0.8495832729381353, 0.5546033266790702, 0.07552235432853116, 0.33538733475252547]
+        assert list(uniform_block(2**64 - 1, 2**63, 4)) == [
+            0.2226910950426516, 0.5622092153108676, 0.14665674780711802, 0.7990282058745312]
+
+    def test_ends_of_random_stay_open(self):
+        # random() at k = 0 and k = 2^53 - 1, the ends of its range k * 2^-53
+        class Ends:
+            def random(self, out):
+                out[:] = [0.0, 1.0 - 2.0**-53]
+
+        u = _uniforms(Ends(), np.empty(2))
+        assert np.all((0.0 < u) & (u < 1.0))
+        geom = make_geometric_spec([0.5])
+        assert np.all(_sums_block(*_inversion(geom, 2), Ends(), np.empty(2), 2) >= 1.0)
+        exp = make_exponential_spec([1.0])
+        assert np.all(_sums_block(*_inversion(exp, 2), Ends(), np.empty(2), 2) > 0.0)
+
 
 class TestSamplers:
     def test_degenerate_always_n(self):
-        rng = SplitMix64Stream(seed=5)
+        rng = UniformStream(seed=5)
         spec = make_geometric_spec([1.0, 1.0])
         assert all(sample_geometric_sum(spec, rng) == 2 for _ in range(50))
 
     def test_geometric_support(self):
-        rng = SplitMix64Stream(seed=6)
+        rng = UniformStream(seed=6)
         for _ in range(200):
             assert sample_geometric_sum(HALF_HALF, rng) >= 2
 
@@ -128,12 +148,12 @@ class TestSamplers:
 
     def test_scalar_matches_vectorized(self):
         for spec in (HALF_HALF, make_geometric_spec([0.3, 1.0, 0.8])):
-            rng = SplitMix64Stream(seed=77)
+            rng = UniformStream(seed=77)
             scalar = [float(sample_geometric_sum(spec, rng)) for _ in range(40)]
             block = sums_block(spec, seed=77, start=0, count=40)
             assert scalar == pytest.approx(list(block), abs=0.0)
         spec = make_exponential_spec([0.4, 2.5])
-        rng = SplitMix64Stream(seed=78)
+        rng = UniformStream(seed=78)
         scalar = [sample_exponential_sum(spec, rng) for _ in range(40)]
         block = sums_block(spec, seed=78, start=0, count=40)
         assert scalar == pytest.approx(list(block), rel=1e-12)
@@ -289,7 +309,7 @@ BLOCK_CASES = [
 
 
 class TestBlocks:
-    """mc_tail's blocks, drawn one after another in one reused workspace."""
+    """mc_tail's blocks, drawn one after another into one reused buffer."""
 
     @pytest.mark.parametrize("case", [BLOCK_CASES[k] for k in (0, 1, 2, 4, 5)])
     def test_bit_identical_across_chunkings(self, case):
@@ -300,14 +320,13 @@ class TestBlocks:
             assert mc_tail(spec, x, cfg, side=side, chunk_size=chunk) == baseline
 
     @pytest.mark.parametrize("case, expected", [
-        (BLOCK_CASES[0], (0.5442345576544234, 0.004059555077328358)),
-        (BLOCK_CASES[1], (0.283435, 0.002602863748877249)),
-        (BLOCK_CASES[3], (0.22877122877122877, 0.03591726449367785)),
-        (BLOCK_CASES[4], (0.4, 0.43134380198056765)),
+        (BLOCK_CASES[0], (0.5453145468545314, 0.004058835865821009)),
+        (BLOCK_CASES[1], (0.28331, 0.002602521815291692)),
+        (BLOCK_CASES[3], (0.22677322677322678, 0.035826020284199095)),
+        (BLOCK_CASES[4], (0.2, 0.5182213297653173)),
     ])
     def test_pinned_values(self, case, expected):
-        # (value, error_bound) at the default confidence, as drawn before the
-        # workspace, pinned exactly
+        # (value, error_bound) at the default confidence, pinned exactly
         spec, x, side, samples, seed = case
         est = mc_tail(spec, x, McConfig(samples=samples, seed=seed), side=side)
         assert (est.value, est.error_bound) == expected
