@@ -79,10 +79,10 @@ def _query(args, spec) -> TailQuery:
     return make_tail_query(spec.mu, x=args.x, lam=args.lam)
 
 
-def _upper_exact(spec, x: float, rel_tol: float) -> TailEstimate:
+def _upper_exact(spec, x: float) -> TailEstimate:
     """P(X >= x) from the exact oracle of the spec's distribution."""
     if isinstance(spec, GeometricSumSpec):
-        return exact_oracle.geom_tail_exact(spec, x, rel_tol=rel_tol)
+        return exact_oracle.geom_tail_exact(spec, x)
     return exact_oracle.hypoexp_survival(spec, x)
 
 
@@ -126,7 +126,7 @@ def cmd_bound(args) -> int:
 def cmd_exact(args) -> int:
     spec = _load_spec(args)
     q = _query(args, spec)
-    est = _upper_exact(spec, q.x, args.rel_tol)
+    est = _upper_exact(spec, q.x)
     print(f"method: {est.method.value}")
     print(f"x: {_fmt(q.x)}")
     print(f"value: {_fmt(est.value)}")
@@ -170,7 +170,7 @@ def cmd_sweep(args) -> int:
         q = make_tail_query(spec.mu, lam=lam)
         mc = montecarlo.mc_tail(spec, q.x, cfg)
         cells = [q.lam, q.x, *(row.evaluate(spec, q).value for row in columns),
-                 _upper_exact(spec, q.x, args.rel_tol).value, mc.value, mc.error_bound]
+                 _upper_exact(spec, q.x).value, mc.value, mc.error_bound]
         print(",".join(_fmt(c) for c in cells))
     return 0
 
@@ -192,7 +192,7 @@ def _verify_instance(spec, dist: str, failures: list[str]) -> None:
     slack = 1e-10
     name = f"p={list(spec.params)}" if dist == "geom" else f"a={list(spec.rates)}"
     for truth, oracle, lams, sides in (
-        ("exact", lambda x: _upper_exact(spec, x, 1e-9),
+        ("exact", lambda x: _upper_exact(spec, x),
          (1.0, 1.25, 1.5, 2.0, 3.0, 5.0), (Side.UPPER, Side.UPPER_FROM_BELOW)),
         ("exact_lower", lambda x: _lower_exact(spec, x),
          (0.2, 0.5, 0.8, 1.0), (Side.LOWER,)),
@@ -224,8 +224,8 @@ def _verify_instance(spec, dist: str, failures: list[str]) -> None:
     # pairwise tail-ratio floor: P(X>=j) >= (1-p_min)^(j-k) P(X>=k), j >= k
     base = max(spec.n, math.ceil(spec.mu))
     for j, k in ((base + 3, base), (base + 11, base + 2)):
-        pj = _upper_exact(spec, j, 1e-9)
-        pk = _upper_exact(spec, k, 1e-9)
+        pj = _upper_exact(spec, j)
+        pk = _upper_exact(spec, k)
         floor = (1.0 - spec.p_min) ** (j - k) * pk.value
         pad = pj.error_bound + pk.error_bound + slack
         _check(
@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
     lam = 2.0
     sandwich = (
         geom_bounds.upper_tail_lower_bound_tl(fixed, lam).value,
-        _upper_exact(fixed, lam * fixed.mu, 1e-9).value,
+        _upper_exact(fixed, lam * fixed.mu).value,
         geom_bounds.upper_tail_thm2(fixed, lam).value,
         geom_bounds.upper_tail_thm1(fixed, lam).value,
         geom_bounds.upper_tail_cor1(lam).value,
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     exact = commands.add_parser("exact", help="exact tail probability")
     _add_spec_flags(exact)
     _add_query_flags(exact)
-    exact.add_argument("--rel-tol", type=float, default=1e-9)
     exact.set_defaults(func=cmd_exact)
 
     mc = commands.add_parser("mc", help="Monte Carlo tail estimate")
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=_positive_int, required=True)
     sweep.add_argument("--samples", type=_positive_int, default=100_000)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--rel-tol", type=float, default=1e-9)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = commands.add_parser("verify", help="run the property suites")

@@ -4,15 +4,14 @@ Geometric sums get an O(nK) iterated-convolution pmf, run as one
 ``scipy.signal.sosfilt`` cascade with a first-order section per summand in
 ascending p (the order keeps intermediate values out of the slow subnormal
 range), plus a closed-form negative-binomial cross-check for iid
-parameters. A sum of independent geometrics has a log-concave pmf
-(convolution preserves discrete log-concavity; Keilson and Gerber 1971), so
-the ratio P(k+1)/P(k) never increases, and the last two values of a grid
-bound the tail past it: the deep-tail sum certifies itself, without the
-bounds that it is used to check. Exponential sums get the hypoexponential
-survival function by partial fractions in log space, or by a scaling-and-
-squaring matrix exponential where their own error bound is neither within
-1e-9 relative nor below the matrix route's. Every estimate carries a
-rigorous error bound (round-off scale, truncation remainder, or both).
+parameters. The probability the cascade still holds in its filter state
+after step K is exactly P(X > K), a sum of nonnegative terms, so the upper
+tail needs one grid up to k0 - 1, no truncation and none of the bounds that
+it is used to check. Exponential sums get the hypoexponential survival
+function by partial fractions in log space, or by a scaling-and-squaring
+matrix exponential where their own error bound is neither within 1e-9
+relative nor below the matrix route's. Every estimate carries a rigorous
+error bound (round-off scale, truncation remainder, or both).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_bounds import log_thm2
 from .model import (
     ExponentialSumSpec,
     GeometricSumSpec,
@@ -37,11 +35,7 @@ from .model import (
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
-# 1 - CDF loses all significant digits below this; switch to summing the tail
-# directly, certified by the log-concave truncation remainder.
-_COMPLEMENT_FLOOR = 1e-9
-
-# Relative accuracy aimed at: geom_tail_exact's default, hypoexp_survival's route.
+# Relative accuracy that keeps hypoexp_survival on its partial-fraction route.
 _REL_TOL = 1e-9
 
 # Largest pmf grid ever built, checked before it is allocated (cost is O(n*K)).
@@ -75,8 +69,8 @@ class TailEstimate:
             raise OutOfRange(f"error bound {self.error_bound} negative")
 
 
-def _pmf_grid(spec: GeometricSumSpec, K: int) -> np.ndarray:
-    """P(X = k) for k = 0..K via the per-summand recursion
+def _pmf_grid(spec: GeometricSumSpec, K: int) -> tuple[np.ndarray, float]:
+    """P(X = k) for k = 0..K, and P(X > K), via the per-summand recursion
 
         c_i(k) = (1-p_i) c_i(k-1) + p_i c_{i-1}(k-1),
 
@@ -89,6 +83,14 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> np.ndarray:
     operation. The order also makes the grid independent of the order
     of ``spec.params``. scipy is imported here, on first use, so that
     importing the package stays cheap.
+
+    The tail is read from the final filter state. In direct form II
+    transposed, section i (row [0, p, 0, 1, p - 1, 0]) emits y[k] = s[k-1]
+    and keeps s[k] = p x[k] + (1-p) y[k] >= 0, so its state s_i after step K
+    is what it emits at K + 1: the pmf of the first i summands' sum at K + 1.
+    With no further input it goes on to emit s_i (1-p_i)^j, s_i / p_i in
+    all, and every later section passes its input on without loss, so
+    P(X > K) = sum_i s_i / p_i, with no cancellation and no truncation.
     """
     require_count("pmf support", K, 0, _MAX_SUPPORT)
     from scipy.signal import sosfilt
@@ -100,7 +102,8 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> np.ndarray:
     sos[:, 4] = p - 1.0
     impulse = np.zeros(K + 1)
     impulse[0] = 1.0
-    return sosfilt(sos, impulse)
+    grid, state = sosfilt(sos, impulse, zi=np.zeros((p.size, 2)))
+    return grid, float((state[:, 0] / p).sum())
 
 
 def _require_support(K: float) -> None:
@@ -113,13 +116,7 @@ def geom_pmf_convolution(spec: GeometricSumSpec, K: int) -> np.ndarray:
     """Exact pmf P(X = k) for k = n..K (the support starts at n)."""
     if K < spec.n:
         raise KTooSmall(f"K={K} below minimum support n={spec.n}")
-    return _pmf_grid(spec, K)[spec.n :]
-
-
-def _log_tail_bound(spec: GeometricSumSpec, k: int) -> float:
-    """Theorem 2's log bound on P(X >= k); 0 below the mean, where it does not apply."""
-    lam = k / spec.mu
-    return log_thm2(spec, lam) if lam >= 1.0 else 0.0
+    return _pmf_grid(spec, K)[0][spec.n :]
 
 
 def _roundoff(n: int, K: int) -> tuple[float, float]:
@@ -132,92 +129,29 @@ def _roundoff(n: int, K: int) -> tuple[float, float]:
     return _EPS * (2.0 * K + n), n * (K + 1) * _TINY
 
 
-def _first_extension(spec: GeometricSumSpec, k0: int, rel_tol: float) -> int:
-    """A first guess at how far past k0 the tail grid must reach: ln(2/rel_tol)/t.
+def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
+    """P(X >= x), exact up to round-off.
 
-    t = (1 - 1/lam) p_min at lam = k0/mu is Theorem 1's tilt, the lower end
-    of the optimal Chernoff tilt's bracket, so the tail decays at least about
-    as fast as e^(-t k) past k0. Only a size guess: the certificate decides.
+    Since X is integer valued, P(X >= x) = P(X >= k0) with k0 = ceil(x), and
+    for x <= n it is 1. Otherwise one cascade runs up to k0 - 1 and
+    P(X >= k0) = sum_i s_i / p_i is read from its final state (see
+    ``_pmf_grid``).
+
+    The certificate. Each s_i is a cascade entry at k0, so it carries the
+    round-off of ``_roundoff(n, k0)``: eps (2 k0 + n) relative, plus
+    n (k0 + 1) smallest subnormals absolute. Dividing by p_i and summing n
+    nonnegative terms adds (n + 1) eps relative; the absolute part, divided
+    by each p_i and summed, gives n (k0 + 1) tiny mu. The bound is
+    (eps (2 k0 + n) + (n + 1) eps) value + n (k0 + 1) tiny mu.
     """
-    t = (1.0 - spec.mu / k0) * spec.p_min
-    extension = math.log(2.0 / rel_tol) / t if t > 0.0 else k0
-    return math.ceil(min(extension, _MAX_SUPPORT))
-
-
-def _log_concave_remainder(grid: np.ndarray, rel: float, floor: float) -> float:
-    """A bound on P(X > K) from a pmf grid up to K, or inf if it gives none.
-
-    The pmf is log-concave, so P(k+1)/P(k) never increases past any k:
-    with rho = P(j)/P(j-1) < 1, P(X > K) <= P(j) rho^(K+1-j) / (1 - rho).
-    Both values are widened by the grid's round-off, ``rel`` relative and
-    ``floor`` absolute (see ``_roundoff``). The pair is the last one,
-    j <= K, whose value at j - 1 is large enough that its absolute
-    round-off is no more than its relative one; where the tail underflows
-    (or is exactly 0, as for p = [1, 1]) that pair lies below K and the
-    power carries the bound the rest of the way.
-    """
-    K = grid.size - 1
-    i = K - 1
-    if not float(grid[i]) * rel >= floor:
-        above = np.flatnonzero(grid[:K] * rel >= floor)
-        if above.size == 0:
-            return math.inf
-        i = int(above[-1])
-    low = float(grid[i]) * (1.0 - rel) - floor
-    high = float(grid[i + 1]) * (1.0 + rel) + floor
-    rho = high / low
-    if not rho < 1.0:
-        return math.inf
-    return high * rho ** (K - i) / (1.0 - rho)
-
-
-def geom_tail_exact(
-    spec: GeometricSumSpec, x: float, rel_tol: float = _REL_TOL
-) -> TailEstimate:
-    """P(X >= x), exact up to round-off and a certified truncation remainder.
-
-    Since X is integer valued, P(X >= x) = P(X >= k0) with k0 = max(ceil(x), n).
-    Unless Theorem 2 already puts the tail below half of 1e-9, the lower tail
-    P(X <= k0 - 1) of geom_lower_tail_exact is taken and its complement
-    1 - CDF returned when it is above 1e-9; Theorem 2 only picks this route.
-    Otherwise the tail is summed upward from k0 on a grid up to
-    K = k0 + ln(2/rel_tol)/t (Theorem 1's tilt t), and the log-concave
-    remainder past K must fall under rel_tol times the partial sum. Where it
-    does not, the extension past k0 doubles and the grid is rebuilt; the grid
-    never passes the support cap, and the one clamped at the cap is tried once.
-    """
-    if not (0.0 < rel_tol <= 0.1):
-        raise OutOfRange(f"rel_tol {rel_tol} not in (0, 0.1]")
     _require_support(x)
     if x <= spec.n:
         return TailEstimate(1.0, 0.0, OracleMethod.CONVOLUTION)
     k0 = math.ceil(x)
-
-    if _log_tail_bound(spec, k0) > math.log(0.5 * _COMPLEMENT_FLOOR):
-        lower = geom_lower_tail_exact(spec, k0 - 1)
-        complement = 1.0 - lower.value
-        if complement > _COMPLEMENT_FLOOR:
-            # the lower sum's bound plus one rounding of the subtraction
-            error = lower.error_bound + _EPS * complement
-            return TailEstimate(complement, error, OracleMethod.CONVOLUTION)
-
-    extension = _first_extension(spec, k0, rel_tol)
-    while True:
-        K = min(k0 + extension, _MAX_SUPPORT)
-        grid = _pmf_grid(spec, K)
-        rel, floor = _roundoff(spec.n, K)
-        partial = float(np.sum(grid[k0:]))
-        remainder = _log_concave_remainder(grid, rel, floor)
-        if remainder <= rel_tol * partial:
-            break
-        if K == _MAX_SUPPORT:
-            raise OutOfRange(
-                f"tail from {k0} is not certified by a grid of {K} (support cap "
-                f"{_MAX_SUPPORT}): remainder {remainder} against partial sum {partial}"
-            )
-        extension *= 2
-    error = remainder + rel * partial + (K + 1 - k0) * floor
-    return TailEstimate(min(partial, 1.0), error, OracleMethod.CONVOLUTION)
+    tail = _pmf_grid(spec, k0 - 1)[1]
+    rel, floor = _roundoff(spec.n, k0)
+    error = (rel + (spec.n + 1) * _EPS) * tail + floor * spec.mu
+    return TailEstimate(min(tail, 1.0), error, OracleMethod.CONVOLUTION)
 
 
 def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
@@ -231,7 +165,7 @@ def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     if x < spec.n:
         return TailEstimate(0.0, 0.0, OracleMethod.CONVOLUTION)
     k1 = math.floor(x)
-    pmf = _pmf_grid(spec, k1)
+    pmf = _pmf_grid(spec, k1)[0]
     value = float(np.sum(pmf[spec.n :]))
     rel, floor = _roundoff(spec.n, k1)
     error = rel * value + (k1 + 1 - spec.n) * floor

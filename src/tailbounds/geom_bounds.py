@@ -43,19 +43,6 @@ def upper_tail_cor1(lam: float) -> BoundResult:
     return bound_result(Method.COR1, lam, math.log(lam) + 1.0 - lam)
 
 
-def log_thm2(spec: GeometricSumSpec, lam: float) -> float:
-    """upper_tail_thm2's log bound as a plain float, for callers that evaluate
-    it many times; lam >= 1 is the caller's to check.
-    """
-    if lam == 1.0:
-        return 0.0
-    if spec.p_min == 1.0:
-        return -math.inf
-    return -math.log(lam) + (lam - 1.0 - math.log(lam)) * spec.mu * math.log1p(
-        -spec.p_min
-    )
-
-
 def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Sharper bound P(X >= lam*mu) <= (1/lam) (1-p_min)^((lam-1-ln lam) mu).
 
@@ -64,7 +51,15 @@ def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     of p_min (the 0 * log(0) product is taken as 0, by continuity in lam).
     """
     require_upper(lam)
-    return bound_result(Method.THM2, lam, log_thm2(spec, lam))
+    if lam == 1.0:
+        log_bound = 0.0
+    elif spec.p_min == 1.0:
+        log_bound = -math.inf
+    else:
+        log_bound = -math.log(lam) + (lam - 1.0 - math.log(lam)) * spec.mu * math.log1p(
+            -spec.p_min
+        )
+    return bound_result(Method.THM2, lam, log_bound)
 
 
 def upper_tail_cor2(lam: float) -> BoundResult:

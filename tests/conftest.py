@@ -57,21 +57,23 @@ def brute_force_tail(params, x: float, K: int) -> float:
     return sum(pr for k, pr in pmf.items() if k >= k0)
 
 
-def reference_pmf_grid(spec, K: int) -> np.ndarray:
+def reference_pmf_grid(spec, K: int) -> tuple[np.ndarray, float]:
     """P(X = k) for k = 0..K, one ``lfilter`` per summand in the order of
-    ``spec.params``.
+    ``spec.params``, and P(X > K) from each summand's final filter state.
 
     The reference for the package's one-call cascade, which must agree with
-    it within round-off.
+    it within round-off. Summand i's state after step K is the pmf of the
+    first i summands' sum at K + 1, and it goes on to emit s_i / p_i in all.
     """
     from scipy.signal import lfilter
 
     c = np.zeros(K + 1)
     c[0] = 1.0
+    tail = 0.0
     for p in spec.params:
-        shifted = np.concatenate(([0.0], c[:-1]))
-        c = lfilter([p], [1.0, -(1.0 - p)], shifted)
-    return c
+        c, (state,) = lfilter([0.0, p], [1.0, -(1.0 - p)], c, zi=[0.0])
+        tail += state / p
+    return c, tail
 
 
 def pgf_pole_gap(p: float, z: float) -> float:

@@ -77,7 +77,7 @@ def test_criterion_02_upper_tail_sandwich():
         violations = 0
         for spec in random_geom_specs(seed=20250810, count=200):
             for lam in UPPER_LAMBDAS:
-                exact = geom_tail_exact(spec, lam * spec.mu, rel_tol=1e-9)
+                exact = geom_tail_exact(spec, lam * spec.mu)
                 tl = upper_tail_lower_bound_tl(spec, lam).value
                 thm1 = upper_tail_thm1(spec, lam).value
                 thm2 = upper_tail_thm2(spec, lam).value
@@ -161,8 +161,8 @@ def test_criterion_06_tail_ratio_floor():
             base = max(spec.n, math.ceil(spec.mu))
             pmin = spec.p_min
             for j, k in ((base, base), (base + 3, base), (base + 10, base + 2)):
-                pj = geom_tail_exact(spec, j, rel_tol=1e-9)
-                pk = geom_tail_exact(spec, k, rel_tol=1e-9)
+                pj = geom_tail_exact(spec, j)
+                pk = geom_tail_exact(spec, k)
                 floor = (1.0 - pmin) ** (j - k) * pk.value
                 pad = pj.error_bound + pk.error_bound + SLACK
                 assert pj.value >= floor * (1.0 - 3e-9) - pad
@@ -171,8 +171,8 @@ def test_criterion_06_tail_ratio_floor():
                 (base + 7.1, base + 3.9),
                 (base + 0.5, base + 0.5),
             ):
-                px = geom_tail_exact(spec, x, rel_tol=1e-9)
-                py = geom_tail_exact(spec, y, rel_tol=1e-9)
+                px = geom_tail_exact(spec, x)
+                py = geom_tail_exact(spec, y)
                 floor = (1.0 - pmin) ** (x - y + 1.0) * py.value
                 pad = px.error_bound + py.error_bound + SLACK
                 assert px.value >= floor * (1.0 - 3e-9) - pad
@@ -200,7 +200,7 @@ def test_criterion_08_discrete_to_continuous_limit():
         lam = 2.0
         geom = make_geometric_spec([a / N for a in rates])
         cont = make_exponential_spec(rates)
-        discrete = geom_tail_exact(geom, lam * geom.mu, rel_tol=1e-9)
+        discrete = geom_tail_exact(geom, lam * geom.mu)
         continuous = hypoexp_survival(cont, lam * cont.mu)
         assert abs(discrete.value - continuous.value) <= 0.02 * continuous.value
 

@@ -188,6 +188,17 @@ class TestExact:
         assert "value: 0.0625\n" in out
         assert "error_bound: " in out
 
+    def test_geom_deep_tail_has_relative_bound(self, capsys):
+        # P(X >= 30) = 30 / 2^29 for two fair geometrics, certified relative
+        # to the value rather than to eps (2 k0 + n) absolute
+        code, out, _ = run(
+            capsys, "exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "30"
+        )
+        assert code == 0
+        assert "value: 5.58793544769e-08\n" in out
+        (line,) = [v for v in out.splitlines() if v.startswith("error_bound: ")]
+        assert float(line.split()[1]) < 1e-20
+
     def test_exp(self, capsys):
         code, out, _ = run(
             capsys, "exact", "--dist", "exp", "--a", "1,2", "--x", "1"

@@ -16,7 +16,7 @@ from conftest import (
     random_geom_specs,
     reference_pmf_grid,
 )
-from tailbounds import exact_oracle
+from tailbounds import exact_oracle, geom_bounds
 from tailbounds import (
     KTooSmall,
     NegativeX,
@@ -93,16 +93,10 @@ class TestGeomTailExact:
     def test_degenerate(self):
         assert geom_tail_exact(make_geometric_spec([1.0]), 1.5).value == 0.0
 
-    def test_rel_tol_validated(self):
-        with pytest.raises(OutOfRange):
-            geom_tail_exact(HALF_HALF, 8.0, rel_tol=0.5)
-        with pytest.raises(OutOfRange):
-            geom_tail_exact(HALF_HALF, 8.0, rel_tol=0.0)
-
     def test_deep_tail_branch(self):
-        # P(X >= 60) = 60 * 2^-59: far below the complement switch, so this
-        # exercises the direct summation with the analytic remainder
-        est = geom_tail_exact(HALF_HALF, 60.0, rel_tol=1e-9)
+        # P(X >= 60) = 60 * 2^-59, read from the cascade's final state
+        # with a relative certificate
+        est = geom_tail_exact(HALF_HALF, 60.0)
         assert est.value == pytest.approx(60.0 / 2.0**59, rel=1e-9)
         assert est.error_bound <= 2e-9 * est.value + 1e-20
 
@@ -171,13 +165,10 @@ class TestIidGeomTail:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_agreement_with_convolution(self, p, n):
         spec = make_geometric_spec([p] * n)
-        rel_tol = 1e-9
         for x in (n, math.ceil(1.5 * spec.mu), math.ceil(3.0 * spec.mu)):
-            conv = geom_tail_exact(spec, float(x), rel_tol=rel_tol)
+            conv = geom_tail_exact(spec, float(x))
             closed = iid_geom_tail(p, n, float(x))
-            assert abs(conv.value - closed.value) <= max(
-                1e-12, rel_tol * closed.value
-            )
+            assert abs(conv.value - closed.value) <= max(1e-12, 1e-9 * closed.value)
 
 
 class TestTailRatioFloor:
@@ -337,23 +328,21 @@ class TestSupportCap:
         with pytest.raises(OutOfRange):
             geom_lower_tail_exact(HALF_HALF, x)
 
-    def test_grid_growth_stops_at_cap(self, monkeypatch):
+    def test_tails_up_to_cap(self, monkeypatch):
+        # the tail needs no grid past k0 - 1, so every x up to the cap is
+        # answered: P(X >= 100) = 100 * 2^-99 ~ 1.6e-28
         monkeypatch.setattr(exact_oracle, "_MAX_SUPPORT", 100)
-        assert geom_tail_exact(HALF_HALF, 40.0).value > 0.0
-        # P(X >= 95) ~ 5e-27 sends the query to the tail sum, which cannot be
-        # certified on a grid of 100 points
-        with pytest.raises(OutOfRange):
-            geom_tail_exact(HALF_HALF, 95.0)
+        for x in (40.0, 95.0, 100.0):
+            est = geom_tail_exact(HALF_HALF, x)
+            ref = iid_geom_tail(0.5, 2, x)
+            assert est.value > 0.0
+            assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
 
     def test_grid_at_cap_is_tried(self, monkeypatch):
         monkeypatch.setattr(exact_oracle, "_MAX_SUPPORT", 100)
-        # the first grid, k0 = 60 plus ln(2e9)/t = 46 points, passes the cap;
-        # the grid clamped at 100 certifies the tail (remainder ~8e-29
-        # against ~1e-16)
-        est = geom_tail_exact(HALF_HALF, 60.0)
-        ref = iid_geom_tail(0.5, 2, 60.0)
-        assert est.value > 0.0
-        assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
+        with _grid_calls() as grid:
+            assert geom_tail_exact(HALF_HALF, 100.0).value > 0.0
+        assert _sizes(grid) == [99]
         with pytest.raises(OutOfRange, match="cap"):
             geom_tail_exact(HALF_HALF, 101.0)
 
@@ -380,25 +369,33 @@ def _sum_roundoff(n, K, value, terms):
     return exact_oracle._EPS * (2 * K + n) * value + terms * n * (K + 1) * _TINY
 
 
+def _state_roundoff(spec, k0, value):
+    """geom_tail_exact's certificate for P(X >= k0): the round-off of the n final
+    states, entries at k0, plus (n + 1) eps for dividing them by p_i and summing;
+    the absolute part of each state, divided by p_i and summed, is n (k0 + 1) tiny mu."""
+    n = spec.n
+    eps = exact_oracle._EPS
+    return (eps * (2 * k0 + n) + (n + 1) * eps) * value + n * (k0 + 1) * _TINY * spec.mu
+
+
 class TestSizedGrid:
-    # a tail-route call builds one pmf grid, k0 plus ln(2/rel_tol)/t points
-    # with Theorem 1's tilt t, certified by its own last two values
+    # every tail call above the support builds one pmf grid, up to k0 - 1,
+    # and reads P(X >= k0) from the cascade's final state
     @pytest.mark.parametrize(
-        "spec, lam", [(HALF_HALF, 15.0), (FIFTY, 5.0)], ids=["half-half", "fifty"]
+        "spec, lam", [(HALF_HALF, 1.2), (HALF_HALF, 15.0), (FIFTY, 1.0), (FIFTY, 5.0)],
+        ids=["half-half-shallow", "half-half", "fifty-shallow", "fifty"],
     )
     def test_one_grid_per_tail_call(self, spec, lam):
         x = lam * spec.mu
         with _grid_calls() as grid:
             est = geom_tail_exact(spec, x)
-        assert len(_sizes(grid)) == 1
-        assert _sizes(grid)[0] >= math.ceil(x)
-        assert 0.0 < est.value < exact_oracle._COMPLEMENT_FLOOR
+        assert _sizes(grid) == [math.ceil(x) - 1]
+        assert 0.0 < est.value < 1.0
 
     def test_underflowing_tail(self):
         # P(X >= 3000) ~ 3000 * 2^-2999 ~ 1e-900, where even tl's value is 0
-        # (its log is about -2080). Past k ~ 1030 the grid is too close to the
-        # subnormal floor for a ratio, so the certificate takes its ratio from
-        # the last pair before that and carries it the 2000 steps to K
+        # (its log is about -2080). The final states underflow to 0, and the
+        # certificate is their absolute round-off, n (k0 + 1) tiny mu
         tl = upper_tail_lower_bound_tl(HALF_HALF, 3000.0 / HALF_HALF.mu)
         assert tl.value == 0.0 and -2100.0 < tl.log_value < -2000.0
         with _grid_calls() as grid:
@@ -406,6 +403,7 @@ class TestSizedGrid:
         assert len(_sizes(grid)) == 1
         assert est.value == 0.0
         assert 0.0 < est.error_bound <= 3e-312
+        assert est.error_bound == _state_roundoff(HALF_HALF, 3000, 0.0)
 
     def test_deterministic_sum(self):
         # p_min = 1: the grid is 1 at k = 2 and exactly 0 past it
@@ -418,25 +416,18 @@ class TestSizedGrid:
         st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=20),
         st.booleans(),
         st.floats(min_value=2.0, max_value=30.0),
-        st.sampled_from([1e-12, 1e-9, 1e-4, 0.1]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_tail_route_certificate(self, p, iid, lam, rel_tol):
+    def test_tail_route_certificate(self, p, iid, lam):
         if iid:
             p = [p[0]] * len(p)
         spec = make_geometric_spec(p)
         x = lam * spec.mu
+        k0 = math.ceil(x)
         with _grid_calls() as grid:
-            est = geom_tail_exact(spec, x, rel_tol=rel_tol)
-        K = _sizes(grid)[-1]
-        if K < math.ceil(x):
-            return  # the 1 - CDF route
-        assert _sizes(grid).count(K) == 1
-        # remainder <= rel_tol * partial sum, plus round-off on the scale of
-        # the sum and a smallest subnormal per filter step for each entry
-        assert est.error_bound <= 1.1 * rel_tol * est.value + _sum_roundoff(
-            spec.n, K, est.value, K + 1 - math.ceil(x)
-        )
+            est = geom_tail_exact(spec, x)
+        assert _sizes(grid) == [k0 - 1]
+        assert est.error_bound == _state_roundoff(spec, k0, est.value)
         if iid:
             ref = iid_geom_tail(p[0], spec.n, x)
             assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
@@ -459,15 +450,16 @@ def _kernel_specs():
 
 
 def _assert_matches_reference(spec, K):
-    grid = exact_oracle._pmf_grid(spec, K)
-    ref = reference_pmf_grid(spec, K)
+    grid, tail = exact_oracle._pmf_grid(spec, K)
+    ref, ref_tail = reference_pmf_grid(spec, K)
     # the round-off scale of the certificates, plus one smallest subnormal
     # for each of the n (K + 1) filter steps: where the head of the pmf
     # underflows, the two summation orders round to different subnormals
-    tiny = np.finfo(np.float64).smallest_subnormal
-    tol = exact_oracle._EPS * (2 * K + spec.n) * ref + spec.n * (K + 1) * tiny
+    tol = exact_oracle._EPS * (2 * K + spec.n) * ref + spec.n * (K + 1) * _TINY
     assert grid.shape == ref.shape == (K + 1,)
     assert np.all(np.abs(grid - ref) <= tol)
+    # the two tails, each within the certificate of P(X >= K + 1)
+    assert abs(tail - ref_tail) <= 2.0 * _state_roundoff(spec, K + 1, max(tail, ref_tail))
     # below the support both are exact zeros
     assert np.all(grid[: spec.n] == 0.0) and np.all(ref[: spec.n] == 0.0)
     assert np.all(grid >= 0.0)
@@ -490,25 +482,27 @@ class TestPmfKernel:
         _assert_matches_reference(spec, spec.n + 2000)
 
     def test_matches_reference_on_tail_grid(self):
-        # the grid of a tail-route call at n = 10^3, lambda = 3
+        # the grid of a tail call at n = 10^3, lambda = 3
         rng = np.random.default_rng(3)
         spec = make_geometric_spec(list(rng.uniform(0.05, 1.0, 1000)))
         with _grid_calls() as grid:
             geom_tail_exact(spec, 3.0 * spec.mu)
         (K,) = _sizes(grid)
-        assert K > math.ceil(3.0 * spec.mu)
+        assert K == math.ceil(3.0 * spec.mu) - 1
         _assert_matches_reference(spec, K)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
         for spec in _kernel_specs():
             K = spec.n + 500
-            grid = exact_oracle._pmf_grid(spec, K)
+            grid, tail = exact_oracle._pmf_grid(spec, K)
             shuffled = make_geometric_spec(list(rng.permutation(spec.params)))
-            assert exact_oracle._pmf_grid(shuffled, K).tobytes() == grid.tobytes()
+            shuffled_grid, shuffled_tail = exact_oracle._pmf_grid(shuffled, K)
+            assert shuffled_grid.tobytes() == grid.tobytes()
+            assert shuffled_tail == tail
 
     def test_oracles_within_certificate_of_reference_kernel(self):
-        # 200 queries on both routes of the upper tail and on the lower tail:
+        # 200 queries on the upper and on the lower tail:
         # the same grids as with the reference kernel, and values within
         # their own certificates of the reference kernel's
         rng = np.random.default_rng(9)
@@ -661,70 +655,50 @@ class TestCertificates:
 
 
 class TestLogConcaveCertificate:
-    # The tail sum is certified by the pmf's own log-concavity, not by the
-    # bounds that the oracle checks: P(X > K) <= P(K) rho / (1 - rho) with
-    # rho = P(K) / P(K - 1), both widened by the kernel's round-off.
+    # The upper tail is read from the cascade's final state, a sum of n
+    # nonnegative terms, so its certificate is relative at every depth and
+    # needs none of the bounds that the oracle checks.
 
     def test_against_decimal_reference(self):
-        # distinct p, n <= 12, lambda up to 30: values from the complement
-        # switch at 1e-9 down to about 1e-250 (p_min near 0.8)
+        # distinct p, n <= 12, lambda from 1.5 to 30: values from about 0.1
+        # down to about 1e-240 (p_min near 0.8)
         rng = np.random.default_rng(71)
         values = []
         while len(values) < 150:
             n = int(rng.integers(1, 13))
             spec = make_geometric_spec(_distinct_params(rng, n, rng.choice([0.05, 0.4, 0.8])))
-            lam = float(rng.uniform(1.5, 30.0))
-            rel_tol = float(rng.choice([1e-12, 1e-9, 1e-4]))
-            x = lam * spec.mu
+            x = float(rng.uniform(1.5, 30.0)) * spec.mu
             k0 = math.ceil(x)
-            with _grid_calls() as grid:
-                est = geom_tail_exact(spec, x, rel_tol=rel_tol)
-            K = _sizes(grid)[-1]
-            if K < k0:
-                continue  # the 1 - CDF route
+            est = geom_tail_exact(spec, x)
             ref = _decimal_geom_tail(spec.params, k0)
             assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
-            assert est.error_bound <= 1.1 * rel_tol * est.value + _sum_roundoff(
-                spec.n, K, est.value, K + 1 - k0
-            )
+            assert est.error_bound == _state_roundoff(spec, k0, est.value)
             values.append(est.value)
-        assert min(values) < 1e-240 and max(values) > 1e-10
+        assert min(values) < 1e-200 and max(values) > 1e-3
 
-    def test_independent_of_thm2(self, monkeypatch):
-        # Theorem 2 40 nats low sends these queries to the tail sum, where a
-        # thm2-certified grid would stop early (P(X >= 30) would come back
-        # as 2.70e-8 against 5.59e-8); thm2 only picks the route
-        thm2 = exact_oracle.log_thm2
-        monkeypatch.setattr(exact_oracle, "log_thm2", lambda spec, lam: thm2(spec, lam) - 40.0)
-        for x in (30.0, 60.0):
-            with _grid_calls() as grid:
-                est = geom_tail_exact(HALF_HALF, x)
-            assert _sizes(grid)[-1] >= x
-            ref = iid_geom_tail(0.5, 2, x)
-            assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
-        spec = make_geometric_spec(_distinct_params(np.random.default_rng(73), 8))
-        for lam in (3.0, 10.0):
+    @pytest.mark.parametrize("lam", [3.0, 5.0, 10.0])
+    def test_relative_certificate_in_shallow_tails(self, lam):
+        # values from about 1e-3 down to 1e-12, where a complement 1 - CDF
+        # is certified only to eps (2 k0 + n) absolute, far above 1e-12 relative
+        rng = np.random.default_rng(83)
+        values = []
+        for _ in range(40):
+            spec = make_geometric_spec(_distinct_params(rng, int(rng.integers(1, 9))))
             x = lam * spec.mu
             est = geom_tail_exact(spec, x)
             ref = _decimal_geom_tail(spec.params, math.ceil(x))
+            if not 1e-12 <= ref <= 1e-3:
+                continue
             assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+            assert est.error_bound <= 1e-12 * est.value
+            values.append(est.value)
+        assert len(values) >= 10
 
-    def test_short_first_grid_grows(self, monkeypatch):
-        # a first grid of one point past k0 cannot certify; the extension
-        # doubles until the grid's own ratio does
-        monkeypatch.setattr(exact_oracle, "_first_extension", lambda spec, k0, rel_tol: 1)
-        rng = np.random.default_rng(79)
-        for n, lam in ((2, 40.0), (5, 10.0), (8, 8.0), (8, 12.0), (12, 20.0)):
-            spec = make_geometric_spec(_distinct_params(rng, n))
-            x = lam * spec.mu
-            k0 = math.ceil(x)
-            with _grid_calls() as grid:
-                est = geom_tail_exact(spec, x)
-            extensions = [K - k0 for K in _sizes(grid) if K >= k0]
-            assert len(extensions) > 1
-            assert extensions == [2**i for i in range(len(extensions))]
-            ref = _decimal_geom_tail(spec.params, k0)
-            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+    def test_independent_of_thm2(self):
+        # no module-level name of the oracle comes from the bounds it checks
+        for name, value in vars(exact_oracle).items():
+            assert value is not geom_bounds, name
+            assert getattr(value, "__module__", None) != geom_bounds.__name__, name
 
 
 class TestTailEstimateValidation:
