@@ -239,37 +239,28 @@ def cmd_verify(args) -> int:
     failures: list[str] = []
 
     grid = [0.99 * (i + 1) / 100.0 for i in range(100)]
-    ok = all(log_inequality_check(x, y) for y in grid for x in grid if x <= y)
-    _check(ok, failures, "log-inequality grid")
-    print("log-inequality grid: ok" if ok else "log-inequality grid: FAILED")
-
-    ok = True
-    for A in np.geomspace(1.0, 1e3, 40):
-        A = float(A)
-        for x in np.linspace(0.0, 1.0 / A, 40):
-            ok = ok and geom_bounds.lemma_la_check(A, float(x))
-    _check(ok, failures, "concavity-gap grid")
-    print("concavity-gap grid: ok" if ok else "concavity-gap grid: FAILED")
+    gaps = [float(A) for A in np.geomspace(1.0, 1e3, 40)]
+    for name, ok in (
+        ("log-inequality grid",
+         all(log_inequality_check(x, y) for y in grid for x in grid if x <= y)),
+        ("concavity-gap grid",
+         all(geom_bounds.lemma_la_check(A, float(x))
+             for A in gaps for x in np.linspace(0.0, 1.0 / A, 40))),
+    ):
+        _check(ok, failures, name)
+        print(f"{name}: {'ok' if ok else 'FAILED'}")
 
     fixed = make_geometric_spec([0.5, 0.5])
-    lam = 2.0
-    sandwich = (
-        geom_bounds.upper_tail_lower_bound_tl(fixed, lam).value,
-        _upper_exact(fixed, lam * fixed.mu).value,
-        geom_bounds.upper_tail_thm2(fixed, lam).value,
-        geom_bounds.upper_tail_thm1(fixed, lam).value,
-        geom_bounds.upper_tail_cor1(lam).value,
-    )
+    q = make_tail_query(fixed.mu, lam=2.0)
+    tl, *upper = (methods.BY_NAME[m].evaluate(fixed, q).value
+                  for m in ("tl", "thm2", "thm1", "cor1"))
+    sandwich = (tl, _upper_exact(fixed, q.x).value, *upper)
     print(
         "fixed instance p=[0.5, 0.5] lam=2 sandwich "
         "(tl_lower <= exact <= thm2 <= thm1 <= cor1): "
         + " ".join(_fmt(v) for v in sandwich)
     )
-    _check(
-        all(a <= b + 1e-10 for a, b in zip(sandwich, sandwich[1:])),
-        failures,
-        "fixed instance sandwich ordering",
-    )
+    _verify_instance(fixed, "geom", failures)
 
     rng = np.random.default_rng(args.seed)
     for dist, suite, n_max, make, lo, hi in (

@@ -97,68 +97,55 @@ def _wilson_interval(hits: int, samples: int, confidence: float) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _inversion(spec, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(d, ones): summand j of each of rows samples is ln(U) / d[:, j], rounded
-    up for a geometric spec.
+def _inversion(spec, rows: int) -> tuple[np.ndarray, bool]:
+    """(d, geometric): summand j of each of rows samples is ln(U) / d[:, j],
+    floored and plus 1 for a geometric spec, which is exactly Ge(p_j).
 
-    Geometric: d_j = ln(1 - p_j) from math.log1p (1 where p_j = 1), and ones
-    indexes the columns with p_j = 1, which _sums_block sets to 1.
-    Exponential: d_j = -a_j, and ones is None (no rounding). d repeats the
-    row rows times, so the divide runs as one flat loop instead of one short
-    broadcast loop per row.
+    Geometric: d_j = ln(1 - p_j) from math.log1p, and -inf where p_j = 1, so
+    that the ratio is +0 and the draw 1. Exponential: d_j = -a_j. d repeats
+    the row rows times, so the divide runs as one flat loop instead of one
+    short broadcast loop per row.
     """
-    if isinstance(spec, GeometricSumSpec):
-        row = [1.0 if p == 1.0 else math.log1p(-p) for p in spec.params]
-        ones = np.flatnonzero(spec.param_array == 1.0)
-    else:
-        row, ones = [-a for a in spec.rates], None
-    return np.tile(np.array(row), (rows, 1)), ones
+    geometric = isinstance(spec, GeometricSumSpec)
+    row = ([-math.inf if p == 1.0 else math.log1p(-p) for p in spec.params]
+           if geometric else [-a for a in spec.rates])
+    return np.tile(np.array(row), (rows, 1)), geometric
 
 
-def _sums_block(divisors: np.ndarray, ones: np.ndarray | None,
+def _sums_block(divisors: np.ndarray, geometric: bool,
                 gen: np.random.Generator, buf: np.ndarray, count: int) -> np.ndarray:
     """Sums of gen's next count samples (count <= len(divisors)), inverted in
-    place in buf."""
+    place in buf; a geometric row sums its floors and adds n."""
     n = divisors.shape[1]
     u = _uniforms(gen, buf[:count * n]).reshape(count, n)
     np.log(u, out=u)
     u /= divisors[:count]
-    if ones is not None:
-        np.ceil(u, out=u)
-        if len(ones):  # an empty fancy index still costs about 3 us a block
-            u[:, ones] = 1.0
+    if geometric:
+        return np.floor(u, out=u).sum(axis=1) + n
     return u.sum(axis=1)
 
 
-def mc_tail(
-    spec: GeometricSumSpec | ExponentialSumSpec,
-    x: float,
-    cfg: McConfig,
-    side: str = "upper",
-    chunk_size: int | None = None,
-) -> TailEstimate:
+def mc_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float, cfg: McConfig,
+            side: str = "upper") -> TailEstimate:
     """Fraction of draws with sum >= x (side="upper") or <= x (side="lower").
 
     error_bound is the Wilson half-width at cfg.confidence, measured from the
-    empirical fraction. Samples are drawn in blocks of max(1, BLOCK_DRAWS // n),
-    or chunk_size when that is smaller, all in one reused buffer, so
-    memory stays bounded by a few blocks whatever samples * n is. Output is
-    bit-identical for fixed (seed, samples) whatever chunk_size is used.
+    empirical fraction. Samples are drawn in blocks of max(1, BLOCK_DRAWS // n)
+    in one reused buffer, so memory stays bounded by a few blocks whatever
+    samples * n is; the blocks take the stream in order, so the estimate does
+    not depend on their size.
     """
     if side not in ("upper", "lower"):
         raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
     if math.isnan(x):
         raise OutOfRange("threshold x is NaN")
     rows = max(1, BLOCK_DRAWS // spec.n)
-    if chunk_size is not None:
-        require_count("chunk_size", chunk_size, 1, math.inf)
-        rows = min(rows, int(chunk_size))
-    divisors, ones = _inversion(spec, rows)
+    divisors, geometric = _inversion(spec, rows)
     gen = np.random.Generator(np.random.PCG64DXSM(cfg.seed))
     buf = np.empty(rows * spec.n)
     hits = 0
     for start in range(0, cfg.samples, rows):
-        sums = _sums_block(divisors, ones, gen, buf, min(rows, cfg.samples - start))
+        sums = _sums_block(divisors, geometric, gen, buf, min(rows, cfg.samples - start))
         hits += int(np.count_nonzero(sums >= x if side == "upper" else sums <= x))
     phat = hits / cfg.samples
     lo, hi = _wilson_interval(hits, cfg.samples, cfg.confidence)

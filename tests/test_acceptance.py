@@ -27,6 +27,7 @@ from tailbounds import (
     make_exponential_spec,
     make_geometric_spec,
     mc_tail,
+    montecarlo,
     optimized_chernoff,
     upper_tail_cor1,
     upper_tail_cor2,
@@ -205,7 +206,7 @@ def test_criterion_08_discrete_to_continuous_limit():
         assert abs(discrete.value - continuous.value) <= 0.02 * continuous.value
 
 
-def test_criterion_09_mc_calibration():
+def test_criterion_09_mc_calibration(monkeypatch):
     with criterion(9, "Monte Carlo coverage and bit reproducibility"):
         spec = make_geometric_spec([0.5, 0.5])
         exact = geom_tail_exact(spec, 8.0).value
@@ -219,9 +220,10 @@ def test_criterion_09_mc_calibration():
             assert abs(est.value - exact) <= 4.0 * est.error_bound
         assert covered >= 95
         cfg = McConfig(samples=10_001, seed=424242)
-        baseline = mc_tail(spec, 8.0, cfg, chunk_size=65536)
-        for chunk in (1, 97, 4096, 10**6):
-            est = mc_tail(spec, 8.0, cfg, chunk_size=chunk)
+        baseline = mc_tail(spec, 8.0, cfg)
+        for draws in (2, 194, 8192):  # blocks of 1, 97 and 4096 samples
+            monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", draws)
+            est = mc_tail(spec, 8.0, cfg)
             assert est.value == baseline.value
             assert est.error_bound == baseline.error_bound
 

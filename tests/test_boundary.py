@@ -59,8 +59,6 @@ def mc_threshold(v):
     return {math.inf: 0.0, -math.inf: 1.0, BIG: 0.0}.get(v, OutOfRange)
 
 
-MC_DEFAULT = tb.mc_tail(GEOM, 8.0, CFG).value
-
 # name: [(kind, call with the value in one argument, answer for each value)]
 TABLE = {
     "upper_tail_thm1": [("ratio", lambda v: tb.upper_tail_thm1(GEOM, v).value, upper)],
@@ -114,8 +112,6 @@ TABLE = {
     ],
     "mc_tail": [
         ("threshold", lambda v: tb.mc_tail(GEOM, v, CFG).value, mc_threshold),
-        ("count", lambda v: tb.mc_tail(GEOM, 8.0, CFG, chunk_size=v).value,
-         count(MC_DEFAULT)),
     ],
     "make_tail_query": [
         ("threshold", lambda v: tb.make_tail_query(GEOM.mu, x=v).x,

@@ -249,7 +249,7 @@ class TestHypoexpSurvival:
     def test_product_overflow_spec_is_certified(self):
         # 1000 distinct rates ~ U(0.1, 10), where hundreds of the product
         # weights would overflow: the log-space terms stay small, and their
-        # certificate beats the matrix route's absolute one (about 6.5e-12)
+        # certificate beats the matrix route's absolute one (about 1.1e-7)
         rates = tuple(float(a) for a in np.random.default_rng(2).uniform(0.1, 10.0, 1000))
         spec = make_exponential_spec(rates)
         x = 1.5 * spec.mu
@@ -296,8 +296,9 @@ class TestHypoexpSurvival:
         # unless their bound passes both 1e-9 of their value and the matrix
         # route's bound; tied rates have no partial-fraction answer. Every
         # partial-fraction answer, kept or not, lies within its own bound.
-        # (The matrix route's bound is not checked: next to a stiff rate it
-        # can understate the error a few times.)
+        # (The matrix route's bound is checked by
+        # test_matrix_answers_within_their_bound; this reference cannot
+        # resolve 12 near-tied rates.)
         rates = tuple(rates)
         est = hypoexp_survival(make_exponential_spec(rates), 1.0)
         value, error = partial_fractions_survival(rates, 1.0)
@@ -309,6 +310,28 @@ class TestHypoexpSurvival:
         assert abs(Decimal(value) - _decimal_exp_sum(rates, 1.0)) <= Decimal(error)
         if keep:
             assert (est.value, est.error_bound) == (value, error)
+
+    def test_matrix_answers_within_their_bound(self):
+        # clusters of 2-4 rates within 1e-7 of each other, next to rates up to
+        # 1e6 times larger, push hypoexp_survival onto the matrix route with
+        # many squarings; each squaring can double the error it inherits
+        rng = random.Random(13)
+        checked = 0
+        for _ in range(1000):
+            n = rng.randint(2, 12)
+            rates = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+            k = rng.randint(2, min(4, n))
+            b = rates[0]
+            rates[:k] = [b * (1.0 + rng.uniform(1e-9, 1e-7)) for _ in range(k)]
+            if len(set(rates)) < n:
+                continue
+            est = hypoexp_survival(make_exponential_spec(rates), 1.0)
+            if est.method is not OracleMethod.MATRIX_EXP:
+                continue
+            checked += 1
+            error = abs(Decimal(est.value) - _decimal_exp_sum(rates, 1.0))
+            assert error <= Decimal(est.error_bound), rates
+        assert checked > 600
 
     def test_density_vanishes_at_origin(self):
         # for n >= 2 the density at 0 is 0, so the survival has zero slope

@@ -90,3 +90,20 @@ class TestVerifyCanFail:
         assert code == 1
         lines = out.splitlines()
         assert any(line.startswith("FAIL dominance thm1<=cor1 ") for line in lines)
+
+    def test_fixed_instance_is_checked_through_the_table(self, monkeypatch, capsys):
+        # thm2 at 1 on the fixed instance at lam = 3 only: the old hand-listed
+        # chain looked at lam = 2 alone, the table checks every ratio
+        thm2 = geom_bounds.upper_tail_thm2
+
+        def wrong_at_three(spec, lam):
+            if spec.params == (0.5, 0.5) and lam == 3.0:
+                return bound_result(Method.THM2, lam, 0.0)
+            return thm2(spec, lam)
+
+        monkeypatch.setattr(geom_bounds, "upper_tail_thm2", wrong_at_three)
+        code = main(["verify", "--trials", "2", "--seed", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert any(line.startswith("FAIL dominance thm2<=thm1 p=[0.5, 0.5] lam=3.0")
+                   for line in lines)

@@ -20,6 +20,7 @@ from tailbounds import (
     make_exponential_spec,
     make_geometric_spec,
     mc_tail,
+    montecarlo,
     uniform_block,
 )
 from tailbounds.montecarlo import (
@@ -230,22 +231,25 @@ class TestMcTail:
         with pytest.raises(OutOfRange):
             mc_tail(HALF_HALF, 8.0, McConfig(samples=10), side="middle")
 
-    def test_reproducible_across_chunkings(self):
+    def test_reproducible_across_chunkings(self, monkeypatch):
         cfg = McConfig(samples=100_001, seed=314159)
         baseline = mc_tail(HALF_HALF, 8.0, cfg)
-        for chunk in (37, 1024, 65536, 10**6):
-            again = mc_tail(HALF_HALF, 8.0, cfg, chunk_size=chunk)
+        for draws in (74, 2048, BLOCK_DRAWS - 1):
+            monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", draws)
+            again = mc_tail(HALF_HALF, 8.0, cfg)
             assert again.value == baseline.value
             assert again.error_bound == baseline.error_bound
 
-    def test_reproducible_across_chunkings_n1e3(self):
+    def test_reproducible_across_chunkings_n1e3(self, monkeypatch):
         spec = big_geometric_spec()
         cfg = McConfig(samples=1001, seed=27)
         x = 1.03 * spec.mu
         baseline = mc_tail(spec, x, cfg)
         assert 0.0 < baseline.value < 1.0
-        for chunk in (1, 7, BLOCK_DRAWS // spec.n + 1, 1000, 10**6):
-            assert mc_tail(spec, x, cfg, chunk_size=chunk) == baseline
+        # blocks of 1 (fewer draws than n), 7 and 64 rows
+        for draws in (1, 7 * spec.n, BLOCK_DRAWS - spec.n):
+            monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", draws)
+            assert mc_tail(spec, x, cfg) == baseline
 
     def test_memory_bounded_by_block(self):
         spec = big_geometric_spec()
@@ -258,19 +262,6 @@ class TestMcTail:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_large_chunk_size_capped_at_block(self):
-        # a chunk of 10^6 samples at n = 10^3 would be 8 GB of draws
-        spec = big_geometric_spec()
-        cfg = McConfig(samples=5000, seed=2)
-        tracemalloc.start()
-        try:
-            est = mc_tail(spec, 1.03 * spec.mu, cfg, chunk_size=10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-        assert est == mc_tail(spec, 1.03 * spec.mu, cfg)
-
     def test_nan_threshold_refused(self):
         with pytest.raises(OutOfRange):
             mc_tail(HALF_HALF, math.nan, McConfig(samples=10))
@@ -279,11 +270,6 @@ class TestMcTail:
         cfg = McConfig(samples=100)
         assert mc_tail(HALF_HALF, math.inf, cfg).value == 0.0
         assert mc_tail(HALF_HALF, math.inf, cfg, side="lower").value == 1.0
-
-    @pytest.mark.parametrize("chunk", [0, -1, 2.5, True])
-    def test_chunk_size_validated(self, chunk):
-        with pytest.raises(OutOfRange):
-            mc_tail(HALF_HALF, 8.0, McConfig(samples=10), chunk_size=chunk)
 
     def test_reproducible_across_runs(self):
         cfg = McConfig(samples=50_000, seed=2718)
@@ -312,12 +298,13 @@ class TestBlocks:
     """mc_tail's blocks, drawn one after another into one reused buffer."""
 
     @pytest.mark.parametrize("case", [BLOCK_CASES[k] for k in (0, 1, 2, 4, 5)])
-    def test_bit_identical_across_chunkings(self, case):
+    def test_bit_identical_across_chunkings(self, monkeypatch, case):
         spec, x, side, samples, seed = case
         cfg = McConfig(samples=samples, seed=seed)
         baseline = mc_tail(spec, x, cfg, side=side)
-        for chunk in (3, 997):
-            assert mc_tail(spec, x, cfg, side=side, chunk_size=chunk) == baseline
+        for rows in (3, 997):  # one row a block where n passes the default
+            monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", min(rows * spec.n, BLOCK_DRAWS))
+            assert mc_tail(spec, x, cfg, side=side) == baseline
 
     @pytest.mark.parametrize("case, expected", [
         (BLOCK_CASES[0], (0.5453145468545314, 0.004058835865821009)),
