@@ -20,7 +20,6 @@ from .model import (
     GeometricSumSpec,
     LambdaOutOfRange,
     TailBoundsError,
-    TailQuery,
     log_inequality_check,
     make_exponential_spec,
     make_geometric_spec,
@@ -51,16 +50,17 @@ def _parse_inline(text: str) -> list[float]:
         raise CliUsageError(f"cannot parse parameter list {text!r}") from None
 
 
+# --dist: (its parameter flag, the other distribution's flag, the spec constructor)
+_DISTS = {"geom": ("p", "a", make_geometric_spec), "exp": ("a", "p", make_exponential_spec)}
+
+
 def _load_spec(args) -> GeometricSumSpec | ExponentialSumSpec:
-    inline = args.p if args.dist == "geom" else args.a
-    wrong = args.a if args.dist == "geom" else args.p
-    if wrong is not None:
-        raise CliUsageError(
-            f"--{'a' if args.dist == 'geom' else 'p'} does not apply to --dist {args.dist}"
-        )
+    flag, wrong, make = _DISTS[args.dist]
+    inline = getattr(args, flag)
+    if getattr(args, wrong) is not None:
+        raise CliUsageError(f"--{wrong} does not apply to --dist {args.dist}")
     if (inline is None) == (args.params_file is None):
-        flag = "--p" if args.dist == "geom" else "--a"
-        raise CliUsageError(f"give exactly one of {flag} or --params-file")
+        raise CliUsageError(f"give exactly one of --{flag} or --params-file")
     if args.params_file is not None:
         try:
             values = read_params_file(args.params_file)
@@ -70,13 +70,7 @@ def _load_spec(args) -> GeometricSumSpec | ExponentialSumSpec:
             raise CliUsageError(str(exc)) from None
     else:
         values = _parse_inline(inline)
-    if args.dist == "geom":
-        return make_geometric_spec(values)
-    return make_exponential_spec(values)
-
-
-def _query(args, spec) -> TailQuery:
-    return make_tail_query(spec.mu, x=args.x, lam=args.lam)
+    return make(values)
 
 
 def _upper_exact(spec, x: float) -> TailEstimate:
@@ -91,7 +85,8 @@ def _lower_exact(spec, x: float) -> TailEstimate:
     if isinstance(spec, GeometricSumSpec):
         return exact_oracle.geom_lower_tail_exact(spec, x)
     upper = exact_oracle.hypoexp_survival(spec, x)  # continuous: P(X = x) = 0
-    return TailEstimate(1.0 - upper.value, upper.error_bound, upper.method)
+    lower = 1.0 - upper.value  # rounds by up to half an ulp when upper.value < 1/2
+    return TailEstimate(lower, upper.error_bound + math.ulp(lower) / 2, upper.method)
 
 
 def cmd_bound(args) -> int:
@@ -100,7 +95,9 @@ def cmd_bound(args) -> int:
     dist = "geom" if row is None else row.dist  # lemma1 and best are geometric
     if dist != args.dist:
         raise CliUsageError(f"method {args.method!r} does not apply to --dist {args.dist}")
-    q = _query(args, spec)
+    if args.z is not None and args.method != "lemma1":
+        raise CliUsageError("--z applies only to --method lemma1")
+    q = make_tail_query(spec.mu, x=args.x, lam=args.lam)
     if args.method == "lemma1":
         if args.z is None:
             raise CliUsageError("--method lemma1 requires --z")
@@ -125,7 +122,7 @@ def cmd_bound(args) -> int:
 
 def cmd_exact(args) -> int:
     spec = _load_spec(args)
-    q = _query(args, spec)
+    q = make_tail_query(spec.mu, x=args.x, lam=args.lam)
     est = _upper_exact(spec, q.x)
     print(f"method: {est.method.value}")
     print(f"x: {_fmt(q.x)}")
@@ -137,7 +134,7 @@ def cmd_exact(args) -> int:
 
 def cmd_mc(args) -> int:
     spec = _load_spec(args)
-    q = _query(args, spec)
+    q = make_tail_query(spec.mu, x=args.x, lam=args.lam)
     cfg = montecarlo.McConfig(
         samples=args.samples, seed=args.seed, confidence=args.confidence
     )
@@ -181,8 +178,8 @@ def _check(ok: bool, failures: list[str], message: str) -> None:
         print(f"FAIL {message}")
 
 
-def _verify_instance(spec, dist: str, failures: list[str]) -> None:
-    """Check every row of the table for `dist` against the exact tails of `spec`.
+def _verify_instance(spec, failures: list[str]) -> None:
+    """Check every row of the table for the distribution of `spec` against its exact tails.
 
     Upper rows must lie above the exact upper tail, lower-bound-on-upper rows
     below it, lower rows above the exact lower tail, each within the oracle's
@@ -190,6 +187,7 @@ def _verify_instance(spec, dist: str, failures: list[str]) -> None:
     rows it never exceeds, within 1e-12 relative.
     """
     slack = 1e-10
+    dist = "geom" if isinstance(spec, GeometricSumSpec) else "exp"
     name = f"p={list(spec.params)}" if dist == "geom" else f"a={list(spec.rates)}"
     for truth, oracle, lams, sides in (
         ("exact", lambda x: _upper_exact(spec, x),
@@ -260,16 +258,16 @@ def cmd_verify(args) -> int:
         "(tl_lower <= exact <= thm2 <= thm1 <= cor1): "
         + " ".join(_fmt(v) for v in sandwich)
     )
-    _verify_instance(fixed, "geom", failures)
+    _verify_instance(fixed, failures)
 
     rng = np.random.default_rng(args.seed)
-    for dist, suite, n_max, make, lo, hi in (
-        ("geom", "geometric", 8, make_geometric_spec, 0.05, 1.0),
-        ("exp", "exponential", 6, make_exponential_spec, 0.1, 10.0),
+    for suite, n_max, make, lo, hi in (
+        ("geometric", 8, make_geometric_spec, 0.05, 1.0),
+        ("exponential", 6, make_exponential_spec, 0.1, 10.0),
     ):
         for _ in range(args.trials):
             n = int(rng.integers(1, n_max + 1))
-            _verify_instance(make(list(rng.uniform(lo, hi, n))), dist, failures)
+            _verify_instance(make(list(rng.uniform(lo, hi, n))), failures)
         print(f"{suite} suite: {args.trials} random instances")
 
     if failures:

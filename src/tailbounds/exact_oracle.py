@@ -77,11 +77,10 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> tuple[np.ndarray, float]:
     run as one cascade of first-order sections (O(nK) in one C call): an
     impulse filtered through the section p z^-1 / (1 - (1-p) z^-1) of each
     summand. All coefficients are nonnegative, so no cancellation occurs.
-    The sections run in ascending p, so the slowly decaying summands come
-    first; the fast ones then act on a spread-out grid, and far fewer
-    intermediate values fall to subnormals, which cost many times more per
-    operation. The order also makes the grid independent of the order
-    of ``spec.params``. scipy is imported here, on first use, so that
+    The sections run in the ascending order of ``spec.param_array``: the slowly
+    decaying summands come first, the fast ones then act on a spread-out grid,
+    and far fewer intermediate values fall to subnormals, which cost many
+    times more per operation. scipy is imported here, on first use, so that
     importing the package stays cheap.
 
     The tail is read from the final filter state. In direct form II
@@ -95,7 +94,7 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> tuple[np.ndarray, float]:
     require_count("pmf support", K, 0, _MAX_SUPPORT)
     from scipy.signal import sosfilt
 
-    p = np.sort(spec.param_array)
+    p = spec.param_array
     sos = np.zeros((p.size, 6))
     sos[:, 1] = p
     sos[:, 3] = 1.0
@@ -146,7 +145,7 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """
     _require_support(x)
     if x <= spec.n:
-        return TailEstimate(1.0, 0.0, OracleMethod.CONVOLUTION)
+        return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
     k0 = math.ceil(x)
     tail = _pmf_grid(spec, k0 - 1)[1]
     rel, floor = _roundoff(spec.n, k0)
@@ -163,7 +162,7 @@ def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """
     _require_support(x)
     if x < spec.n:
-        return TailEstimate(0.0, 0.0, OracleMethod.CONVOLUTION)
+        return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
     k1 = math.floor(x)
     pmf = _pmf_grid(spec, k1)[0]
     value = float(np.sum(pmf[spec.n :]))

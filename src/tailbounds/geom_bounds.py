@@ -97,14 +97,14 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
 
 def _lemma1_log(spec: GeometricSumSpec, x: float, w: float) -> float:
     """lemma1_bound's log at z = 1 + w, with the prefactor cancelled against the
-    pole factor of one summand i* with p_i = p_min (q_i = 1 - p_i):
+    pole factor of i* = 0, the p_min entry of the sorted ``param_array`` (q_i = 1 - p_i):
 
         (n - x) ln(1 + w) - sum_{i != i*} ln(1 - q_i w / p_i).
 
     Every gap p_i - q_i w is linear in w, so w resolves the domain up to the
     pole 1 + w = 1/(1 - p_min) for any p_min, where z = 1 + w would round.
     """
-    others = np.delete(spec.param_array, np.argmin(spec.param_array))
+    others = spec.param_array[1:]
     log_gaps = np.log1p(-(1.0 - others) * w / others)
     return (spec.n - x) * math.log1p(w) - float(log_gaps.sum())
 
@@ -202,7 +202,7 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     if p_min == 1.0:
         return bound_result(Method.OPT_LEMMA1, lam, -math.inf, evaluations=0)
 
-    others = np.delete(spec.param_array, np.argmin(spec.param_array))
+    others = spec.param_array[1:]
     q_min = 1.0 - p_min
     w_max = p_min / q_min
     while not p_min - q_min * w_max > 0.0:

@@ -176,8 +176,9 @@ class GeometricSumSpec:
     Each summand has success probability ``p_i`` in (0, 1] and pmf
     p_i (1-p_i)^(k-1). Derived statistics: mean ``mu`` = sum 1/p_i,
     smallest probability ``p_min``, and variance ``sigma2`` = sum (1-p_i)/p_i^2.
-    ``param_array`` holds ``params`` as a read-only float64 array for the
-    vectorized evaluations.
+    ``param_array`` holds ``params`` sorted ascending (read-only float64), and
+    ``p_min`` is its first entry; ``params`` keeps the caller's order, which the
+    Monte Carlo stream reads (draw j of a sample belongs to summand j).
     """
 
     params: tuple[float, ...]
@@ -194,15 +195,16 @@ class GeometricSumSpec:
                 raise OutOfRange(f"success probability {p!r} not in (0, 1]")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         object.__setattr__(self, "mu", _sum_of_inverses(self.params))
-        object.__setattr__(self, "p_min", min(self.params))
         try:  # divide twice: p*p underflows to 0 for subnormal-range p
             sigma2 = math.fsum((1.0 - p) / p / p for p in self.params)
         except OverflowError:  # fsum's intermediate sum overflowed
             sigma2 = math.inf
         object.__setattr__(self, "sigma2", sigma2)
         array = np.array(self.params, dtype=np.float64)
+        array.sort()  # in place: np.sort's copy costs more than the sort at small n
         array.flags.writeable = False
         object.__setattr__(self, "param_array", array)
+        object.__setattr__(self, "p_min", float(array[0]))
 
     @property
     def n(self) -> int:
@@ -289,7 +291,7 @@ def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     gaps = np.where(p <= 0.5, (1.0 - z) + p * z, 1.0 - (1.0 - p) * z)
     if not (gaps > 0.0).all():  # at or beyond a pole, or on it through round-off
         first = int(np.argmax(gaps <= 0.0))
-        raise DomainError(f"z={z} is at or beyond the pgf pole for p={spec.params[first]}")
+        raise DomainError(f"z={z} is at or beyond the pgf pole for p={p[first]}")
     return math.fsum((np.log(p) + math.log(z) - np.log(gaps)).tolist())
 
 

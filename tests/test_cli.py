@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import tailbounds
 from tailbounds import OutOfRange, montecarlo
-from tailbounds.cli import main
+from tailbounds.cli import _lower_exact, main
 from tailbounds.methods import Side, rows
 
 
@@ -136,6 +137,16 @@ class TestBound:
         assert code == 0
         assert "value: 0.175582990398" in out
 
+    @pytest.mark.parametrize("method", ["thm1", "opt-lemma1", "best"])
+    def test_z_refused_unless_lemma1(self, capsys, method):
+        code, out, err = run(
+            capsys, "bound", "--dist", "geom", "--p", "0.5,0.5",
+            "--lambda", "2", "--method", method, "--z", "1.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --z applies only to --method lemma1\n"
+
     def test_both_query_flags_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -198,6 +209,23 @@ class TestExact:
         assert "value: 5.58793544769e-08\n" in out
         (line,) = [v for v in out.splitlines() if v.startswith("error_bound: ")]
         assert float(line.split()[1]) < 1e-20
+
+    def test_geom_whole_support_is_closed_form(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "2"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "method: closed-form"
+        assert "value: 1\n" in out
+
+    def test_exp_lower_tail_counts_its_subtraction(self):
+        # 1 - v rounds by up to half an ulp of the result when v < 1/2
+        spec = tailbounds.make_exponential_spec([1.0, 2.0, 3.0])
+        upper = tailbounds.hypoexp_survival(spec, spec.mu)
+        lower = _lower_exact(spec, spec.mu)
+        assert upper.value < 0.5
+        assert lower.value == 1.0 - upper.value
+        assert lower.error_bound >= upper.error_bound + math.ulp(lower.value) / 2
 
     def test_exp(self, capsys):
         code, out, _ = run(

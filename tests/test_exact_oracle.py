@@ -87,8 +87,12 @@ class TestGeomTailExact:
         )
 
     def test_whole_support(self):
-        assert geom_tail_exact(HALF_HALF, 2.0).value == 1.0
-        assert geom_tail_exact(HALF_HALF, -3.0).value == 1.0
+        # x <= n needs no cascade
+        for x in (2.0, -3.0):
+            assert geom_tail_exact(HALF_HALF, x) == TailEstimate(
+                1.0, 0.0, OracleMethod.CLOSED_FORM
+            )
+        assert geom_tail_exact(HALF_HALF, 2.5).method is OracleMethod.CONVOLUTION
 
     def test_degenerate(self):
         assert geom_tail_exact(make_geometric_spec([1.0]), 1.5).value == 0.0
@@ -134,7 +138,11 @@ class TestGeomTailExact:
 
 class TestGeomLowerTail:
     def test_below_support(self):
-        assert geom_lower_tail_exact(HALF_HALF, 1.9).value == 0.0
+        # x < n needs no cascade
+        assert geom_lower_tail_exact(HALF_HALF, 1.9) == TailEstimate(
+            0.0, 0.0, OracleMethod.CLOSED_FORM
+        )
+        assert geom_lower_tail_exact(HALF_HALF, 2.0).method is OracleMethod.CONVOLUTION
 
     def test_complements_upper(self):
         for x in (3.0, 5.0, 9.0):

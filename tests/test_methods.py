@@ -1,4 +1,5 @@
 import argparse
+import random
 
 import pytest
 
@@ -53,6 +54,28 @@ class TestTable:
         table = methods.rows("geom", Side.UPPER, Side.UPPER_FROM_BELOW)
         columns = [row.column for row in table]
         assert header == ["lambda", "x", *columns, "exact", "mc", "mc_halfwidth"]
+
+
+class TestOrderInvariance:
+    def test_geometric_answers_depend_only_on_the_multiset(self):
+        # the spec sorts the p_i once, so every sum over them runs in one order
+        rng = random.Random(5)
+        table = methods.rows("geom", Side.UPPER, Side.UPPER_FROM_BELOW)
+        for n, count in ((3, 12), (8, 12), (50, 8), (1000, 3)):
+            for _ in range(count):
+                p = [rng.uniform(0.05, 1.0) for _ in range(n)]
+                shuffled = p[:]
+                rng.shuffle(shuffled)
+                spec, other = (tailbounds.make_geometric_spec(v) for v in (p, shuffled))
+                z = 1.0 + 0.5 * spec.p_min / (1.0 - spec.p_min)
+                for lam in (1.25, 2.0, 5.0):
+                    q = tailbounds.make_tail_query(spec.mu, lam=lam)
+                    for row in table:
+                        assert row.evaluate(spec, q) == row.evaluate(other, q), row.method
+                    for f, args in ((methods.best_upper, (lam,)),
+                                    (geom_bounds.lemma1_bound, (q.x, z)),
+                                    (tailbounds.geom_tail_exact, (q.x,))):
+                        assert f(spec, *args) == f(other, *args), f.__name__
 
 
 class TestVerifyCanFail:

@@ -47,7 +47,9 @@ class TestGeometricSpec:
     def test_param_array_is_cached_read_only(self):
         spec = make_geometric_spec([0.5, 0.2, 0.1])
         assert spec.param_array.dtype == np.float64
-        assert spec.param_array.tolist() == list(spec.params)
+        assert spec.param_array.tolist() == sorted(spec.params)
+        assert spec.params == (0.5, 0.2, 0.1)  # the caller's order, for Monte Carlo
+        assert spec.p_min == spec.param_array[0]
         assert not spec.param_array.flags.writeable
         # the array takes no part in equality, hashing or repr
         again = make_geometric_spec([0.5, 0.2, 0.1])
@@ -156,6 +158,11 @@ class TestPgf:
                 pgf_geometric(spec, z), rel=1e-12
             )
         assert log_pgf_geometric(spec, 0.0) == -math.inf
+
+    def test_pole_message_names_the_summand_at_its_pole(self):
+        # at z = 1.5 only p = 0.2 is past its pole 1/(1 - p)
+        with pytest.raises(DomainError, match=r"for p=0\.2$"):
+            log_pgf_geometric(make_geometric_spec([0.5, 0.2]), 1.5)
 
     @pytest.mark.parametrize("z", [math.inf, math.nan, -1.0])
     def test_log_variant_rejects_non_finite_z(self, z):
