@@ -25,6 +25,7 @@ from .model import (
     make_geometric_spec,
     make_tail_query,
     read_params_file,
+    require_count,
 )
 
 
@@ -234,6 +235,7 @@ def _verify_instance(spec, failures: list[str]) -> None:
 
 
 def cmd_verify(args) -> int:
+    require_count("seed", args.seed, 0, 2**64 - 1)  # McConfig's range, as mc and sweep
     failures: list[str] = []
 
     grid = [0.99 * (i + 1) / 100.0 for i in range(100)]

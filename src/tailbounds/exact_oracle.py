@@ -212,13 +212,13 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
     return TailEstimate(value, error, OracleMethod.CLOSED_FORM)
 
 
-def _partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
+def _partial_fractions_survival(spec: ExponentialSumSpec, x: float) -> tuple[float, float]:
     """P(X > x) = sum_i w_i e^(-a_i x), w_i = prod_{j!=i} a_j/(a_j-a_i), in log space.
 
-    Over sorted rates a_1 < ... < a_n, term i is (-1)^(i-1) exp(E_i), where E_i =
-    sum_j ln a_j - ln a_i - sum_{j!=i} ln|a_j - a_i| - a_i x; each pair's log goes
-    to both rows, split by sign, in O(n) memory. Returns (value, error bound), or
-    (nan, inf) for two equal rates or a term past the double range.
+    Over the spec's sorted rates a_1 < ... < a_n, term i is (-1)^(i-1) exp(E_i),
+    where E_i = sum_j ln a_j - ln a_i - sum_{j!=i} ln|a_j - a_i| - a_i x; each
+    pair's log goes to both rows, split by sign, in O(n) memory. Returns (value,
+    error bound), or (nan, inf) for two equal rates or a term past the double range.
 
     The bound. With u = eps/2, logs and exps are within 2u, other operations
     within u, and a rounded gap moves its log by u. Bounding each partial sum by
@@ -231,7 +231,7 @@ def _partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[flo
     m_i < 3725 n and d_i < 1/2 for n below 10^6, where e^d - 1 < 2 d. The bound
     is the sum of 2 d_i t_i, plus a smallest subnormal per term for underflow.
     """
-    a = sorted(map(float, rates))  # numpy scalars would warn on overflow
+    a = spec.rate_array.tolist()  # numpy scalars would warn on overflow
     n = len(a)
     logs = list(map(math.log, a))
     total, base, scale = sum(logs), 1.0 + sum(map(abs, logs)), (n + 13) * _EPS
@@ -258,8 +258,8 @@ def _partial_fractions_survival(rates: tuple[float, ...], x: float) -> tuple[flo
     return min(max(value, 0.0), 1.0), error
 
 
-def _matrix_exp_scaling(rates: tuple[float, ...], x: float) -> tuple[int, float]:
-    """The squarings s and the error bound of ``_matrix_exp_survival(rates, x)``.
+def _matrix_exp_scaling(spec: ExponentialSumSpec, x: float) -> tuple[int, float]:
+    """The squarings s and the error bound of ``_matrix_exp_survival(spec, x)``.
 
     In row-sum norms, with u = eps/2, gamma_m = m u/(1 - m u) and
     g = n eps/(1 - n eps) >= gamma_n: the rounded a_i x are the exact rates of
@@ -276,10 +276,11 @@ def _matrix_exp_scaling(rates: tuple[float, ...], x: float) -> tuple[int, float]
     sum adds g (1 + d). As P(X > x) = E exp(-c (1 - R)^+) for one scaled rate
     c and the other summands R, c |dS/dc| <= 1/e, so rounding the n products
     a_i x moves it by at most n u/e (a subnormal one by at most its
-    half-ulp), within n eps.
+    half-ulp), within n eps. With the largest rate last (``rate_array``), the
+    norm is the smallest over all chain orders.
     """
-    n = len(rates)
-    norm = x * max(2.0 * max(rates[:-1], default=0.0), rates[-1])  # rows (-a x, a x)
+    a, n = spec.rate_array.tolist(), spec.n
+    norm = x * (max(2.0 * a[-2], a[-1]) if n > 1 else a[0])  # rows (-a x, a x)
     s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
     g = n * _EPS / (1.0 - n * _EPS)
     d = 14 * n * _EPS + 2.0 * 0.5**14 / math.factorial(14)
@@ -288,7 +289,7 @@ def _matrix_exp_scaling(rates: tuple[float, ...], x: float) -> tuple[int, float]
     return s, min(d + g * (1.0 + d) + n * _EPS, 1.0)
 
 
-def _matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, float]:
+def _matrix_exp_survival(spec: ExponentialSumSpec, x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) via the chain generator's matrix exponential.
 
     The transient generator is upper bidiagonal (diagonal -a_i, superdiagonal
@@ -296,13 +297,11 @@ def _matrix_exp_survival(rates: tuple[float, ...], x: float) -> tuple[float, flo
     a degree-13 Taylor polynomial, scaled so the norm is at most 1/2. Each
     squaring can double the error it inherits (``_matrix_exp_scaling``).
     """
-    n = len(rates)
-    ax = np.asarray(rates, dtype=float) * x
+    ax = spec.rate_array * x
     Q = np.diag(-ax) + np.diag(ax[:-1], 1)
-    s, error = _matrix_exp_scaling(rates, x)
+    s, error = _matrix_exp_scaling(spec, x)
     B = Q / float(2**s)
-    T = np.eye(n)
-    acc = np.eye(n)
+    T = acc = np.eye(spec.n)  # both are rebound, never updated in place
     for k in range(1, 14):
         acc = acc @ B / k
         T = T + acc
@@ -319,16 +318,16 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     its error bound (infinite for tied rates or a term past the double range)
     passes both 1e-9 of its value and the bound the matrix route would report.
     x must be finite and >= 0, with max(a) x <= 2^1020 so that the matrix
-    route's scaling 2^s stays finite.
+    route's scaling 2^s stays finite. Both routes read the spec's sorted
+    ``rate_array``, so the answer depends only on the multiset of rates.
     """
     require_threshold(x)
-    rates = spec.rates
-    if not max(rates) * x <= 2.0**1020:
+    if not float(spec.rate_array[-1]) * x <= 2.0**1020:  # a numpy scalar would warn
         raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
     if x == 0.0:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
-    value, error = _partial_fractions_survival(rates, x)
-    if error <= _REL_TOL * value or error <= _matrix_exp_scaling(rates, x)[1]:
+    value, error = _partial_fractions_survival(spec, x)
+    if error <= _REL_TOL * value or error <= _matrix_exp_scaling(spec, x)[1]:
         return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
-    value, error = _matrix_exp_survival(rates, x)
+    value, error = _matrix_exp_survival(spec, x)
     return TailEstimate(value, error, OracleMethod.MATRIX_EXP)

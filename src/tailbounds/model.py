@@ -169,6 +169,14 @@ def _sum_of_inverses(values: tuple[float, ...]) -> float:
     return total
 
 
+def _sorted_array(values: tuple[float, ...]) -> np.ndarray:
+    """A spec's parameters sorted ascending, as a read-only float64 array."""
+    array = np.array(values, dtype=np.float64)
+    array.sort()  # in place: np.sort's copy costs more than the sort at small n
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class GeometricSumSpec:
     """Parameters of a sum of independent geometric variables on {1, 2, ...}.
@@ -200,11 +208,8 @@ class GeometricSumSpec:
         except OverflowError:  # fsum's intermediate sum overflowed
             sigma2 = math.inf
         object.__setattr__(self, "sigma2", sigma2)
-        array = np.array(self.params, dtype=np.float64)
-        array.sort()  # in place: np.sort's copy costs more than the sort at small n
-        array.flags.writeable = False
-        object.__setattr__(self, "param_array", array)
-        object.__setattr__(self, "p_min", float(array[0]))
+        object.__setattr__(self, "param_array", _sorted_array(self.params))
+        object.__setattr__(self, "p_min", float(self.param_array[0]))
 
     @property
     def n(self) -> int:
@@ -217,11 +222,16 @@ class ExponentialSumSpec:
 
     Each summand has rate ``a_i`` > 0 (mean 1/a_i, density a_i e^(-a_i x)).
     Derived: mean ``mu`` = sum 1/a_i and smallest rate ``a_min``.
+    ``rate_array`` holds ``rates`` sorted ascending (read-only float64), and
+    ``a_min`` is its first entry; both hypoexponential routes read it, so
+    every exact answer depends only on the multiset of rates. ``rates`` keeps
+    the caller's order, which the Monte Carlo stream reads.
     """
 
     rates: tuple[float, ...]
     mu: float = field(init=False)
     a_min: float = field(init=False)
+    rate_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.rates) == 0:
@@ -231,7 +241,8 @@ class ExponentialSumSpec:
                 raise OutOfRange(f"rate {a!r} not in (0, inf)")
         object.__setattr__(self, "rates", tuple(float(a) for a in self.rates))
         object.__setattr__(self, "mu", _sum_of_inverses(self.rates))
-        object.__setattr__(self, "a_min", min(self.rates))
+        object.__setattr__(self, "rate_array", _sorted_array(self.rates))
+        object.__setattr__(self, "a_min", float(self.rate_array[0]))
 
     @property
     def n(self) -> int:

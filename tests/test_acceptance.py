@@ -124,8 +124,8 @@ def test_criterion_04_exponential_suite():
                     <= exp_upper_ii(lam).value + SLACK
                 )
                 violations += not chain
-                pf, _ = partial_fractions_survival(spec.rates, x)
-                mx, _ = matrix_exp_survival(spec.rates, x)
+                pf, _ = partial_fractions_survival(spec, x)
+                mx, _ = matrix_exp_survival(spec, x)
                 violations += not abs(pf - mx) <= 1e-9
         assert violations == 0
 

@@ -451,6 +451,14 @@ class TestVerify:
             main(["verify", "--trials", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_seed_out_of_range_is_domain_error(self, capsys, seed):
+        # the range mc and sweep take, refused before anything is printed
+        code, out, err = run(capsys, "verify", "--trials", "1", "--seed", seed)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: seed must be an integer in [0, {2**64 - 1}], got {seed}\n"
+
 
 # Runs the CLI as `python -m tailbounds.cli` would, then reports its exit
 # code and the scipy modules it loaded as JSON on the last line of stderr.

@@ -240,9 +240,10 @@ class TestHypoexpSurvival:
                 abs(a - b) <= 1e-3 * max(a, b) for a, b in zip(rates, rates[1:])
             ):
                 continue
+            spec = make_exponential_spec(rates)
             for x in (0.5, 2.0, 5.0):
-                pf, _ = partial_fractions_survival(rates, x)
-                mx, _ = matrix_exp_survival(rates, x)
+                pf, _ = partial_fractions_survival(spec, x)
+                mx, _ = matrix_exp_survival(spec, x)
                 assert abs(pf - mx) <= 1e-9
 
     def test_erlang_closed_form_family(self):
@@ -264,7 +265,7 @@ class TestHypoexpSurvival:
         est = hypoexp_survival(spec, x)
         assert est.method is OracleMethod.PARTIAL_FRACTIONS
         assert abs(Decimal(est.value) - _decimal_exp_sum(rates, x)) <= Decimal(est.error_bound)
-        assert est.error_bound < exact_oracle._matrix_exp_scaling(rates, x)[1]
+        assert est.error_bound < exact_oracle._matrix_exp_scaling(spec, x)[1]
 
     @pytest.mark.parametrize("lam", [1.5, 3.0])
     def test_random_1e3_spec_is_certified(self, lam):
@@ -284,7 +285,7 @@ class TestHypoexpSurvival:
         rates = tuple(np.linspace(0.1, 10.0, 1000))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, error = partial_fractions_survival(rates, 1.0)
+            _, error = partial_fractions_survival(make_exponential_spec(rates), 1.0)
         assert error == math.inf
 
     @given(
@@ -307,10 +308,10 @@ class TestHypoexpSurvival:
         # (The matrix route's bound is checked by
         # test_matrix_answers_within_their_bound; this reference cannot
         # resolve 12 near-tied rates.)
-        rates = tuple(rates)
-        est = hypoexp_survival(make_exponential_spec(rates), 1.0)
-        value, error = partial_fractions_survival(rates, 1.0)
-        keep = error <= 1e-9 * value or error <= matrix_exp_survival(rates, 1.0)[1]
+        spec = make_exponential_spec(rates)
+        est = hypoexp_survival(spec, 1.0)
+        value, error = partial_fractions_survival(spec, 1.0)
+        keep = error <= 1e-9 * value or error <= matrix_exp_survival(spec, 1.0)[1]
         assert (est.method is OracleMethod.PARTIAL_FRACTIONS) == keep
         if len(set(rates)) < len(rates):
             assert error == math.inf and not keep
@@ -653,7 +654,7 @@ class TestCertificates:
                 continue
             lam = float(rng.choice([0.5, 1.0, 2.0, 5.0, 10.0, 20.0]))
             x = lam * math.fsum(1.0 / a for a in rates)
-            value, error = partial_fractions_survival(rates, x)
+            value, error = partial_fractions_survival(make_exponential_spec(rates), x)
             assert abs(Decimal(value) - _decimal_exp_sum(rates, x)) <= Decimal(error)
             checked += 1
 

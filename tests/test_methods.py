@@ -6,6 +6,7 @@ import pytest
 import tailbounds
 from tailbounds import Method, exp_bounds, geom_bounds, methods
 from tailbounds.cli import build_parser, main
+from tailbounds.exact_oracle import OracleMethod
 from tailbounds.methods import METHODS, Side
 from tailbounds.model import bound_result
 
@@ -56,26 +57,60 @@ class TestTable:
         assert header == ["lambda", "x", *columns, "exact", "mc", "mc_halfwidth"]
 
 
+def _answers(spec, lam: float) -> dict:
+    """Every row of the spec's distribution whose side admits lam, and its oracles."""
+    q = tailbounds.make_tail_query(spec.mu, lam=lam)
+    geometric = isinstance(spec, tailbounds.GeometricSumSpec)
+    out = {row.method: row.evaluate(spec, q)
+           for row in methods.rows("geom" if geometric else "exp", *Side)
+           if (lam <= 1.0 if row.side is Side.LOWER else lam >= 1.0)}
+    if geometric:
+        z = 1.0 + 0.5 * spec.p_min / (1.0 - spec.p_min)
+        out.update(best=methods.best_upper(spec, lam),
+                   lemma1=geom_bounds.lemma1_bound(spec, q.x, z),
+                   exact=tailbounds.geom_tail_exact(spec, q.x))
+    else:
+        out["exact"] = tailbounds.hypoexp_survival(spec, q.x)
+    return out
+
+
+def _geometric_params(rng):
+    for n, count in ((3, 12), (8, 12), (50, 8), (1000, 3)):
+        for _ in range(count):
+            yield [rng.uniform(0.05, 1.0) for _ in range(n)]
+
+
+def _exponential_rates(rng):
+    # distinct rates; n - 1 rates within 1e-6 of each other next to one more,
+    # so the matrix route runs; and tied rates
+    for n in (2, 3, 5, 8, 12):
+        for _ in range(4):
+            yield [rng.uniform(0.1, 10.0) for _ in range(n)]
+            b = rng.uniform(0.1, 10.0)
+            cluster = [b * (1.0 + rng.uniform(1e-9, 1e-6)) for _ in range(n - 1)]
+            yield cluster + [rng.uniform(0.1, 10.0)]
+            yield [float(rng.choice((1, 2, 3))) for _ in range(n)]
+
+
 class TestOrderInvariance:
-    def test_geometric_answers_depend_only_on_the_multiset(self):
-        # the spec sorts the p_i once, so every sum over them runs in one order
+    def test_answers_depend_only_on_the_multiset(self):
+        # each spec sorts its parameters once, so every sum over them runs in
+        # one order, and both hypoexponential routes read the sorted rates
         rng = random.Random(5)
-        table = methods.rows("geom", Side.UPPER, Side.UPPER_FROM_BELOW)
-        for n, count in ((3, 12), (8, 12), (50, 8), (1000, 3)):
-            for _ in range(count):
-                p = [rng.uniform(0.05, 1.0) for _ in range(n)]
-                shuffled = p[:]
-                rng.shuffle(shuffled)
-                spec, other = (tailbounds.make_geometric_spec(v) for v in (p, shuffled))
-                z = 1.0 + 0.5 * spec.p_min / (1.0 - spec.p_min)
-                for lam in (1.25, 2.0, 5.0):
-                    q = tailbounds.make_tail_query(spec.mu, lam=lam)
-                    for row in table:
-                        assert row.evaluate(spec, q) == row.evaluate(other, q), row.method
-                    for f, args in ((methods.best_upper, (lam,)),
-                                    (geom_bounds.lemma1_bound, (q.x, z)),
-                                    (tailbounds.geom_tail_exact, (q.x,))):
-                        assert f(spec, *args) == f(other, *args), f.__name__
+        cases = [(tailbounds.make_geometric_spec, p, (1.25, 2.0, 5.0))
+                 for p in _geometric_params(rng)]
+        cases += [(tailbounds.make_exponential_spec, a, (0.5, 1.0, 1.5, 3.0, 8.0))
+                  for a in _exponential_rates(rng)]
+        routes = set()
+        for make, values, lams in cases:
+            shuffled = values[:]
+            rng.shuffle(shuffled)
+            spec, other = make(values), make(shuffled)
+            for lam in lams:
+                answers = _answers(spec, lam)
+                assert answers == _answers(other, lam), (values, lam)
+                routes.add(answers["exact"].method)
+        assert {OracleMethod.PARTIAL_FRACTIONS, OracleMethod.MATRIX_EXP} <= routes
 
 
 class TestVerifyCanFail:

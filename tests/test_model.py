@@ -92,6 +92,18 @@ class TestExponentialSpec:
         assert spec.mu == 1.5
         assert spec.a_min == 1.0
 
+    def test_rate_array_is_cached_read_only(self):
+        spec = make_exponential_spec([3.0, 0.5, 2.0])
+        assert spec.rate_array.dtype == np.float64
+        assert spec.rate_array.tolist() == sorted(spec.rates)
+        assert spec.rates == (3.0, 0.5, 2.0)  # the caller's order, for Monte Carlo
+        assert spec.a_min == spec.rate_array[0]
+        assert not spec.rate_array.flags.writeable
+        # the array takes no part in equality, hashing or repr
+        again = make_exponential_spec([3.0, 0.5, 2.0])
+        assert spec == again and hash(spec) == hash(again)
+        assert "rate_array" not in repr(spec)
+
     def test_single(self):
         spec = make_exponential_spec([1.0])
         assert (spec.mu, spec.a_min) == (1.0, 1.0)
