@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,11 @@ _REL_TOL = 1e-9
 
 # Largest pmf grid ever built, checked before it is allocated (cost is O(n*K)).
 _MAX_SUPPORT = 10_000_000
+
+# Most summands the matrix route takes, checked before it runs: it holds about
+# five n x n float64 arrays at once (about 170 MB at the cap), and its time
+# grows as n^3.
+_MAX_MATRIX_N = 2048
 
 
 class OracleMethod(str, enum.Enum):
@@ -178,9 +182,10 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
     n-term sum evaluated with log-gamma coefficients, so it terminates
     exactly and stays independent of the convolution route.
 
-    n is at most 10^5 (its log terms take about 240 bytes each, 24 MB at the
-    cap) and x at most 1e305, past which ln Gamma(x) nears overflow; x <= n,
-    -inf included, gives 1.
+    n is at most 10^5, where a call takes about 0.1 s for its n log-gamma
+    terms (each is kept as one float, 32 bytes, 3.2 MB at the cap), and x at
+    most 1e305, past which ln Gamma(x) nears overflow; x <= n, -inf included,
+    gives 1.
     """
     if not (0.0 < p <= 1.0):
         raise OutOfRange(f"success probability {p} not in (0, 1]")
@@ -194,19 +199,17 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
         return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    parts = [
-        (math.lgamma(m), -math.lgamma(j + 1), -math.lgamma(m - j),
-         j * log_p, (m - 1 - j) * log_q)
-        for j in range(n)
-    ]
-    log_terms = [math.fsum(part) for part in parts]
+    head = math.lgamma(m)
+    log_terms = [math.fsum((head, -math.lgamma(j + 1), -math.lgamma(m - j),
+                            j * log_p, (m - 1 - j) * log_q)) for j in range(n)]
     top = max(log_terms)
     value = min(math.exp(top) * math.fsum(math.exp(lt - top) for lt in log_terms), 1.0)
     # each log term is rounded on the scale of its parts, and exp turns that
-    # absolute error into a relative error of its term
+    # absolute error into a relative error of its term. As ln p, ln q <= 0 and
+    # ln Gamma >= 0 at integers, that scale is 2 head - lt; the factor 1 + 4 eps
+    # covers the rounding of lt and of the difference (at most eps in all).
     exponent = math.fsum(
-        math.exp(lt) * math.fsum(abs(v) for v in part)
-        for lt, part in zip(log_terms, parts)
+        math.exp(lt) * ((2.0 * head - lt) * (1.0 + 4 * _EPS)) for lt in log_terms
     )
     error = _EPS * ((n + 2) * max(value, 1e-300) + exponent)
     return TailEstimate(value, error, OracleMethod.CLOSED_FORM)
@@ -236,7 +239,7 @@ def _partial_fractions_survival(spec: ExponentialSumSpec, x: float) -> tuple[flo
     logs = list(map(math.log, a))
     total, base, scale = sum(logs), 1.0 + sum(map(abs, logs)), (n + 13) * _EPS
     above, below = [0.0] * n, [0.0] * n  # each row's gap logs >= 0 and < 0
-    terms, parts = [], []  # t_i and m_i
+    terms, weighted = [], 0.0  # t_i, and sum_i t_i m_i added left to right
     try:
         for i, ai in enumerate(a):
             p, q = above[i], below[i]  # the rows before i have added theirs
@@ -250,11 +253,11 @@ def _partial_fractions_survival(spec: ExponentialSumSpec, x: float) -> tuple[flo
                     above[j] += g
             ax = ai * x
             terms.append(math.exp(total - logs[i] - ax - (p + q)))
-            parts.append(base + p - q + ax)
+            weighted += terms[-1] * (base + p - q + ax)
         value = math.fsum(terms[::2]) - math.fsum(terms[1::2])
     except (ValueError, OverflowError):
         return math.nan, math.inf
-    error = n * _TINY + scale * sum(map(operator.mul, terms, parts))
+    error = n * _TINY + scale * weighted
     return min(max(value, 0.0), 1.0), error
 
 
@@ -318,8 +321,10 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     its error bound (infinite for tied rates or a term past the double range)
     passes both 1e-9 of its value and the bound the matrix route would report.
     x must be finite and >= 0, with max(a) x <= 2^1020 so that the matrix
-    route's scaling 2^s stays finite. Both routes read the spec's sorted
-    ``rate_array``, so the answer depends only on the multiset of rates.
+    route's scaling 2^s stays finite. The matrix route takes at most 2048 rates
+    (``_MAX_MATRIX_N``); partial-fraction answers have no such cap. Both routes
+    read the spec's sorted ``rate_array``, so the answer depends only on the
+    multiset of rates.
     """
     require_threshold(x)
     if not float(spec.rate_array[-1]) * x <= 2.0**1020:  # a numpy scalar would warn
@@ -329,5 +334,7 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     value, error = _partial_fractions_survival(spec, x)
     if error <= _REL_TOL * value or error <= _matrix_exp_scaling(spec, x)[1]:
         return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
+    if spec.n > _MAX_MATRIX_N:
+        raise OutOfRange(f"need n <= {_MAX_MATRIX_N} on the matrix route, got n={spec.n}")
     value, error = _matrix_exp_survival(spec, x)
     return TailEstimate(value, error, OracleMethod.MATRIX_EXP)

@@ -165,6 +165,17 @@ class TestBound:
         assert code == 0
         assert "value: 0.541341132946" in out
 
+    def test_params_file_with_bad_token(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0.5\n0.2 abc\n")
+        code, out, err = run(
+            capsys, "bound", "--dist", "geom", "--params-file", str(path),
+            "--lambda", "2", "--method", "thm1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{path}:2: cannot parse 'abc' as a number" in err
+
     def test_params_file_and_inline_conflict(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0.5\n")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from unittest import mock
@@ -178,6 +179,17 @@ class TestIidGeomTail:
             closed = iid_geom_tail(p, n, float(x))
             assert abs(conv.value - closed.value) <= max(1e-12, 1e-9 * closed.value)
 
+    def test_memory_is_one_float_per_summand(self):
+        # only the n log terms are kept, 32 bytes each: about 0.3 MB here
+        iid_geom_tail(0.5, 10**4, 2.5e4)  # warm-up
+        tracemalloc.start()
+        try:
+            iid_geom_tail(0.5, 10**4, 2.5e4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestTailRatioFloor:
     # P(X >= j) >= (1-p_min)^(j-k) P(X >= k) for j >= k, and the real-argument
@@ -348,6 +360,27 @@ class TestHypoexpSurvival:
         h = 1e-6
         slope = (hypoexp_survival(spec, h).value - 1.0) / h
         assert abs(slope) < 1e-4
+
+
+class TestMatrixCap:
+    # the matrix route is refused past its cap before it allocates; partial
+    # fractions are not capped
+    def test_tied_rates_past_cap_are_refused(self, monkeypatch):
+        monkeypatch.setattr(exact_oracle, "_MAX_MATRIX_N", 16)
+        with pytest.raises(OutOfRange, match="n=17"):
+            hypoexp_survival(make_exponential_spec([1.0] * 17), 20.0)
+
+    def test_tied_rates_at_cap_answer(self, monkeypatch):
+        monkeypatch.setattr(exact_oracle, "_MAX_MATRIX_N", 16)
+        est = hypoexp_survival(make_exponential_spec([1.0] * 16), 20.0)
+        assert est.method is OracleMethod.MATRIX_EXP
+        assert 0.0 < est.value < 1.0
+
+    def test_distinct_rates_past_cap_answer(self, monkeypatch):
+        monkeypatch.setattr(exact_oracle, "_MAX_MATRIX_N", 16)
+        est = hypoexp_survival(make_exponential_spec([1.0 + k for k in range(17)]), 4.0)
+        assert est.method is OracleMethod.PARTIAL_FRACTIONS
+        assert 0.0 < est.value < 1.0
 
 
 class TestSupportCap:
