@@ -1,21 +1,29 @@
 """Exact tail probabilities used as ground truth for every bound.
 
-Geometric sums get an O(nK) iterated-convolution pmf, run as one
+One log-space partial-fraction kernel serves both distributions: the
+survival function is sum_i w_i e^(c_i) over the sorted parameters, with
+c_i = -a_i x for exponential rates and c_i = k ln q_i for geometric
+summands, and it reports its own rigorous error bound. Geometric upper tails
+try it first where that is cheaper than the convolution (small n, or a deep
+threshold at larger n) and keep its answer where its bound is within
+1e-12 relative or below the convolution's own floor; otherwise they take an
+O(nK) iterated-convolution pmf, run as one
 ``scipy.signal.sosfilt`` cascade with a first-order section per summand in
 ascending p (the order keeps intermediate values out of the slow subnormal
-range), plus a closed-form negative-binomial cross-check for iid
-parameters. The probability the cascade still holds in its filter state
-after step K is exactly P(X > K), a sum of nonnegative terms, so the upper
-tail needs one grid up to k0 - 1, no truncation and none of the bounds that
-it is used to check. Exponential sums get the hypoexponential survival
-function by partial fractions in log space, or by a scaling-and-squaring
-matrix exponential where their own error bound is neither within 1e-9
-relative nor below the matrix route's. Every estimate carries a rigorous
-error bound (round-off scale, truncation remainder, or both).
+range). The probability the cascade still holds in its filter state after
+step K is exactly P(X > K), a sum of nonnegative terms, so the upper tail
+needs one grid up to k0 - 1, no truncation and none of the bounds that it
+is used to check. scipy is imported only when a cascade runs. iid
+parameters also have a closed-form negative-binomial cross-check.
+Exponential sums keep the partial-fraction answer unless its error bound is
+neither within 1e-9 relative nor below that of a scaling-and-squaring matrix
+exponential, which then runs. Every estimate carries a rigorous error bound
+(round-off scale, truncation remainder, or both).
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -36,6 +44,18 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 # Relative accuracy that keeps hypoexp_survival on its partial-fraction route.
 _REL_TOL = 1e-9
+
+# Relative accuracy that keeps geom_tail_exact's partial-fraction answer. The
+# cascade certifies the tails it answers within about 1e-12 relative, so a
+# looser answer would weaken what the geometric oracle promises.
+_GEOM_REL_TOL = 1e-12
+
+# Costs that pick geom_tail_exact's first route, in microseconds (see
+# _partial_fractions_first): trying partial fractions per pair of summands,
+# and the sosfilt cascade per call and per filter step.
+_PAIR_US = 0.45
+_CASCADE_US = 45.0
+_STEP_US = 0.004
 
 # Largest pmf grid ever built, checked before it is allocated (cost is O(n*K)).
 _MAX_SUPPORT = 10_000_000
@@ -73,8 +93,8 @@ class TailEstimate:
             raise OutOfRange(f"error bound {self.error_bound} negative")
 
 
-def _pmf_grid(spec: GeometricSumSpec, K: int) -> tuple[np.ndarray, float]:
-    """P(X = k) for k = 0..K, and P(X > K), via the per-summand recursion
+def _pmf_grid(spec: GeometricSumSpec, K: int, tail: bool = True) -> tuple[np.ndarray, float]:
+    """P(X = k) for k = 0..K, and P(X > K) (nan unless ``tail``), via the recursion
 
         c_i(k) = (1-p_i) c_i(k-1) + p_i c_{i-1}(k-1),
 
@@ -94,6 +114,8 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> tuple[np.ndarray, float]:
     With no further input it goes on to emit s_i (1-p_i)^j, s_i / p_i in
     all, and every later section passes its input on without loss, so
     P(X > K) = sum_i s_i / p_i, with no cancellation and no truncation.
+    Only the upper tail asks for it: at n = 8 scipy's path with a filter
+    state costs about a third more per call (12-20 us at K = 40).
     """
     require_count("pmf support", K, 0, _MAX_SUPPORT)
     from scipy.signal import sosfilt
@@ -105,6 +127,8 @@ def _pmf_grid(spec: GeometricSumSpec, K: int) -> tuple[np.ndarray, float]:
     sos[:, 4] = p - 1.0
     impulse = np.zeros(K + 1)
     impulse[0] = 1.0
+    if not tail:
+        return sosfilt(sos, impulse), math.nan
     grid, state = sosfilt(sos, impulse, zi=np.zeros((p.size, 2)))
     return grid, float((state[:, 0] / p).sum())
 
@@ -119,7 +143,7 @@ def geom_pmf_convolution(spec: GeometricSumSpec, K: int) -> np.ndarray:
     """Exact pmf P(X = k) for k = n..K (the support starts at n)."""
     if K < spec.n:
         raise KTooSmall(f"K={K} below minimum support n={spec.n}")
-    return _pmf_grid(spec, K)[0][spec.n :]
+    return _pmf_grid(spec, K, tail=False)[0][spec.n :]
 
 
 def _roundoff(n: int, K: int) -> tuple[float, float]:
@@ -132,29 +156,70 @@ def _roundoff(n: int, K: int) -> tuple[float, float]:
     return _EPS * (2.0 * K + n), n * (K + 1) * _TINY
 
 
+def _partial_fractions_first(n: int, k0: int) -> bool:
+    """Whether trying partial fractions first costs less than the cascade.
+
+    Trying them costs ``_PAIR_US`` per pair, n (n - 1)/2 pairs; the cascade
+    ``_CASCADE_US`` per call plus ``_STEP_US`` per filter step, about n k0.
+    Measured pinned to one CPU of a 2-vCPU Xeon host (Python 3.11, numpy 2.4,
+    scipy 1.17) on distinct p ~ U(0.05, 1): the pair loop alone takes about
+    0.2 us per pair, and the cascade 45-50 us plus 4 ns per step. Where the
+    answer is not certified the cascade runs as well, which happens more often
+    as n grows (at lambda = 1: 12 of 40 queries at n = 8, 26 of 40 at n = 16,
+    39 of 40 at n = 32), so a pair is counted at 0.45 us: that puts the
+    break-even where end-to-end times crossed, near k0 = 140 at n = 16 and
+    k0 = 500 at n = 20. Partial fractions are tried at every k0 for n <= 14,
+    and at n = 10^3 only from k0 = 56,200 (lambda about 18 for p ~ U(0.05, 1)).
+    """
+    return _PAIR_US * n * (n - 1) / 2 <= _CASCADE_US + _STEP_US * n * k0
+
+
+def _cascade_tail(spec: GeometricSumSpec, k0: int) -> TailEstimate:
+    """P(X >= k0) for an integer k0 > n from one cascade up to k0 - 1.
+
+    P(X >= k0) = sum_i s_i / p_i is read from the cascade's final state (see
+    ``_pmf_grid``). The certificate. Each s_i is a cascade entry at k0, so it
+    carries the round-off of ``_roundoff(n, k0)``: eps (2 k0 + n) relative,
+    plus n (k0 + 1) smallest subnormals absolute. Dividing by p_i and summing n
+    nonnegative terms adds (n + 1) eps relative; the absolute part, divided by
+    each p_i and summed, gives n (k0 + 1) tiny mu. The bound is
+    (eps (2 k0 + n) + (n + 1) eps) value + n (k0 + 1) tiny mu.
+    """
+    tail = _pmf_grid(spec, k0 - 1)[1]
+    rel, floor = _roundoff(spec.n, k0)
+    error = (rel + (spec.n + 1) * _EPS) * tail + floor * spec.mu
+    return TailEstimate(min(tail, 1.0), error, OracleMethod.CONVOLUTION)
+
+
 def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """P(X >= x), exact up to round-off.
 
     Since X is integer valued, P(X >= x) = P(X >= k0) with k0 = ceil(x), and
-    for x <= n it is 1. Otherwise one cascade runs up to k0 - 1 and
-    P(X >= k0) = sum_i s_i / p_i is read from its final state (see
-    ``_pmf_grid``).
+    for x <= n it is 1. Otherwise one of two routes answers, each certified
+    relative to its value down to the cascade's floor n (k0 + 1) tiny mu.
 
-    The certificate. Each s_i is a cascade entry at k0, so it carries the
-    round-off of ``_roundoff(n, k0)``: eps (2 k0 + n) relative, plus
-    n (k0 + 1) smallest subnormals absolute. Dividing by p_i and summing n
-    nonnegative terms adds (n + 1) eps relative; the absolute part, divided
-    by each p_i and summed, gives n (k0 + 1) tiny mu. The bound is
-    (eps (2 k0 + n) + (n + 1) eps) value + n (k0 + 1) tiny mu.
+    Partial fractions run first where trying them costs less than the cascade
+    (``_partial_fractions_first``, from n and k0 alone). For distinct p_i < 1,
+    P(X > k) = sum_i w_i q_i^k with w_i = prod_{j!=i} p_j/(p_j - p_i) (Sen and
+    Balakrishnan 1999): ``_partial_fractions`` over ``param_array`` with
+    exponents k ln q_i, k = k0 - 1. A summand with p_i = 1 is the constant 1,
+    so it is dropped and k shrinks by 1. The answer stands if its error bound
+    is within 1e-12 of the value or below the cascade's floor. Otherwise (tied
+    p, cancelling weights, or a large n at a shallow k0) the ``sosfilt``
+    cascade runs (``_cascade_tail``), and only then is scipy imported.
     """
     _require_support(x)
     if x <= spec.n:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
     k0 = math.ceil(x)
-    tail = _pmf_grid(spec, k0 - 1)[1]
-    rel, floor = _roundoff(spec.n, k0)
-    error = (rel + (spec.n + 1) * _EPS) * tail + floor * spec.mu
-    return TailEstimate(min(tail, 1.0), error, OracleMethod.CONVOLUTION)
+    if _partial_fractions_first(spec.n, k0):
+        p = spec.param_array.tolist()
+        p = p[: bisect.bisect_left(p, 1.0)]
+        k = k0 - 1 - (spec.n - len(p))
+        value, error = _partial_fractions(p, [k * math.log1p(-v) for v in p])
+        if error <= _GEOM_REL_TOL * value or error <= _roundoff(spec.n, k0)[1] * spec.mu:
+            return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
+    return _cascade_tail(spec, k0)
 
 
 def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
@@ -168,7 +233,7 @@ def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     if x < spec.n:
         return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
     k1 = math.floor(x)
-    pmf = _pmf_grid(spec, k1)[0]
+    pmf = _pmf_grid(spec, k1, tail=False)[0]
     value = float(np.sum(pmf[spec.n :]))
     rel, floor = _roundoff(spec.n, k1)
     error = rel * value + (k1 + 1 - spec.n) * floor
@@ -215,45 +280,45 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
     return TailEstimate(value, error, OracleMethod.CLOSED_FORM)
 
 
-def _partial_fractions_survival(spec: ExponentialSumSpec, x: float) -> tuple[float, float]:
-    """P(X > x) = sum_i w_i e^(-a_i x), w_i = prod_{j!=i} a_j/(a_j-a_i), in log space.
+def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[float, float]:
+    """sum_i w_i e^(c_i), w_i = prod_{j!=i} v_j/(v_j - v_i), in log space.
 
-    Over the spec's sorted rates a_1 < ... < a_n, term i is (-1)^(i-1) exp(E_i),
-    where E_i = sum_j ln a_j - ln a_i - sum_{j!=i} ln|a_j - a_i| - a_i x; each
-    pair's log goes to both rows, split by sign, in O(n) memory. Returns (value,
-    error bound), or (nan, inf) for two equal rates or a term past the double range.
+    Over ascending values v_1 < ... < v_n, term i is (-1)^(i-1) exp(E_i), where
+    E_i = sum_j ln v_j - ln v_i - sum_{j!=i} ln|v_j - v_i| + c_i; each pair's log
+    goes to both rows, split by sign, in O(n) memory. Returns (value clamped to
+    [0, 1], error bound), or (nan, inf) for two equal values or a term past the
+    double range. The exponents are c_i <= 0, each within 3u |c_i| of exact:
+    -a_i x is one rounded product, k ln q_i a log1p and a product.
 
     The bound. With u = eps/2, logs and exps are within 2u, other operations
     within u, and a rounded gap moves its log by u. Bounding each partial sum by
-    the magnitudes of its parts, E_i is off by at most u times (n+4) S + 5|ln a_i|
-    + (n+3) G_i + 4 a_i x + n - 1 <= (n+9) m_i, where S = sum_j |ln a_j|, G_i =
-    sum_{j!=i} |ln|a_j - a_i|| and m_i = 1 + S + G_i + a_i x. exp adds 2u, and the
+    the magnitudes of its parts, E_i is off by at most u times (n+4) S + 5|ln v_i|
+    + (n+3) G_i + 6|c_i| + n - 1 <= (n+9) m_i, where S = sum_j |ln v_j|, G_i =
+    sum_{j!=i} |ln|v_j - v_i|| and m_i = 1 + S + G_i + |c_i|. exp adds 2u, and the
     two fsums and their difference 2u of the terms' sum, so term i is within a
     factor e^d_i of exact, d_i = (n+13) u m_i. A term above the smallest subnormal
-    has E_i > -746, so a_i x < 746 + 2 S + G_i; every log is below 745 in size, so
+    has E_i > -746, so |c_i| < 746 + 2 S + G_i; every log is below 745 in size, so
     m_i < 3725 n and d_i < 1/2 for n below 10^6, where e^d - 1 < 2 d. The bound
     is the sum of 2 d_i t_i, plus a smallest subnormal per term for underflow.
     """
-    a = spec.rate_array.tolist()  # numpy scalars would warn on overflow
-    n = len(a)
-    logs = list(map(math.log, a))
+    n = len(values)
+    logs = list(map(math.log, values))
     total, base, scale = sum(logs), 1.0 + sum(map(abs, logs)), (n + 13) * _EPS
     above, below = [0.0] * n, [0.0] * n  # each row's gap logs >= 0 and < 0
     terms, weighted = [], 0.0  # t_i, and sum_i t_i m_i added left to right
     try:
-        for i, ai in enumerate(a):
+        for i, (vi, c) in enumerate(zip(values, exponents)):
             p, q = above[i], below[i]  # the rows before i have added theirs
             for j in range(i + 1, n):
-                g = math.log(a[j] - ai)
+                g = math.log(values[j] - vi)
                 if g < 0.0:
                     q += g
                     below[j] += g
                 else:
                     p += g
                     above[j] += g
-            ax = ai * x
-            terms.append(math.exp(total - logs[i] - ax - (p + q)))
-            weighted += terms[-1] * (base + p - q + ax)
+            terms.append(math.exp(total - logs[i] + c - (p + q)))
+            weighted += terms[-1] * (base + p - q - c)
         value = math.fsum(terms[::2]) - math.fsum(terms[1::2])
     except (ValueError, OverflowError):
         return math.nan, math.inf
@@ -327,11 +392,12 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     multiset of rates.
     """
     require_threshold(x)
-    if not float(spec.rate_array[-1]) * x <= 2.0**1020:  # a numpy scalar would warn
+    a = spec.rate_array.tolist()  # numpy scalars would warn on overflow
+    if not a[-1] * x <= 2.0**1020:
         raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
     if x == 0.0:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
-    value, error = _partial_fractions_survival(spec, x)
+    value, error = _partial_fractions(a, [-ai * x for ai in a])
     if error <= _REL_TOL * value or error <= _matrix_exp_scaling(spec, x)[1]:
         return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
     if spec.n > _MAX_MATRIX_N:

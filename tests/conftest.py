@@ -15,6 +15,7 @@ from tailbounds import (
     OutOfRange,
     make_exponential_spec,
     make_geometric_spec,
+    exact_oracle,
     uniform_block,
 )
 from tailbounds.model import require_upper
@@ -57,13 +58,14 @@ def brute_force_tail(params, x: float, K: int) -> float:
     return sum(pr for k, pr in pmf.items() if k >= k0)
 
 
-def reference_pmf_grid(spec, K: int) -> tuple[np.ndarray, float]:
+def reference_pmf_grid(spec, K: int, tail: bool = True) -> tuple[np.ndarray, float]:
     """P(X = k) for k = 0..K, one ``lfilter`` per summand in the order of
     ``spec.params``, and P(X > K) from each summand's final filter state.
 
     The reference for the package's one-call cascade, which must agree with
     it within round-off. Summand i's state after step K is the pmf of the
     first i summands' sum at K + 1, and it goes on to emit s_i / p_i in all.
+    ``tail`` is taken for the package's signature; the tail is always returned.
     """
     from scipy.signal import lfilter
 
@@ -74,6 +76,13 @@ def reference_pmf_grid(spec, K: int) -> tuple[np.ndarray, float]:
         c, (state,) = lfilter([0.0, p], [1.0, -(1.0 - p)], c, zi=[0.0])
         tail += state / p
     return c, tail
+
+
+def partial_fractions_survival(spec, x: float) -> tuple[float, float]:
+    """Hypoexponential P(X > x) and its error bound from the package's
+    partial-fraction kernel alone, with the exponents -a_i x."""
+    a = spec.rate_array.tolist()
+    return exact_oracle._partial_fractions(a, [-ai * x for ai in a])
 
 
 def pgf_pole_gap(p: float, z: float) -> float:

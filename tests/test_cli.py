@@ -521,6 +521,8 @@ class TestFreshInterpreter:
             ("mc", "--dist", "geom", "--p", "0.5,0.5", "--x", "8",
              "--samples", "1000"),
             ("exact", "--dist", "exp", "--a", "1,2", "--x", "1"),
+            ("exact", "--dist", "geom", "--p", "0.3,0.5,0.7,0.2,0.9,0.4,0.6,0.25",
+             "--lambda", "2"),
         ],
     )
     def test_closed_form_commands_load_no_scipy(self, argv):

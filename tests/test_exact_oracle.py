@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_pmf,
     brute_force_tail,
+    partial_fractions_survival,
     pgf_geometric,
     random_geom_specs,
     reference_pmf_grid,
@@ -35,9 +36,6 @@ from tailbounds import (
     upper_tail_thm2,
 )
 from tailbounds.exact_oracle import _matrix_exp_survival as matrix_exp_survival
-from tailbounds.exact_oracle import (
-    _partial_fractions_survival as partial_fractions_survival,
-)
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])
 FIFTY = make_geometric_spec(list(np.random.default_rng(5).uniform(0.05, 1.0, 50)))
@@ -421,6 +419,11 @@ def _grid_calls():
     return mock.patch.object(exact_oracle, "_pmf_grid", wraps=exact_oracle._pmf_grid)
 
 
+def _cascade(spec, x):
+    """geom_tail_exact's cascade route alone, for x above the support."""
+    return exact_oracle._cascade_tail(spec, math.ceil(x))
+
+
 def _sizes(grid) -> list[int]:
     return [call.args[1] for call in grid.call_args_list]
 
@@ -453,7 +456,7 @@ class TestSizedGrid:
     def test_one_grid_per_tail_call(self, spec, lam):
         x = lam * spec.mu
         with _grid_calls() as grid:
-            est = geom_tail_exact(spec, x)
+            est = _cascade(spec, x)
         assert _sizes(grid) == [math.ceil(x) - 1]
         assert 0.0 < est.value < 1.0
 
@@ -473,7 +476,7 @@ class TestSizedGrid:
     def test_deterministic_sum(self):
         # p_min = 1: the grid is 1 at k = 2 and exactly 0 past it
         with _grid_calls() as grid:
-            est = geom_tail_exact(make_geometric_spec([1.0, 1.0]), 3.0)
+            est = _cascade(make_geometric_spec([1.0, 1.0]), 3.0)
         assert len(_sizes(grid)) == 1
         assert est.value == 0.0
 
@@ -490,7 +493,7 @@ class TestSizedGrid:
         x = lam * spec.mu
         k0 = math.ceil(x)
         with _grid_calls() as grid:
-            est = geom_tail_exact(spec, x)
+            est = _cascade(spec, x)
         assert _sizes(grid) == [k0 - 1]
         assert est.error_bound == _state_roundoff(spec, k0, est.value)
         if iid:
@@ -555,6 +558,14 @@ class TestPmfKernel:
         (K,) = _sizes(grid)
         assert K == math.ceil(3.0 * spec.mu) - 1
         _assert_matches_reference(spec, K)
+
+    def test_grid_without_state_is_identical(self):
+        # the pmf alone skips scipy's filter-state path, with the same grid
+        for spec in _kernel_specs():
+            for K in (spec.n, spec.n + 40, spec.n + 500):
+                grid, tail = exact_oracle._pmf_grid(spec, K, tail=False)
+                assert grid.tobytes() == exact_oracle._pmf_grid(spec, K)[0].tobytes()
+                assert math.isnan(tail)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
@@ -734,7 +745,7 @@ class TestLogConcaveCertificate:
             spec = make_geometric_spec(_distinct_params(rng, n, rng.choice([0.05, 0.4, 0.8])))
             x = float(rng.uniform(1.5, 30.0)) * spec.mu
             k0 = math.ceil(x)
-            est = geom_tail_exact(spec, x)
+            est = _cascade(spec, x)
             ref = _decimal_geom_tail(spec.params, k0)
             assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
             assert est.error_bound == _state_roundoff(spec, k0, est.value)
@@ -764,6 +775,87 @@ class TestLogConcaveCertificate:
         for name, value in vars(exact_oracle).items():
             assert value is not geom_bounds, name
             assert getattr(value, "__module__", None) != geom_bounds.__name__, name
+
+
+def _floor(spec, k0):
+    """The cascade's absolute floor at k0, n (k0 + 1) tiny mu."""
+    return spec.n * (k0 + 1) * _TINY * spec.mu
+
+
+class TestGeomPartialFractions:
+    # small n: P(X > k) = sum_i w_i q_i^k runs before the cascade and stands
+    # when its certificate is within 1e-12 relative or below the cascade's floor
+
+    def test_against_decimal_reference(self):
+        # distinct p, n <= 20, lambda from 1 to 30: values from about 0.5
+        # down to about 1e-90
+        rng = np.random.default_rng(89)
+        values = []
+        for _ in range(400):
+            n = int(rng.integers(1, 21))
+            lo = rng.choice([0.05, 0.4, 0.8] if n <= 8 else [0.05, 0.4])
+            spec = make_geometric_spec(_distinct_params(rng, n, lo))
+            x = float(rng.uniform(1.0, 30.0)) * spec.mu
+            k0 = math.ceil(x)
+            est = geom_tail_exact(spec, x)
+            if est.method is not OracleMethod.PARTIAL_FRACTIONS:
+                continue
+            ref = _decimal_geom_tail(spec.params, k0)
+            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+            assert (est.error_bound <= 1e-12 * est.value
+                    or est.error_bound <= _floor(spec, k0))
+            values.append(est.value)
+        assert len(values) >= 200
+        assert min(values) < 1e-80 and max(values) > 0.1
+
+    def test_certain_summands_are_dropped(self):
+        # a summand with p = 1 adds exactly 1: X >= k0 iff the rest reach k0 - 2
+        spec = make_geometric_spec([0.3, 1.0, 0.6, 1.0])
+        for k0 in (5, 9, 40):
+            with _grid_calls() as grid:
+                est = geom_tail_exact(spec, k0)
+            assert grid.call_count == 0
+            assert est.method is OracleMethod.PARTIAL_FRACTIONS
+            ref = _decimal_geom_tail([0.3, 0.6], k0 - 2)
+            assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
+            cascade = _cascade(spec, k0)
+            assert abs(est.value - cascade.value) <= est.error_bound + cascade.error_bound
+        # every summand certain: X = n exactly
+        est = geom_tail_exact(make_geometric_spec([1.0, 1.0]), 3.0)
+        assert (est.value, est.error_bound) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.3, 0.7, 0.3], [0.2, 0.9, 0.9, 1.0]])
+    def test_tied_p_falls_back_to_cascade(self, p):
+        spec = make_geometric_spec(p)
+        with _grid_calls() as grid:
+            est = geom_tail_exact(spec, 3.0 * spec.mu)
+        assert est.method is OracleMethod.CONVOLUTION
+        assert _sizes(grid) == [math.ceil(3.0 * spec.mu) - 1]
+
+    def test_certified_small_query_builds_no_grid(self):
+        rng = np.random.default_rng(97)
+        answered = 0
+        for _ in range(30):
+            spec = make_geometric_spec(_distinct_params(rng, 8))
+            for lam in (1.5, 3.0, 10.0):
+                with _grid_calls() as grid:
+                    est = geom_tail_exact(spec, lam * spec.mu)
+                if est.method is OracleMethod.PARTIAL_FRACTIONS:
+                    assert grid.call_count == 0
+                    answered += 1
+                else:
+                    assert grid.call_count == 1
+        assert answered >= 60
+
+    @pytest.mark.parametrize("lam", [1.0, 1.1, 2.0, 3.0])
+    def test_large_shallow_query_skips_the_kernel(self, lam):
+        # at n = 10^3 the O(n^2) pass would cost more than the cascade
+        rng = np.random.default_rng(101)
+        spec = make_geometric_spec(list(rng.uniform(0.05, 1.0, 1000)))
+        with mock.patch.object(exact_oracle, "_partial_fractions",
+                               side_effect=AssertionError("kernel called")):
+            est = geom_tail_exact(spec, lam * spec.mu)
+        assert est.method is OracleMethod.CONVOLUTION
 
 
 class TestTailEstimateValidation:
