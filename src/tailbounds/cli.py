@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from . import exact_oracle, geom_bounds, methods, montecarlo
-from .exact_oracle import TailEstimate
 from .methods import Side
 from .model import (
     ExponentialSumSpec,
@@ -74,22 +73,6 @@ def _load_spec(args) -> GeometricSumSpec | ExponentialSumSpec:
     return make(values)
 
 
-def _upper_exact(spec, x: float) -> TailEstimate:
-    """P(X >= x) from the exact oracle of the spec's distribution."""
-    if isinstance(spec, GeometricSumSpec):
-        return exact_oracle.geom_tail_exact(spec, x)
-    return exact_oracle.hypoexp_survival(spec, x)
-
-
-def _lower_exact(spec, x: float) -> TailEstimate:
-    """P(X <= x) from the exact oracle of the spec's distribution."""
-    if isinstance(spec, GeometricSumSpec):
-        return exact_oracle.geom_lower_tail_exact(spec, x)
-    upper = exact_oracle.hypoexp_survival(spec, x)  # continuous: P(X = x) = 0
-    lower = 1.0 - upper.value  # rounds by up to half an ulp when upper.value < 1/2
-    return TailEstimate(lower, upper.error_bound + math.ulp(lower) / 2, upper.method)
-
-
 def cmd_bound(args) -> int:
     spec = _load_spec(args)
     row = methods.BY_NAME.get(args.method)
@@ -124,7 +107,7 @@ def cmd_bound(args) -> int:
 def cmd_exact(args) -> int:
     spec = _load_spec(args)
     q = make_tail_query(spec.mu, x=args.x, lam=args.lam)
-    est = _upper_exact(spec, q.x)
+    est = exact_oracle.exact_tail(spec, q.x)
     print(f"method: {est.method.value}")
     print(f"x: {_fmt(q.x)}")
     print(f"value: {_fmt(est.value)}")
@@ -168,7 +151,7 @@ def cmd_sweep(args) -> int:
         q = make_tail_query(spec.mu, lam=lam)
         mc = montecarlo.mc_tail(spec, q.x, cfg)
         cells = [q.lam, q.x, *(row.evaluate(spec, q).value for row in columns),
-                 _upper_exact(spec, q.x).value, mc.value, mc.error_bound]
+                 exact_oracle.exact_tail(spec, q.x).value, mc.value, mc.error_bound]
         print(",".join(_fmt(c) for c in cells))
     return 0
 
@@ -190,16 +173,15 @@ def _verify_instance(spec, failures: list[str]) -> None:
     slack = 1e-10
     dist = "geom" if isinstance(spec, GeometricSumSpec) else "exp"
     name = f"p={list(spec.params)}" if dist == "geom" else f"a={list(spec.rates)}"
-    for truth, oracle, lams, sides in (
-        ("exact", lambda x: _upper_exact(spec, x),
-         (1.0, 1.25, 1.5, 2.0, 3.0, 5.0), (Side.UPPER, Side.UPPER_FROM_BELOW)),
-        ("exact_lower", lambda x: _lower_exact(spec, x),
-         (0.2, 0.5, 0.8, 1.0), (Side.LOWER,)),
+    for truth, tail, lams, sides in (
+        ("exact", "upper", (1.0, 1.25, 1.5, 2.0, 3.0, 5.0),
+         (Side.UPPER, Side.UPPER_FROM_BELOW)),
+        ("exact_lower", "lower", (0.2, 0.5, 0.8, 1.0), (Side.LOWER,)),
     ):
         table = methods.rows(dist, *sides)
         for lam in lams:
             q = make_tail_query(spec.mu, lam=lam)
-            exact = oracle(q.x)
+            exact = exact_oracle.exact_tail(spec, q.x, tail)
             pad = exact.error_bound + slack
             results = {row.method: row.evaluate(spec, q) for row in table}
             for row in table:
@@ -223,8 +205,7 @@ def _verify_instance(spec, failures: list[str]) -> None:
     # pairwise tail-ratio floor: P(X>=j) >= (1-p_min)^(j-k) P(X>=k), j >= k
     base = max(spec.n, math.ceil(spec.mu))
     for j, k in ((base + 3, base), (base + 11, base + 2)):
-        pj = _upper_exact(spec, j)
-        pk = _upper_exact(spec, k)
+        pj, pk = (exact_oracle.exact_tail(spec, t) for t in (j, k))
         floor = (1.0 - spec.p_min) ** (j - k) * pk.value
         pad = pj.error_bound + pk.error_bound + slack
         _check(
@@ -254,7 +235,7 @@ def cmd_verify(args) -> int:
     q = make_tail_query(fixed.mu, lam=2.0)
     tl, *upper = (methods.BY_NAME[m].evaluate(fixed, q).value
                   for m in ("tl", "thm2", "thm1", "cor1"))
-    sandwich = (tl, _upper_exact(fixed, q.x).value, *upper)
+    sandwich = (tl, exact_oracle.exact_tail(fixed, q.x).value, *upper)
     print(
         "fixed instance p=[0.5, 0.5] lam=2 sandwich "
         "(tl_lower <= exact <= thm2 <= thm1 <= cor1): "

@@ -1,5 +1,7 @@
 """Exact tail probabilities used as ground truth for every bound.
 
+``exact_tail(spec, x, side)`` is the entry point for a spec of either kind:
+it picks the oracle below for the spec's distribution and the tail's side.
 One log-space partial-fraction kernel serves both distributions: the
 survival function is sum_i w_i e^(c_i) over the sorted parameters, with
 c_i = -a_i x for exponential rates and c_i = k ln q_i for geometric
@@ -7,18 +9,20 @@ summands, and it reports its own rigorous error bound. Geometric upper tails
 try it first where that is cheaper than the convolution (small n, or a deep
 threshold at larger n) and keep its answer where its bound is within
 1e-12 relative or below the convolution's own floor; otherwise they take an
-O(nK) iterated-convolution pmf, run as one
-``scipy.signal.sosfilt`` cascade with a first-order section per summand in
-ascending p (the order keeps intermediate values out of the slow subnormal
-range). The probability the cascade still holds in its filter state after
-step K is exactly P(X > K), a sum of nonnegative terms, so the upper tail
-needs one grid up to k0 - 1, no truncation and none of the bounds that it
-is used to check. scipy is imported only when a cascade runs. iid
-parameters also have a closed-form negative-binomial cross-check.
-Exponential sums keep the partial-fraction answer unless its error bound is
-neither within 1e-9 relative nor below that of a scaling-and-squaring matrix
-exponential, which then runs. Every estimate carries a rigorous error bound
-(round-off scale, truncation remainder, or both).
+O(nK) iterated-convolution pmf, run as one ``scipy.signal.sosfilt`` cascade
+with a first-order section per summand in ascending p (the order keeps
+intermediate values out of the slow subnormal range). The probability the
+cascade still holds in its filter state after step K is exactly P(X > K), a
+sum of nonnegative terms, so the upper tail needs one grid up to k0 - 1, no
+truncation and none of the bounds that it is used to check. scipy is
+imported only when a cascade runs. iid parameters also have a closed-form
+negative-binomial cross-check. Exponential sums keep the partial-fraction
+answer unless its error bound is neither within 1e-9 relative nor below that
+of a scaling-and-squaring matrix exponential, which then runs. Every
+estimate carries a rigorous error bound (round-off scale, truncation
+remainder, or both). The exponential lower tail, 1 - P(X > x), has an
+absolute bound: the survival's plus half an ulp of the subtraction. It is
+therefore not relative below about 1e-10, a known defect (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -404,3 +408,17 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
         raise OutOfRange(f"need n <= {_MAX_MATRIX_N} on the matrix route, got n={spec.n}")
     value, error = _matrix_exp_survival(spec, x)
     return TailEstimate(value, error, OracleMethod.MATRIX_EXP)
+
+
+def exact_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float,
+               side: str = "upper") -> TailEstimate:
+    """P(X >= x) (side="upper") or P(X <= x) (side="lower") from the spec's oracle."""
+    if side not in ("upper", "lower"):
+        raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
+    if isinstance(spec, GeometricSumSpec):
+        return (geom_tail_exact if side == "upper" else geom_lower_tail_exact)(spec, x)
+    upper = hypoexp_survival(spec, x)  # continuous: P(X = x) = 0
+    if side == "upper":
+        return upper
+    lower = 1.0 - upper.value  # rounds by up to half an ulp when upper.value < 1/2
+    return TailEstimate(lower, upper.error_bound + math.ulp(lower) / 2, upper.method)

@@ -85,7 +85,8 @@ class Method(str, enum.Enum):
 class BoundResult:
     """A bound value with its method, query ratio, and any optimized parameter.
 
-    ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min), lemma1's
+    ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min for an upper
+    tail; tl1's t = (1/lam - 1) p_min lies in [0, inf)), lemma1's
     generating-function argument z (1 <= z < 1/(1-p_min)), or opt-lemma1's
     w = z - 1 (0 <= w < p_min/(1-p_min)), when the method has one.
     ``evaluations`` counts the evaluations of the root solve behind an

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 
 import tailbounds
 from tailbounds import OutOfRange, montecarlo
-from tailbounds.cli import _lower_exact, main
+from tailbounds.cli import main
 from tailbounds.methods import Side, rows
 
 
@@ -228,15 +227,6 @@ class TestExact:
         assert code == 0
         assert out.splitlines()[0] == "method: closed-form"
         assert "value: 1\n" in out
-
-    def test_exp_lower_tail_counts_its_subtraction(self):
-        # 1 - v rounds by up to half an ulp of the result when v < 1/2
-        spec = tailbounds.make_exponential_spec([1.0, 2.0, 3.0])
-        upper = tailbounds.hypoexp_survival(spec, spec.mu)
-        lower = _lower_exact(spec, spec.mu)
-        assert upper.value < 0.5
-        assert lower.value == 1.0 - upper.value
-        assert lower.error_bound >= upper.error_bound + math.ulp(lower.value) / 2
 
     def test_exp(self, capsys):
         code, out, _ = run(

@@ -16,12 +16,16 @@ from conftest import (
     brute_force_tail,
     partial_fractions_survival,
     pgf_geometric,
+    random_exp_specs,
     random_geom_specs,
     reference_pmf_grid,
 )
 from tailbounds import exact_oracle, geom_bounds
 from tailbounds import (
+    ExponentialSumSpec,
+    GeometricSumSpec,
     KTooSmall,
+    McConfig,
     NegativeX,
     OracleMethod,
     OutOfRange,
@@ -33,10 +37,12 @@ from tailbounds import (
     iid_geom_tail,
     make_exponential_spec,
     make_geometric_spec,
+    mc_tail,
     upper_tail_lower_bound_tl,
     upper_tail_thm2,
 )
 from tailbounds.exact_oracle import _matrix_exp_survival as matrix_exp_survival
+from tailbounds.exact_oracle import exact_tail
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])
 FIFTY = make_geometric_spec(list(np.random.default_rng(5).uniform(0.05, 1.0, 50)))
@@ -380,6 +386,75 @@ class TestMatrixCap:
         est = hypoexp_survival(make_exponential_spec([1.0 + k for k in range(17)]), 4.0)
         assert est.method is OracleMethod.PARTIAL_FRACTIONS
         assert 0.0 < est.value < 1.0
+
+
+_TAIL_SPECS = random_geom_specs(seed=31, count=30) + random_exp_specs(seed=32, count=30)
+
+
+class TestExactTail:
+    # exact_tail picks the oracle of the spec's distribution and side, and
+    # returns its answer unchanged; only the exponential lower tail is derived
+    @pytest.mark.parametrize("side, lam", [*(("upper", lam) for lam in (1.0, 1.5, 3.0, 5.0)),
+                                           *(("lower", lam) for lam in (0.2, 0.5, 1.0))])
+    def test_equals_the_routed_oracle(self, side, lam):
+        for spec in _TAIL_SPECS:
+            x = lam * spec.mu
+            est = exact_tail(spec, x, side)
+            if isinstance(spec, GeometricSumSpec):
+                oracle = geom_tail_exact if side == "upper" else geom_lower_tail_exact
+                assert est == oracle(spec, x), (spec, side, lam)
+                continue
+            s = hypoexp_survival(spec, x)
+            if side == "upper":
+                assert est == s, (spec, lam)
+            else:
+                lower = 1.0 - s.value
+                assert est == TailEstimate(
+                    lower, s.error_bound + math.ulp(lower) / 2, s.method
+                ), (spec, lam)
+
+    def test_upper_is_the_default(self):
+        for spec in _TAIL_SPECS:
+            assert exact_tail(spec, 2.0 * spec.mu) == exact_tail(spec, 2.0 * spec.mu, "upper")
+
+    def test_exp_lower_tail_counts_its_subtraction(self):
+        # 1 - v rounds by up to half an ulp of the result when v < 1/2
+        spec = make_exponential_spec([1.0, 2.0, 3.0])
+        upper = hypoexp_survival(spec, spec.mu)
+        lower = exact_tail(spec, spec.mu, "lower")
+        assert upper.value < 0.5
+        assert lower.value == 1.0 - upper.value
+        assert lower.error_bound >= upper.error_bound + math.ulp(lower.value) / 2
+
+    def test_closed_form_edges(self):
+        whole = TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
+        empty = TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
+        for spec in _TAIL_SPECS:
+            if isinstance(spec, GeometricSumSpec):
+                for x in (-math.inf, 0.0, spec.n - 0.5, spec.n):
+                    assert exact_tail(spec, x, "upper") == whole
+                for x in (-math.inf, 0.0, spec.n - 0.5):
+                    assert exact_tail(spec, x, "lower") == empty
+                assert exact_tail(spec, spec.n, "lower").method is OracleMethod.CONVOLUTION
+            else:
+                assert exact_tail(spec, 0.0, "upper") == whole
+                assert exact_tail(spec, 0.0, "lower") == empty
+
+    @pytest.mark.parametrize("side", ["Upper", "both", None])
+    def test_other_sides_raise_as_mc_tail(self, side):
+        with pytest.raises(OutOfRange) as mc:
+            mc_tail(HALF_HALF, 3.0, McConfig(samples=10), side=side)
+        for spec in (HALF_HALF, make_exponential_spec([1.0, 2.0])):
+            with pytest.raises(OutOfRange) as exc:
+                exact_tail(spec, 3.0, side)
+            assert str(exc.value) == str(mc.value)
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_bad_x_raises_the_routed_oracles_error(self, side):
+        with pytest.raises(NegativeX):
+            exact_tail(make_exponential_spec([1.0, 2.0]), -1.0, side)
+        with pytest.raises(OutOfRange):
+            exact_tail(HALF_HALF, math.nan, side)
 
 
 class TestSupportCap:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import tailbounds
-from tailbounds import Method, exp_bounds, geom_bounds, methods
+from tailbounds import Method, exact_oracle, exp_bounds, geom_bounds, methods
 from tailbounds.cli import build_parser, main
 from tailbounds.exact_oracle import OracleMethod
 from tailbounds.methods import METHODS, Side
@@ -67,10 +67,8 @@ def _answers(spec, lam: float) -> dict:
     if geometric:
         z = 1.0 + 0.5 * spec.p_min / (1.0 - spec.p_min)
         out.update(best=methods.best_upper(spec, lam),
-                   lemma1=geom_bounds.lemma1_bound(spec, q.x, z),
-                   exact=tailbounds.geom_tail_exact(spec, q.x))
-    else:
-        out["exact"] = tailbounds.hypoexp_survival(spec, q.x)
+                   lemma1=geom_bounds.lemma1_bound(spec, q.x, z))
+    out["exact"] = exact_oracle.exact_tail(spec, q.x)
     return out
 
 
