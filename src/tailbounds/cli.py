@@ -136,18 +136,14 @@ def cmd_mc(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args)
-    lo, hi = (
-        make_tail_query(spec.mu, lam=v).lam for v in (args.lambda_from, args.lambda_to)
-    )
+    lo, hi = (make_tail_query(spec.mu, lam=v).lam for v in (args.lambda_from, args.lambda_to))
     if not (1.0 <= lo <= hi):
         raise LambdaOutOfRange(f"need 1 <= from <= to, got {lo}..{hi}")
     cfg = montecarlo.McConfig(samples=args.samples, seed=args.seed)
     columns = methods.rows(args.dist, Side.UPPER, Side.UPPER_FROM_BELOW)
     print(",".join(["lambda", "x", *(row.column for row in columns), "exact", "mc",
                     "mc_halfwidth"]))
-    step = (hi - lo) / max(args.steps - 1, 1)  # np.linspace's, one lambda at a time
-    for i in range(args.steps):
-        lam = hi if 0 < i == args.steps - 1 else lo + i * step
+    for lam in np.linspace(lo, hi, args.steps).tolist():
         q = make_tail_query(spec.mu, lam=lam)
         mc = montecarlo.mc_tail(spec, q.x, cfg)
         cells = [q.lam, q.x, *(row.evaluate(spec, q).value for row in columns),

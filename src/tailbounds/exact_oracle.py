@@ -40,6 +40,7 @@ from .model import (
     KTooSmall,
     OutOfRange,
     require_count,
+    require_side,
     require_threshold,
 )
 
@@ -330,12 +331,13 @@ def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[flo
     return min(max(value, 0.0), 1.0), error
 
 
-def _matrix_exp_scaling(spec: ExponentialSumSpec, x: float) -> tuple[int, float]:
-    """The squarings s and the error bound of ``_matrix_exp_survival(spec, x)``.
+def _matrix_exp_scaling(c: list[float]) -> tuple[int, float]:
+    """The squarings s and the error bound of ``_matrix_exp_survival(c, s)``.
 
     In row-sum norms, with u = eps/2, gamma_m = m u/(1 - m u) and
-    g = n eps/(1 - n eps) >= gamma_n: the rounded a_i x are the exact rates of
-    a nearby chain, so B = Q x/2^s has ||B|| <= 1/2 (up to the rounding of
+    g = n eps/(1 - n eps) >= gamma_n: the rounded products c_i = -a_i x taken
+    here, largest rate last (the chain order of least norm), are the exact rates
+    of a nearby chain, so B = Q x/2^s has ||B|| <= 1/2 (up to the rounding of
     log2, which the slack absorbs) and each exp(B 2^j) is substochastic.
     Taylor stage: term k, fl(fl(term_{k-1} B)/k), is within
     ((1 + gamma_{n+1})^k - 1) ||B||^k/k! of B^k/k!, at most 0.83 (n + 1) u
@@ -345,14 +347,13 @@ def _matrix_exp_scaling(spec: ExponentialSumSpec, x: float) -> tuple[int, float]
     with ||T|| <= 1, ||E|| <= d, and the product rounds by at most
     g ||T + E||^2, so d <- 2d + d^2 + g (1 + d)^2: 1 + d <- (1 + g)(1 + d)^2,
     whose log doubles and gains log(1 + g); d is capped at 1. Output: the row
-    sum adds g (1 + d). As P(X > x) = E exp(-c (1 - R)^+) for one scaled rate
-    c and the other summands R, c |dS/dc| <= 1/e, so rounding the n products
+    sum adds g (1 + d). As P(X > x) = E exp(-b (1 - R)^+) for one scaled rate
+    b and the other summands R, b |dS/db| <= 1/e, so rounding the n products
     a_i x moves it by at most n u/e (a subnormal one by at most its
-    half-ulp), within n eps. With the largest rate last (``rate_array``), the
-    norm is the smallest over all chain orders.
+    half-ulp), within n eps.
     """
-    a, n = spec.rate_array.tolist(), spec.n
-    norm = x * (max(2.0 * a[-2], a[-1]) if n > 1 else a[0])  # rows (-a x, a x)
+    n = len(c)
+    norm = -min(2.0 * c[-2], c[-1]) if n > 1 else -c[0]  # rows (-a x, a x)
     s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
     g = n * _EPS / (1.0 - n * _EPS)
     d = 14 * n * _EPS + 2.0 * 0.5**14 / math.factorial(14)
@@ -361,26 +362,25 @@ def _matrix_exp_scaling(spec: ExponentialSumSpec, x: float) -> tuple[int, float]
     return s, min(d + g * (1.0 + d) + n * _EPS, 1.0)
 
 
-def _matrix_exp_survival(spec: ExponentialSumSpec, x: float) -> tuple[float, float]:
+def _matrix_exp_survival(c: list[float], s: int) -> float:
     """Hypoexponential P(X > x) via the chain generator's matrix exponential.
 
-    The transient generator is upper bidiagonal (diagonal -a_i, superdiagonal
-    a_i); survival is the first-row sum of exp(Q x). Scaling and squaring with
-    a degree-13 Taylor polynomial, scaled so the norm is at most 1/2. Each
-    squaring can double the error it inherits (``_matrix_exp_scaling``).
+    Q x is upper bidiagonal (diagonal c_i = -a_i x, superdiagonal a_i x); survival
+    is the first-row sum of exp(Q x): a degree-13 Taylor polynomial of Q x/2^s,
+    squared s times. Squarings that overflow to a NaN row sum raise ``OutOfRange``.
     """
-    ax = spec.rate_array * x
-    Q = np.diag(-ax) + np.diag(ax[:-1], 1)
-    s, error = _matrix_exp_scaling(spec, x)
-    B = Q / float(2**s)
-    T = acc = np.eye(spec.n)  # both are rebound, never updated in place
+    B = (np.diag(c) - np.diag(c[:-1], 1)) / float(2**s)
+    T = acc = np.eye(len(c))  # both are rebound, never updated in place
     for k in range(1, 14):
         acc = acc @ B / k
         T = T + acc
-    for _ in range(s):
-        T = T @ T
-    value = float(np.clip(T[0].sum(), 0.0, 1.0))
-    return value, error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            T = T @ T
+        total = T[0].sum()
+    if np.isnan(total):
+        raise OutOfRange(f"the matrix route's {s} squarings overflowed")
+    return float(np.clip(total, 0.0, 1.0))
 
 
 def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
@@ -392,29 +392,28 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     x must be finite and >= 0, with max(a) x <= 2^1020 so that the matrix
     route's scaling 2^s stays finite. The matrix route takes at most 2048 rates
     (``_MAX_MATRIX_N``); partial-fraction answers have no such cap. Both routes
-    read the spec's sorted ``rate_array``, so the answer depends only on the
-    multiset of rates.
+    read one list of the products c_i = -a_i x over the sorted ``rate_array``,
+    so the answer depends only on the multiset of rates.
     """
     require_threshold(x)
     a = spec.rate_array.tolist()  # numpy scalars would warn on overflow
-    if not a[-1] * x <= 2.0**1020:
+    c = [-ai * x for ai in a]  # the exponents of both routes
+    if not -c[-1] <= 2.0**1020:
         raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
     if x == 0.0:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
-    value, error = _partial_fractions(a, [-ai * x for ai in a])
-    if error <= _REL_TOL * value or error <= _matrix_exp_scaling(spec, x)[1]:
+    value, error = _partial_fractions(a, c)
+    if error <= _REL_TOL * value or error <= (scaling := _matrix_exp_scaling(c))[1]:
         return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
     if spec.n > _MAX_MATRIX_N:
         raise OutOfRange(f"need n <= {_MAX_MATRIX_N} on the matrix route, got n={spec.n}")
-    value, error = _matrix_exp_survival(spec, x)
-    return TailEstimate(value, error, OracleMethod.MATRIX_EXP)
+    return TailEstimate(_matrix_exp_survival(c, scaling[0]), scaling[1], OracleMethod.MATRIX_EXP)
 
 
 def exact_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float,
                side: str = "upper") -> TailEstimate:
     """P(X >= x) (side="upper") or P(X <= x) (side="lower") from the spec's oracle."""
-    if side not in ("upper", "lower"):
-        raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
+    require_side(side)
     if isinstance(spec, GeometricSumSpec):
         return (geom_tail_exact if side == "upper" else geom_lower_tail_exact)(spec, x)
     upper = hypoexp_survival(spec, x)  # continuous: P(X = x) = 0

@@ -5,9 +5,9 @@ immutable spec types defined here. All derived statistics are computed
 once at construction with compensated summation and cached.
 
 Every public entry point first checks its query against the paper's
-domains with the four validators here: ``require_upper`` (finite lam >= 1),
-``require_lower`` (0 < lam <= 1), ``require_threshold`` (finite x >= 0) and
-``require_count`` (an integer in a range).
+domains with the five validators here: ``require_upper`` (finite lam >= 1),
+``require_lower`` (0 < lam <= 1), ``require_threshold`` (finite x >= 0),
+``require_count`` (an integer in a range) and ``require_side``.
 """
 
 from __future__ import annotations
@@ -157,6 +157,12 @@ def require_count(name: str, value, lo: int, hi: float) -> None:
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integral and lo <= value <= hi):
         raise OutOfRange(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def require_side(side: str) -> None:
+    """Refuse a tail side other than "upper" or "lower"."""
+    if side not in ("upper", "lower"):
+        raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
 
 
 def _sum_of_inverses(values: tuple[float, ...]) -> float:

@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .exact_oracle import OracleMethod, TailEstimate
-from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange, require_count
+from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange, require_count, require_side
 
 # Uniforms per block: 512 KB of float64, which stays in cache through every
 # pass. The fastest of 2^12..2^20 at n = 8 and n = 10^3 with a fresh block
@@ -179,8 +179,7 @@ def mc_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float, cfg: McConfig
     samples * n is; the blocks take the stream in order, so the estimate does
     not depend on their size.
     """
-    if side not in ("upper", "lower"):
-        raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
+    require_side(side)
     if math.isnan(x):
         raise OutOfRange("threshold x is NaN")
     rows = max(1, BLOCK_DRAWS // spec.n)

@@ -85,6 +85,14 @@ def partial_fractions_survival(spec, x: float) -> tuple[float, float]:
     return exact_oracle._partial_fractions(a, [-ai * x for ai in a])
 
 
+def matrix_exp_survival(spec, x: float) -> tuple[float, float]:
+    """Hypoexponential P(X > x) and its error bound from the package's matrix
+    route alone, on the same exponents -a_i x."""
+    c = [-ai * x for ai in spec.rate_array.tolist()]
+    s, bound = exact_oracle._matrix_exp_scaling(c)
+    return exact_oracle._matrix_exp_survival(c, s), bound
+
+
 def pgf_pole_gap(p: float, z: float) -> float:
     """Distance 1 - (1-p) z to the generating-function pole, in the two forms
     that the package's log_pgf_geometric uses."""

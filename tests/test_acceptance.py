@@ -10,7 +10,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import partial_fractions_survival, random_exp_specs, random_geom_specs
+from conftest import (
+    matrix_exp_survival,
+    partial_fractions_survival,
+    random_exp_specs,
+    random_geom_specs,
+)
 from tailbounds import (
     McConfig,
     exp_tail_lower_iv,
@@ -35,7 +40,6 @@ from tailbounds import (
     upper_tail_thm1,
     upper_tail_thm2,
 )
-from tailbounds.exact_oracle import _matrix_exp_survival as matrix_exp_survival
 from tailbounds.montecarlo import _wilson_interval as wilson_interval
 
 SLACK = 1e-10

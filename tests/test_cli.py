@@ -275,6 +275,25 @@ class TestExact:
         assert lines[0].startswith("error: ")
         assert "x=1e+308" in lines[0]
 
+    def test_tied_rates_at_the_top_of_the_double_range(self, capsys):
+        # 2 a x overflowed at the parent's norm; the Erlang tail is 5 e^-4
+        code, out, _ = run(capsys, "exact", "--dist", "exp", "--a", "1e308,1e308",
+                           "--lambda", "2")
+        assert code == 0
+        assert "method: matrix-exp\n" in out
+        assert "value: 0.0915781944437\n" in out
+
+    def test_overflowing_squarings_are_one_error_line(self):
+        # x is about 1e290 and s = 998: the squarings overflow to a NaN row sum
+        proc = python_fresh(
+            "-m", "tailbounds.cli", "exact", "--dist", "exp",
+            "--a", "1e10,1e-10,1e-10,1e-10,1e-300", "--lambda", "1e-10",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "squarings" in line
+
 
 class TestMc:
     def test_prints_seed_and_is_deterministic(self, capsys):
@@ -326,6 +345,15 @@ class TestSweep:
         for col in ("thm1", "thm2", "cor1", "cor2", "opt_chernoff"):
             assert cells[col] == "1"
         assert float(cells["opt_lemma1"]) <= 1.0
+
+    def test_tied_rates_at_the_top_of_the_double_range(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--dist", "exp", "--a", "9e307,9e307",
+            "--lambda-from", "1", "--lambda-to", "3", "--steps", "2", "--samples", "100",
+        )
+        assert code == 0
+        header, first, _ = out.strip().splitlines()
+        assert dict(zip(header.split(","), first.split(",")))["exact"] == "0.40600584971"
 
     def test_rows_ordered_and_sandwiched(self, capsys):
         code, out, _ = run(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_pmf,
     brute_force_tail,
+    matrix_exp_survival,
     partial_fractions_survival,
     pgf_geometric,
     random_exp_specs,
@@ -41,7 +42,6 @@ from tailbounds import (
     upper_tail_lower_bound_tl,
     upper_tail_thm2,
 )
-from tailbounds.exact_oracle import _matrix_exp_survival as matrix_exp_survival
 from tailbounds.exact_oracle import exact_tail
 
 HALF_HALF = make_geometric_spec([0.5, 0.5])
@@ -282,7 +282,8 @@ class TestHypoexpSurvival:
         est = hypoexp_survival(spec, x)
         assert est.method is OracleMethod.PARTIAL_FRACTIONS
         assert abs(Decimal(est.value) - _decimal_exp_sum(rates, x)) <= Decimal(est.error_bound)
-        assert est.error_bound < exact_oracle._matrix_exp_scaling(spec, x)[1]
+        c = [-a * x for a in spec.rate_array.tolist()]
+        assert est.error_bound < exact_oracle._matrix_exp_scaling(c)[1]
 
     @pytest.mark.parametrize("lam", [1.5, 3.0])
     def test_random_1e3_spec_is_certified(self, lam):
@@ -359,6 +360,14 @@ class TestHypoexpSurvival:
             assert error <= Decimal(est.error_bound), rates
         assert checked > 600
 
+    def test_partial_fractions_kept_just_inside_their_tolerance(self):
+        # the bound is 1.2e-11 relative, inside 1e-9 but not 1e-12; the matrix
+        # route would report 1.83e-13, so only the 1e-9 rule keeps this answer
+        est = hypoexp_survival(make_exponential_spec([9.26, 9.49, 8.94]), 0.33)
+        assert est.method is OracleMethod.PARTIAL_FRACTIONS
+        assert est.value == pytest.approx(0.413340504748, rel=1e-11)
+        assert est.error_bound == pytest.approx(5.02290841553e-12, rel=1e-9)
+
     def test_density_vanishes_at_origin(self):
         # for n >= 2 the density at 0 is 0, so the survival has zero slope
         spec = make_exponential_spec([1.0, 3.0])
@@ -386,6 +395,46 @@ class TestMatrixCap:
         est = hypoexp_survival(make_exponential_spec([1.0 + k for k in range(17)]), 4.0)
         assert est.method is OracleMethod.PARTIAL_FRACTIONS
         assert 0.0 < est.value < 1.0
+
+
+class TestOneListOfProducts:
+    # both routes read one list of the products -a_i x: the matrix norm doubles
+    # a product, not a rate, and its scaling is derived at most once per call
+    @pytest.mark.parametrize("rates", [(1e308, 1e308), (9e307, 9e307), (1.7e308,) * 3])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_tied_rates_at_the_top_of_the_double_range(self, rates, lam):
+        # Erlang(n): P(X > lam mu) = e^(-lam n) sum_{k<n} (lam n)^k / k!
+        spec = make_exponential_spec(rates)
+        t = lam * spec.n
+        upper = math.exp(-t) * math.fsum(t**k / math.factorial(k) for k in range(spec.n))
+        x = lam * spec.mu
+        answers = [(hypoexp_survival(spec, x), upper), (exact_tail(spec, x, "upper"), upper),
+                   (exact_tail(spec, x, "lower"), 1.0 - upper)]
+        for est, truth in answers:
+            assert est.method is OracleMethod.MATRIX_EXP
+            assert abs(est.value - truth) <= est.error_bound, (rates, lam, est)
+
+    @pytest.mark.parametrize("rates, x, route, calls", [
+        ((1.0, 2.0), 1.0, OracleMethod.PARTIAL_FRACTIONS, 0),  # within 1e-9
+        ((1.0, 1.000001), 40.0, OracleMethod.PARTIAL_FRACTIONS, 1),  # 8.9e-9, below the matrix
+        ((1.0, 1.0), 2.0, OracleMethod.MATRIX_EXP, 1),
+        ((2.0, 513.0, 2.00001), 1.0, OracleMethod.MATRIX_EXP, 1),
+    ])
+    def test_scaling_runs_at_most_once(self, rates, x, route, calls):
+        # partial fractions stand within 1e-9 relative, or below the matrix bound
+        wraps = exact_oracle._matrix_exp_scaling
+        with mock.patch.object(exact_oracle, "_matrix_exp_scaling", wraps=wraps) as scaling:
+            est = hypoexp_survival(make_exponential_spec(rates), x)
+        assert est.method is route
+        assert scaling.call_count == calls
+
+    def test_overflowing_squarings_are_refused_without_warnings(self):
+        # x is about 1e290: s = 998 squarings, and the a-priori bound is 1.0
+        spec = make_exponential_spec([1e10, 1e-10, 1e-10, 1e-10, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="998 squarings"):
+                hypoexp_survival(spec, 1e-10 * spec.mu)
 
 
 _TAIL_SPECS = random_geom_specs(seed=31, count=30) + random_exp_specs(seed=32, count=30)
@@ -906,6 +955,14 @@ class TestGeomPartialFractions:
             values.append(est.value)
         assert len(values) >= 200
         assert min(values) < 1e-80 and max(values) > 0.1
+
+    def test_cascade_answers_just_outside_the_tolerance(self):
+        # partial fractions' bound here is 2.13e-12 relative: past 1e-12 and above
+        # the cascade's floor, though below the cascade's whole bound
+        est = geom_tail_exact(make_geometric_spec([0.1, 0.2]), 6000)
+        assert est.method is OracleMethod.CONVOLUTION
+        assert est.value == pytest.approx(6.33642242323e-275, rel=1e-11)
+        assert est.error_bound == pytest.approx(1.68906558053e-286, rel=1e-9)
 
     def test_certain_summands_are_dropped(self):
         # a summand with p = 1 adds exactly 1: X >= k0 iff the rest reach k0 - 2
