@@ -9,11 +9,12 @@ summands, and it reports its own rigorous error bound. Geometric upper tails
 try it first where that is cheaper than the convolution (small n, or a deep
 threshold at larger n) and keep its answer where its bound is within
 1e-12 relative or below the convolution's own floor; otherwise they take an
-O(nK) iterated-convolution pmf, run as one ``scipy.signal.sosfilt`` cascade
-with a first-order section per summand in ascending p (the order keeps
-intermediate values out of the slow subnormal range). The probability the
-cascade still holds in its filter state after step K is exactly P(X > K), a
-sum of nonnegative terms, so the upper tail needs one grid up to k0 - 1, no
+O(n (K - n)) iterated-convolution pmf, run as one ``scipy.signal.sosfilt``
+cascade with a first-order section per summand in ascending p, over the
+support above n only, and lifted by 2^1000 so that values down to about
+1e-609 stay out of the slow subnormal range. The probability the cascade
+still holds in its filter state after step K is exactly P(X > K), a sum of
+nonnegative terms, so the upper tail needs one grid up to k0 - 1, no
 truncation and none of the bounds that it is used to check. scipy is
 imported only when a cascade runs. iid parameters also have a closed-form
 negative-binomial cross-check. Exponential sums keep the partial-fraction
@@ -59,8 +60,12 @@ _GEOM_REL_TOL = 1e-12
 # _partial_fractions_first): trying partial fractions per pair of summands,
 # and the sosfilt cascade per call and per filter step.
 _PAIR_US = 0.45
-_CASCADE_US = 45.0
-_STEP_US = 0.004
+_CASCADE_US = 47.0
+_STEP_US = 0.0038
+
+# The cascade's impulse, a power of two that lifts the pmf out of the slow
+# subnormal range and is divided out exactly (see _pmf_grid).
+_LIFT = 2.0**1000
 
 # Largest pmf grid ever built, checked before it is allocated (cost is O(n*K)).
 _MAX_SUPPORT = 10_000_000
@@ -98,44 +103,63 @@ class TailEstimate:
             raise OutOfRange(f"error bound {self.error_bound} negative")
 
 
-def _pmf_grid(spec: GeometricSumSpec, K: int, tail: bool = True) -> tuple[np.ndarray, float]:
-    """P(X = k) for k = 0..K, and P(X > K) (nan unless ``tail``), via the recursion
+def _pmf_grid(spec: GeometricSumSpec, K: int, upper: bool = True) -> tuple[np.ndarray, float]:
+    """P(X = k) for k = 0..K (K >= n), and P(X > K) if ``upper``, else P(X <= K).
 
-        c_i(k) = (1-p_i) c_i(k-1) + p_i c_{i-1}(k-1),
+    The support starts at n, so the grid is n zeros and then the pmf of
+    X - n = sum_i (G_i - 1) at m = 0..K - n, from the recursion
 
-    run as one cascade of first-order sections (O(nK) in one C call): an
-    impulse filtered through the section p z^-1 / (1 - (1-p) z^-1) of each
-    summand. All coefficients are nonnegative, so no cancellation occurs.
-    The sections run in the ascending order of ``spec.param_array``: the slowly
-    decaying summands come first, the fast ones then act on a spread-out grid,
-    and far fewer intermediate values fall to subnormals, which cost many
-    times more per operation. scipy is imported here, on first use, so that
-    importing the package stays cheap.
+        c_i(m) = p_i c_{i-1}(m) + (1-p_i) c_i(m-1),
 
-    The tail is read from the final filter state. In direct form II
-    transposed, section i (row [0, p, 0, 1, p - 1, 0]) emits y[k] = s[k-1]
-    and keeps s[k] = p x[k] + (1-p) y[k] >= 0, so its state s_i after step K
-    is what it emits at K + 1: the pmf of the first i summands' sum at K + 1.
-    With no further input it goes on to emit s_i (1-p_i)^j, s_i / p_i in
-    all, and every later section passes its input on without loss, so
-    P(X > K) = sum_i s_i / p_i, with no cancellation and no truncation.
-    Only the upper tail asks for it: at n = 8 scipy's path with a filter
-    state costs about a third more per call (12-20 us at K = 40).
+    run as one cascade of first-order sections (n (K + 1 - n) steps in one
+    C call): an impulse filtered through the section p / (1 - (1-p) z^-1) of
+    each summand. All coefficients are nonnegative, so no cancellation
+    occurs. Section i computes P(S_i = m + i), S_i the sum of the first i
+    summands, from the same operands and operations as the section
+    p z^-1 / (1 - (1-p) z^-1) run over the whole grid from k = 0, so each
+    entry is that cascade's, moved by n places. The sections run in the
+    ascending order of ``spec.param_array``, so the grid depends only on the
+    multiset of p. scipy is imported here, on first use, so that importing
+    the package stays cheap.
+
+    The impulse is 2^1000, not 1. Every exact value is at most 1, which
+    leaves about 2^23 of headroom for round-off, and values that would be
+    subnormal, where an operation costs many times a normal one and rounds
+    to an absolute ulp, are normal down to about 1e-609. An operation whose
+    result is normal either way is scaled exactly, so it gives the unlifted
+    result. The grid and the tail are scaled back by 2^-1000 once, at the
+    end, which rounds only a value below the normal range, by at most half a
+    smallest subnormal; the lower tail is summed before it is scaled back.
+
+    The upper tail is read from the final filter state. In direct form II
+    transposed, section i (row [p, 0, 0, 1, p - 1, 0]) emits y[m] = p x[m] +
+    s[m-1] and keeps s[m] = (1-p) y[m] >= 0, so its state after the last
+    step is s_i = (1-p_i) P(S_i = K - n + i). With no further input it goes
+    on to emit s_i (1-p_i)^j, s_i / p_i in all, and every later section
+    passes its input on without loss, so P(X > K) = sum_i s_i / p_i, with no
+    cancellation and no truncation. Only the upper tail asks for the state:
+    at n = 8 scipy's path with a filter state costs about a third more per
+    call (12-20 us at K = 40).
     """
-    require_count("pmf support", K, 0, _MAX_SUPPORT)
+    require_count("pmf support", K, spec.n, _MAX_SUPPORT)
     from scipy.signal import sosfilt
 
     p = spec.param_array
     sos = np.zeros((p.size, 6))
-    sos[:, 1] = p
+    sos[:, 0] = p
     sos[:, 3] = 1.0
     sos[:, 4] = p - 1.0
-    impulse = np.zeros(K + 1)
-    impulse[0] = 1.0
-    if not tail:
-        return sosfilt(sos, impulse), math.nan
-    grid, state = sosfilt(sos, impulse, zi=np.zeros((p.size, 2)))
-    return grid, float((state[:, 0] / p).sum())
+    impulse = np.zeros(K + 1 - p.size)
+    impulse[0] = _LIFT
+    if upper:
+        lifted, state = sosfilt(sos, impulse, zi=np.zeros((p.size, 2)))
+        rest = (state[:, 0] / p).sum()
+    else:
+        lifted = sosfilt(sos, impulse)
+        rest = lifted.sum()
+    grid = np.zeros(K + 1)
+    np.divide(lifted, _LIFT, out=grid[p.size :])
+    return grid, float(rest) / _LIFT
 
 
 def _require_support(K: float) -> None:
@@ -148,15 +172,16 @@ def geom_pmf_convolution(spec: GeometricSumSpec, K: int) -> np.ndarray:
     """Exact pmf P(X = k) for k = n..K (the support starts at n)."""
     if K < spec.n:
         raise KTooSmall(f"K={K} below minimum support n={spec.n}")
-    return _pmf_grid(spec, K, tail=False)[0][spec.n :]
+    return _pmf_grid(spec, K, upper=False)[0][spec.n :]
 
 
 def _roundoff(n: int, K: int) -> tuple[float, float]:
     """Round-off of each entry of a pmf grid up to K, as (relative, absolute).
 
     eps (2K + n) relative, plus one smallest subnormal for each of the
-    n (K + 1) filter steps: where the pmf underflows, the cascade rounds to
-    subnormals or to 0 instead of to a relatively close value.
+    n (K + 1) filter steps, for a pmf that underflows. That term is sound
+    but loose for the cascade lifted by 2^1000: a step there rounds to
+    2^-1000 of a smallest subnormal, and scaling back by at most half of one.
     """
     return _EPS * (2.0 * K + n), n * (K + 1) * _TINY
 
@@ -165,29 +190,37 @@ def _partial_fractions_first(n: int, k0: int) -> bool:
     """Whether trying partial fractions first costs less than the cascade.
 
     Trying them costs ``_PAIR_US`` per pair, n (n - 1)/2 pairs; the cascade
-    ``_CASCADE_US`` per call plus ``_STEP_US`` per filter step, about n k0.
-    Measured pinned to one CPU of a 2-vCPU Xeon host (Python 3.11, numpy 2.4,
-    scipy 1.17) on distinct p ~ U(0.05, 1): the pair loop alone takes about
-    0.2 us per pair, and the cascade 45-50 us plus 4 ns per step. Where the
-    answer is not certified the cascade runs as well, which happens more often
-    as n grows (at lambda = 1: 12 of 40 queries at n = 8, 26 of 40 at n = 16,
-    39 of 40 at n = 32), so a pair is counted at 0.45 us: that puts the
-    break-even where end-to-end times crossed, near k0 = 140 at n = 16 and
-    k0 = 500 at n = 20. Partial fractions are tried at every k0 for n <= 14,
-    and at n = 10^3 only from k0 = 56,200 (lambda about 18 for p ~ U(0.05, 1)).
+    ``_CASCADE_US`` per call plus ``_STEP_US`` per filter step, n (k0 - n)
+    (it filters the support above n, up to k0 - 1). First measured pinned to
+    one CPU of a 2-vCPU Xeon host (Python 3.11, numpy 2.4, scipy 1.17) on
+    distinct p ~ U(0.05, 1): the pair loop alone takes about 0.2 us per
+    pair, and the whole-grid cascade took 45-50 us plus 4 ns per step of
+    n k0. Where the answer is not certified the cascade runs as well, which
+    happens more often as n grows (at lambda = 1: 12 of 40 queries at n = 8,
+    26 of 40 at n = 16, 39 of 40 at n = 32), so a pair is counted at 0.45 us:
+    that puts the break-even where end-to-end times crossed, near k0 = 140 at
+    n = 16 and k0 = 500 at n = 20. The cascade over the support above n,
+    timed against the whole-grid one in alternating pinned calls, costs
+    3.5% more per call (one more array) and 5% less per step (no subnormals
+    at the head of the pmf), hence 47 us and 3.8 ns. Partial fractions are
+    tried at every k0 for n <= 14, and at n = 10^3 only from k0 = 60,140
+    (lambda about 19 for p ~ U(0.05, 1)).
     """
-    return _PAIR_US * n * (n - 1) / 2 <= _CASCADE_US + _STEP_US * n * k0
+    return _PAIR_US * n * (n - 1) / 2 <= _CASCADE_US + _STEP_US * n * (k0 - n)
 
 
 def _cascade_tail(spec: GeometricSumSpec, k0: int) -> TailEstimate:
     """P(X >= k0) for an integer k0 > n from one cascade up to k0 - 1.
 
     P(X >= k0) = sum_i s_i / p_i is read from the cascade's final state (see
-    ``_pmf_grid``). The certificate. Each s_i is a cascade entry at k0, so it
-    carries the round-off of ``_roundoff(n, k0)``: eps (2 k0 + n) relative,
-    plus n (k0 + 1) smallest subnormals absolute. Dividing by p_i and summing n
-    nonnegative terms adds (n + 1) eps relative; the absolute part, divided by
-    each p_i and summed, gives n (k0 + 1) tiny mu. The bound is
+    ``_pmf_grid``). The certificate. Each s_i is (1 - p_i) times a grid entry
+    at index K - n + i <= K = k0 - 1, so it carries that entry's round-off,
+    ``_roundoff(n, k0 - 1)``, and one more rounding: eps (2 k0 - 2 + n) + eps/2
+    relative, within eps (2 k0 + n), plus n k0 smallest subnormals absolute.
+    Dividing by p_i and summing n nonnegative terms adds (n + 1) eps relative;
+    the absolute part, divided by each p_i and summed, gives n k0 tiny mu, and
+    scaling the lifted sum back rounds it by at most tiny/2 <= n tiny mu more.
+    So ``_roundoff(n, k0)`` still covers the states, and the bound is
     (eps (2 k0 + n) + (n + 1) eps) value + n (k0 + 1) tiny mu.
     """
     tail = _pmf_grid(spec, k0 - 1)[1]
@@ -232,14 +265,14 @@ def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
 
     The terms are nonnegative, so the certificate is relative: the grid's
     round-off, eps (2 k1 + n) times the value, plus its absolute subnormal
-    term once for each summed entry.
+    term once for each summed entry. The sum is taken over the lifted grid
+    and scaled back once (see ``_pmf_grid``), which that term covers.
     """
     _require_support(x)
     if x < spec.n:
         return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
     k1 = math.floor(x)
-    pmf = _pmf_grid(spec, k1, tail=False)[0]
-    value = float(np.sum(pmf[spec.n :]))
+    value = _pmf_grid(spec, k1, upper=False)[1]
     rel, floor = _roundoff(spec.n, k1)
     error = rel * value + (k1 + 1 - spec.n) * floor
     return TailEstimate(min(value, 1.0), error, OracleMethod.CONVOLUTION)

@@ -58,14 +58,16 @@ def brute_force_tail(params, x: float, K: int) -> float:
     return sum(pr for k, pr in pmf.items() if k >= k0)
 
 
-def reference_pmf_grid(spec, K: int, tail: bool = True) -> tuple[np.ndarray, float]:
+def reference_pmf_grid(spec, K: int, upper: bool = True) -> tuple[np.ndarray, float]:
     """P(X = k) for k = 0..K, one ``lfilter`` per summand in the order of
-    ``spec.params``, and P(X > K) from each summand's final filter state.
+    ``spec.params``, and P(X > K) if ``upper``, else P(X <= K).
 
     The reference for the package's one-call cascade, which must agree with
-    it within round-off. Summand i's state after step K is the pmf of the
-    first i summands' sum at K + 1, and it goes on to emit s_i / p_i in all.
-    ``tail`` is taken for the package's signature; the tail is always returned.
+    it within round-off. It filters the whole grid from k = 0 with an impulse
+    of 1, where the package filters the support above n with an impulse of
+    2^1000. Summand i's state after step K is the pmf of the first i
+    summands' sum at K + 1, and it goes on to emit s_i / p_i in all; the
+    lower tail is the grid's sum.
     """
     from scipy.signal import lfilter
 
@@ -75,7 +77,7 @@ def reference_pmf_grid(spec, K: int, tail: bool = True) -> tuple[np.ndarray, flo
     for p in spec.params:
         c, (state,) = lfilter([0.0, p], [1.0, -(1.0 - p)], c, zi=[0.0])
         tail += state / p
-    return c, tail
+    return c, (tail if upper else float(np.sum(c)))
 
 
 def partial_fractions_survival(spec, x: float) -> tuple[float, float]:

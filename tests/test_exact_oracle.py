@@ -685,12 +685,16 @@ class TestPmfKernel:
         _assert_matches_reference(spec, K)
 
     def test_grid_without_state_is_identical(self):
-        # the pmf alone skips scipy's filter-state path, with the same grid
+        # the pmf with its lower tail skips scipy's filter-state path, with the
+        # same grid, and the two tails add up to 1 within their certificates
         for spec in _kernel_specs():
             for K in (spec.n, spec.n + 40, spec.n + 500):
-                grid, tail = exact_oracle._pmf_grid(spec, K, tail=False)
-                assert grid.tobytes() == exact_oracle._pmf_grid(spec, K)[0].tobytes()
-                assert math.isnan(tail)
+                grid, lower = exact_oracle._pmf_grid(spec, K, upper=False)
+                same, upper = exact_oracle._pmf_grid(spec, K)
+                assert grid.tobytes() == same.tobytes()
+                slack = (_sum_roundoff(spec.n, K, lower, K + 1 - spec.n)
+                         + _state_roundoff(spec, K + 1, upper) + exact_oracle._EPS)
+                assert abs(lower + upper - 1.0) <= slack
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
@@ -701,6 +705,37 @@ class TestPmfKernel:
             shuffled_grid, shuffled_tail = exact_oracle._pmf_grid(shuffled, K)
             assert shuffled_grid.tobytes() == grid.tobytes()
             assert shuffled_tail == tail
+
+    @pytest.mark.parametrize("oracle, K", [
+        (geom_tail_exact, lambda x: math.ceil(x) - 1),
+        (geom_lower_tail_exact, math.floor),
+    ], ids=["upper", "lower"])
+    def test_filters_only_the_support_above_n(self, oracle, K):
+        # the cascade filters K + 1 - n samples, an impulse of 2^1000, not the
+        # n leading zeros of the grid
+        import scipy.signal
+
+        x = 3.0 * FIFTY.mu
+        with mock.patch.object(scipy.signal, "sosfilt", wraps=scipy.signal.sosfilt) as filt:
+            est = oracle(FIFTY, x)
+        assert est.method is OracleMethod.CONVOLUTION
+        ((_, impulse), _), = filt.call_args_list
+        assert impulse.shape == (K(x) + 1 - FIFTY.n,)
+        assert impulse[0] == 2.0**1000 and not impulse[1:].any()
+
+    @pytest.mark.parametrize(
+        "p", [(1e-300, 0.5), (1e-300, 1.0, 0.3), (1e-300, 1e-300, 1e-300, 1.0)],
+        ids=["two", "three", "four"],
+    )
+    def test_lifted_grid_stays_in_range(self, p):
+        # 1 - 1e-300 rounds to 1, so the first section emits p 2^1000 forever and
+        # its state divided by p is 2^1000 again: the lift leaves room for it
+        spec = make_geometric_spec(list(p))
+        K = spec.n + 2000
+        grid, tail = exact_oracle._pmf_grid(spec, K)
+        assert np.all(np.isfinite(grid)) and np.all((grid >= 0.0) & (grid <= 1.0))
+        assert math.isfinite(tail) and 0.0 <= tail <= 1.0
+        _assert_matches_reference(spec, K)
 
     def test_oracles_within_certificate_of_reference_kernel(self):
         # 200 queries on the upper and on the lower tail:
@@ -818,6 +853,23 @@ def _decimal_geom_tail(params, k0):
         return weight * total
 
 
+def _decimal_recursion_tail(params, k0):
+    """P(X >= k0) = 1 - P(X < k0) for any p, in 400-digit decimal arithmetic.
+
+    The pmf of X - n comes from c_i(m) = p_i c_{i-1}(m) + (1 - p_i) c_i(m - 1);
+    a tail near 1e-315 cancels about 315 of the 400 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        c = [Decimal(1)] + [Decimal(0)] * (k0 - 1 - len(params))
+        for v in params:
+            p = Decimal(v)
+            prev = Decimal(0)
+            for m in range(len(c)):
+                prev = c[m] = p * c[m] + (1 - p) * prev
+        return 1 - sum(c)
+
+
 def _decimal_lower_tail(params, k1):
     """P(X <= k1) from the pmf of X - n, convolved in 50-digit decimal."""
     with localcontext() as ctx:
@@ -877,6 +929,16 @@ class TestCertificates:
             values.append(est.value)
         assert min(values) < 1e-100 and max(values) > 1e-3
 
+    @pytest.mark.parametrize("p", [(1e-160, 1e-160), (1e-160, 1e-160, 0.5)], ids=["two", "three"])
+    def test_subnormal_lower_tail_within_one_subnormal(self, p):
+        # every pmf entry, about 1e-320, is subnormal, but the lifted entries
+        # are normal and their sum is scaled back once; scaling each entry back
+        # before the sum would round it on its own (2 to 5 subnormals off here)
+        est = geom_lower_tail_exact(make_geometric_spec(list(p)), len(p) + 1000)
+        assert 0.0 < est.value < np.finfo(np.float64).smallest_normal
+        ref = _decimal_lower_tail(p, len(p) + 1000)
+        assert abs(Decimal(est.value) - ref) <= Decimal(_TINY)
+
 
 class TestLogConcaveCertificate:
     # The upper tail is read from the cascade's final state, a sum of n
@@ -899,6 +961,17 @@ class TestLogConcaveCertificate:
             assert est.error_bound == _state_roundoff(spec, k0, est.value)
             values.append(est.value)
         assert min(values) < 1e-200 and max(values) > 1e-3
+
+    @pytest.mark.parametrize("x", [2030, 2050])
+    def test_subnormal_tail_within_one_subnormal(self, x):
+        # tied p, so the cascade answers; the tails, 7.7e-312 and 6.2e-315,
+        # are computed lifted by 2^1000 as normal numbers and rounded once
+        # when scaled back (a cascade of subnormals is 5.5 and 7 of them off)
+        p = (0.3, 0.3, 0.7)
+        est = geom_tail_exact(make_geometric_spec(list(p)), x)
+        assert est.method is OracleMethod.CONVOLUTION
+        assert 0.0 < est.value < np.finfo(np.float64).smallest_normal
+        assert abs(Decimal(est.value) - _decimal_recursion_tail(p, x)) <= Decimal(_TINY)
 
     @pytest.mark.parametrize("lam", [3.0, 5.0, 10.0])
     def test_relative_certificate_in_shallow_tails(self, lam):
