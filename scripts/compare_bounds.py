@@ -13,7 +13,8 @@ exponent).
 import argparse
 import math
 
-from tailbounds import geom_tail_exact, make_geometric_spec, make_tail_query
+from tailbounds import make_geometric_spec, make_tail_query
+from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import Side, best_upper, rows
 
 
@@ -36,7 +37,7 @@ def main() -> None:
     for i in range(args.steps):
         lam = 1.0 + (args.lambda_max - 1.0) * i / max(args.steps - 1, 1)
         q = make_tail_query(spec.mu, lam=lam)
-        exact = geom_tail_exact(spec, q.x).value
+        exact = exact_tail(spec, q.x).value
         best = best_upper(spec, lam)
         ratio = (
             best.log_value / math.log(exact)

@@ -10,13 +10,8 @@ the sharper discrete bound is compared with its continuous analogue too.
 
 import argparse
 
-from tailbounds import (
-    geom_tail_exact,
-    hypoexp_survival,
-    make_exponential_spec,
-    make_geometric_spec,
-    make_tail_query,
-)
+from tailbounds import make_exponential_spec, make_geometric_spec, make_tail_query
+from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import BY_NAME
 
 
@@ -29,7 +24,7 @@ def main() -> None:
 
     rates = [float(t) for t in args.a.split(",")]
     cont = make_exponential_spec(rates)
-    exact_cont = hypoexp_survival(cont, args.lam * cont.mu).value
+    exact_cont = exact_tail(cont, args.lam * cont.mu).value
     texp_i, thm2 = BY_NAME["texp-i"], BY_NAME["thm2"]
     bound_cont = texp_i.evaluate(cont, make_tail_query(cont.mu, lam=args.lam)).value
     print(f"rates={rates}  lambda={args.lam}")
@@ -40,7 +35,7 @@ def main() -> None:
     for token in args.n_grid.split(","):
         N = int(token)
         geom = make_geometric_spec([a / N for a in rates])
-        exact_disc = geom_tail_exact(geom, args.lam * geom.mu).value
+        exact_disc = exact_tail(geom, args.lam * geom.mu).value
         bound_disc = thm2.evaluate(geom, make_tail_query(geom.mu, lam=args.lam)).value
         print(
             f"{N:8d} {exact_disc:16.10e} "

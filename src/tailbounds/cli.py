@@ -143,7 +143,9 @@ def cmd_sweep(args) -> int:
     columns = methods.rows(args.dist, Side.UPPER, Side.UPPER_FROM_BELOW)
     print(",".join(["lambda", "x", *(row.column for row in columns), "exact", "mc",
                     "mc_halfwidth"]))
-    for lam in np.linspace(lo, hi, args.steps).tolist():
+    step = (hi - lo) / max(args.steps - 1, 1)  # np.linspace's, one lambda at a time
+    for i in range(args.steps):
+        lam = hi if 0 < i == args.steps - 1 else lo + i * step
         q = make_tail_query(spec.mu, lam=lam)
         mc = montecarlo.mc_tail(spec, q.x, cfg)
         cells = [q.lam, q.x, *(row.evaluate(spec, q).value for row in columns),

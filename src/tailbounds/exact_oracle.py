@@ -12,9 +12,10 @@ threshold at larger n) and keep its answer where its bound is within
 O(n (K - n)) iterated-convolution pmf, run as one ``scipy.signal.sosfilt``
 cascade with a first-order section per summand in ascending p, over the
 support above n only, and lifted by 2^1000 so that values down to about
-1e-609 stay out of the slow subnormal range. The probability the cascade
+1e-609 stay out of the slow subnormal range. The kernel returns the pmf for
+k = n..K and certifies the tail it computes: the probability the cascade
 still holds in its filter state after step K is exactly P(X > K), a sum of
-nonnegative terms, so the upper tail needs one grid up to k0 - 1, no
+nonnegative terms, so the upper tail needs one call up to k0 - 1, no
 truncation and none of the bounds that it is used to check. scipy is
 imported only when a cascade runs. iid parameters also have a closed-form
 negative-binomial cross-check. Exponential sums keep the partial-fraction
@@ -103,11 +104,12 @@ class TailEstimate:
             raise OutOfRange(f"error bound {self.error_bound} negative")
 
 
-def _pmf_grid(spec: GeometricSumSpec, K: int, upper: bool = True) -> tuple[np.ndarray, float]:
-    """P(X = k) for k = 0..K (K >= n), and P(X > K) if ``upper``, else P(X <= K).
+def _pmf_grid(spec: GeometricSumSpec, K: int,
+              upper: bool = True) -> tuple[np.ndarray, TailEstimate]:
+    """P(X = k) for k = n..K (K >= n), and P(X > K) if ``upper``, else P(X <= K).
 
-    The support starts at n, so the grid is n zeros and then the pmf of
-    X - n = sum_i (G_i - 1) at m = 0..K - n, from the recursion
+    The support starts at n, so the grid is the pmf of X - n = sum_i (G_i - 1)
+    at m = 0..K - n, from the recursion
 
         c_i(m) = p_i c_{i-1}(m) + (1-p_i) c_i(m-1),
 
@@ -140,6 +142,15 @@ def _pmf_grid(spec: GeometricSumSpec, K: int, upper: bool = True) -> tuple[np.nd
     cancellation and no truncation. Only the upper tail asks for the state:
     at n = 8 scipy's path with a filter state costs about a third more per
     call (12-20 us at K = 40).
+
+    The tail comes certified, relative down to a floor of subnormals. Upper:
+    each s_i is (1 - p_i) times an entry at index <= K, so it is within
+    eps (2 (K + 1) + n) relative plus n (K + 1) smallest subnormals (that
+    entry's ``_roundoff`` and one more rounding). Dividing by p_i and summing
+    adds (n + 1) eps relative and n (K + 1) tiny mu absolute, and scaling back
+    at most tiny/2 <= n tiny mu, so the bound is (eps (2K + 2 + n) + (n + 1)
+    eps) value + n (K + 2) tiny mu. Lower: the entries' round-off, eps (2K + n)
+    times the value, plus their subnormal term once per summed entry.
     """
     require_count("pmf support", K, spec.n, _MAX_SUPPORT)
     from scipy.signal import sosfilt
@@ -153,13 +164,16 @@ def _pmf_grid(spec: GeometricSumSpec, K: int, upper: bool = True) -> tuple[np.nd
     impulse[0] = _LIFT
     if upper:
         lifted, state = sosfilt(sos, impulse, zi=np.zeros((p.size, 2)))
-        rest = (state[:, 0] / p).sum()
+        value = float((state[:, 0] / p).sum()) / _LIFT
+        rel, floor = _roundoff(spec.n, K + 1)
+        error = (rel + (spec.n + 1) * _EPS) * value + floor * spec.mu
     else:
         lifted = sosfilt(sos, impulse)
-        rest = lifted.sum()
-    grid = np.zeros(K + 1)
-    np.divide(lifted, _LIFT, out=grid[p.size :])
-    return grid, float(rest) / _LIFT
+        value = float(lifted.sum()) / _LIFT
+        rel, floor = _roundoff(spec.n, K)
+        error = rel * value + (K + 1 - spec.n) * floor
+    pmf = np.divide(lifted, _LIFT, out=lifted)
+    return pmf, TailEstimate(min(value, 1.0), error, OracleMethod.CONVOLUTION)
 
 
 def _require_support(K: float) -> None:
@@ -172,7 +186,7 @@ def geom_pmf_convolution(spec: GeometricSumSpec, K: int) -> np.ndarray:
     """Exact pmf P(X = k) for k = n..K (the support starts at n)."""
     if K < spec.n:
         raise KTooSmall(f"K={K} below minimum support n={spec.n}")
-    return _pmf_grid(spec, K, upper=False)[0][spec.n :]
+    return _pmf_grid(spec, K, upper=False)[0]
 
 
 def _roundoff(n: int, K: int) -> tuple[float, float]:
@@ -209,26 +223,6 @@ def _partial_fractions_first(n: int, k0: int) -> bool:
     return _PAIR_US * n * (n - 1) / 2 <= _CASCADE_US + _STEP_US * n * (k0 - n)
 
 
-def _cascade_tail(spec: GeometricSumSpec, k0: int) -> TailEstimate:
-    """P(X >= k0) for an integer k0 > n from one cascade up to k0 - 1.
-
-    P(X >= k0) = sum_i s_i / p_i is read from the cascade's final state (see
-    ``_pmf_grid``). The certificate. Each s_i is (1 - p_i) times a grid entry
-    at index K - n + i <= K = k0 - 1, so it carries that entry's round-off,
-    ``_roundoff(n, k0 - 1)``, and one more rounding: eps (2 k0 - 2 + n) + eps/2
-    relative, within eps (2 k0 + n), plus n k0 smallest subnormals absolute.
-    Dividing by p_i and summing n nonnegative terms adds (n + 1) eps relative;
-    the absolute part, divided by each p_i and summed, gives n k0 tiny mu, and
-    scaling the lifted sum back rounds it by at most tiny/2 <= n tiny mu more.
-    So ``_roundoff(n, k0)`` still covers the states, and the bound is
-    (eps (2 k0 + n) + (n + 1) eps) value + n (k0 + 1) tiny mu.
-    """
-    tail = _pmf_grid(spec, k0 - 1)[1]
-    rel, floor = _roundoff(spec.n, k0)
-    error = (rel + (spec.n + 1) * _EPS) * tail + floor * spec.mu
-    return TailEstimate(min(tail, 1.0), error, OracleMethod.CONVOLUTION)
-
-
 def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """P(X >= x), exact up to round-off.
 
@@ -257,25 +251,19 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
         value, error = _partial_fractions(p, [k * math.log1p(-v) for v in p])
         if error <= _GEOM_REL_TOL * value or error <= _roundoff(spec.n, k0)[1] * spec.mu:
             return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
-    return _cascade_tail(spec, k0)
+    return _pmf_grid(spec, k0 - 1)[1]
 
 
 def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """P(X <= x) as a direct partial sum of the pmf (no cancellation).
 
-    The terms are nonnegative, so the certificate is relative: the grid's
-    round-off, eps (2 k1 + n) times the value, plus its absolute subnormal
-    term once for each summed entry. The sum is taken over the lifted grid
-    and scaled back once (see ``_pmf_grid``), which that term covers.
+    The terms are nonnegative, so the certificate is relative down to the
+    grid's absolute subnormal floor (see ``_pmf_grid``).
     """
     _require_support(x)
     if x < spec.n:
         return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
-    k1 = math.floor(x)
-    value = _pmf_grid(spec, k1, upper=False)[1]
-    rel, floor = _roundoff(spec.n, k1)
-    error = rel * value + (k1 + 1 - spec.n) * floor
-    return TailEstimate(min(value, 1.0), error, OracleMethod.CONVOLUTION)
+    return _pmf_grid(spec, math.floor(x), upper=False)[1]
 
 
 def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
@@ -341,7 +329,11 @@ def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[flo
     """
     n = len(values)
     logs = list(map(math.log, values))
-    total, base, scale = sum(logs), 1.0 + sum(map(abs, logs)), (n + 13) * _EPS
+    total = size = 0.0  # sum_j ln v_j and S, added left to right, as sum() did before 3.12
+    for g in logs:
+        total += g
+        size += abs(g)
+    base, scale = 1.0 + size, (n + 13) * _EPS
     above, below = [0.0] * n, [0.0] * n  # each row's gap logs >= 0 and < 0
     terms, weighted = [], 0.0  # t_i, and sum_i t_i m_i added left to right
     try:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,20 @@ class TestMc:
         assert 0.0 < half < 1.0
 
 
+def _fail_second_row(monkeypatch):
+    """Make sweep's Monte Carlo call fail on its second row."""
+    calls = []
+    mc_tail = montecarlo.mc_tail
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OutOfRange("second row")
+        return mc_tail(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "mc_tail", fail_second)
+
+
 class TestSweep:
     def test_single_trivial_row(self, capsys):
         code, out, _ = run(
@@ -415,16 +430,7 @@ class TestSweep:
 
     def test_rows_print_as_computed(self, capsys, monkeypatch):
         # a failure in the second row leaves the header and the first row on stdout
-        calls = []
-        mc_tail = montecarlo.mc_tail
-
-        def fail_second(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise OutOfRange("second row")
-            return mc_tail(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "mc_tail", fail_second)
+        _fail_second_row(monkeypatch)
         code, out, _ = run(
             capsys, "sweep", "--dist", "geom", "--p", "0.5,0.5",
             "--lambda-from", "1", "--lambda-to", "2", "--steps", "3",
@@ -434,6 +440,26 @@ class TestSweep:
         header, first = out.splitlines()
         assert header.startswith("lambda,x,")
         assert first.startswith("1,4,")
+
+    def test_grid_is_not_allocated_up_front(self, capsys, monkeypatch):
+        # a million steps cost no more memory before the first row than three:
+        # the second row fails, so only the header and one row are computed
+        import scipy.signal  # noqa: F401  (its import would be traced otherwise)
+
+        _fail_second_row(monkeypatch)
+        tracemalloc.start()
+        try:
+            code, out, _ = run(
+                capsys, "sweep", "--dist", "geom", "--p", "0.5,0.5",
+                "--lambda-from", "1", "--lambda-to", "2", "--steps", str(10**6),
+                "--samples", "1000",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert len(out.splitlines()) == 2
+        assert peak < 4 * 2**20, peak
 
     def test_bad_range(self, capsys):
         code, _, _ = run(
