@@ -19,7 +19,6 @@ from .model import (
     GeometricSumSpec,
     LambdaOutOfRange,
     TailBoundsError,
-    log_inequality_check,
     make_exponential_spec,
     make_geometric_spec,
     make_tail_query,
@@ -216,18 +215,6 @@ def _verify_instance(spec, failures: list[str]) -> None:
 def cmd_verify(args) -> int:
     require_count("seed", args.seed, 0, 2**64 - 1)  # McConfig's range, as mc and sweep
     failures: list[str] = []
-
-    grid = [0.99 * (i + 1) / 100.0 for i in range(100)]
-    gaps = [float(A) for A in np.geomspace(1.0, 1e3, 40)]
-    for name, ok in (
-        ("log-inequality grid",
-         all(log_inequality_check(x, y) for y in grid for x in grid if x <= y)),
-        ("concavity-gap grid",
-         all(geom_bounds.lemma_la_check(A, float(x))
-             for A in gaps for x in np.linspace(0.0, 1.0 / A, 40))),
-    ):
-        _check(ok, failures, name)
-        print(f"{name}: {'ok' if ok else 'FAILED'}")
 
     fixed = make_geometric_spec([0.5, 0.5])
     q = make_tail_query(fixed.mu, lam=2.0)

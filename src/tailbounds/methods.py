@@ -58,8 +58,9 @@ METHODS: tuple[MethodRow, ...] = (
               lambda s, q: geom_bounds.upper_tail_cor2(q.lam), (Method.COR1,)),
     MethodRow(Method.OPT_CHERNOFF, "geom", Side.UPPER, "opt_chernoff",
               lambda s, q: geom_bounds.optimized_chernoff(s, q.lam), (Method.THM1,)),
+    # lemma1 at z = e^t <= Chernoff at t in [0, p*): termwise as e^t (1 - t) <= 1, prefactor <= 1
     MethodRow(Method.OPT_LEMMA1, "geom", Side.UPPER, "opt_lemma1",
-              lambda s, q: geom_bounds.optimized_lemma1(s, q.x)),
+              lambda s, q: geom_bounds.optimized_lemma1(s, q.x), (Method.OPT_CHERNOFF,)),
     MethodRow(Method.TL, "geom", Side.UPPER_FROM_BELOW, "tl_lower",
               lambda s, q: geom_bounds.upper_tail_lower_bound_tl(s, q.lam)),
     MethodRow(Method.TL1, "geom", Side.LOWER, "tl1",

@@ -61,6 +61,15 @@ class TestBound:
         assert code == 0
         assert "value: 1\n" in out
 
+    def test_lemma1_above_one_is_clamped(self, capsys):
+        # below x = n the raw bound is 3 here; it prints as 1 and says so
+        code, out, _ = run(
+            capsys, "bound", "--dist", "geom", "--p", "0.5,0.5", "--x", "1",
+            "--method", "lemma1", "--z", "1.5",
+        )
+        assert code == 0
+        assert {"value: 1", "log_value: 0", "clamped: true"} <= set(out.splitlines())
+
     def test_exp_method(self, capsys):
         code, out, _ = run(
             capsys, "bound", "--dist", "exp", "--a", "1,1",
@@ -236,6 +245,34 @@ class TestExact:
         assert code == 0
         assert "value: 0.600423599106" in out
 
+    def test_geom_subnormal_tail(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "--dist", "geom", "--p", "0.3,0.3,0.7", "--x", "2050"
+        )
+        assert code == 0
+        assert "value: 6.20312929567e-315\n" in out
+
+    def test_stiff_rates_print_the_same_in_any_order(self, capsys):
+        # the true error here is about 1e-13, so a smaller bound would be wrong
+        first, second = (
+            run(capsys, "exact", "--dist", "exp", "--a", rates, "--x", "1")
+            for rates in ("2,513,2.00001", "2.00001,2,513")
+        )
+        assert first == second
+        code, out, _ = first
+        assert code == 0
+        assert float(out.split("error_bound: ")[1].split()[0]) >= 1e-13
+
+    def test_tied_rates_past_the_matrix_cap_are_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "tied.txt"
+        path.write_text("1.0\n" * 3000)
+        code, out, err = run(
+            capsys, "exact", "--dist", "exp", "--params-file", str(path), "--lambda", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_negative_x_domain_error(self, capsys):
         code, _, _ = run(
             capsys, "exact", "--dist", "exp", "--a", "1,2", "--x", "-1"
@@ -309,6 +346,22 @@ class TestMc:
         assert "seed: 42" in out1
         value = float(out1.split("value: ")[1].splitlines()[0])
         assert abs(value - 0.0625) < 0.003
+
+    def test_same_bytes_in_a_new_interpreter(self, capsys):
+        argv = ("mc", "--dist", "geom", "--p", "0.5,0.5", "--x", "8",
+                "--samples", "200000", "--seed", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run_fresh(*argv)[:2] == (code, out)
+
+    @pytest.mark.parametrize("x, value", [("2", "1"), ("2.5", "0")])
+    def test_certain_summands(self, capsys, x, value):
+        # p = (1, 1) makes X = 2 surely
+        code, out, _ = run(
+            capsys, "mc", "--dist", "geom", "--p", "1,1", "--x", x, "--samples", "1000"
+        )
+        assert code == 0
+        assert f"value: {value}\n" in out
 
     def test_zero_samples_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import tailbounds
+from conftest import OPTIMIZER_LAMS, optimizer_corpus
 from tailbounds import Method, exact_oracle, exp_bounds, geom_bounds, methods
 from tailbounds.cli import build_parser, main
 from tailbounds.exact_oracle import OracleMethod
@@ -55,6 +56,25 @@ class TestTable:
         table = methods.rows("geom", Side.UPPER, Side.UPPER_FROM_BELOW)
         columns = [row.column for row in table]
         assert header == ["lambda", "x", *columns, "exact", "mc", "mc_halfwidth"]
+
+
+class TestOrderings:
+    def test_geometric_orderings_hold_on_the_optimizer_corpus(self):
+        # every never_exceeds pair of the geometric upper rows, with verify's
+        # slack, on tied, tiny and certain p, on n = 1..100 and 10^3, at lambda to 100
+        table = methods.rows("geom", Side.UPPER)
+        pairs = {(row.method, other) for row in table for other in row.never_exceeds}
+        assert (Method.OPT_LEMMA1, Method.OPT_CHERNOFF) in pairs
+        rng = random.Random(1)
+        wide = [tailbounds.make_geometric_spec([rng.uniform(0.05, 1.0) for _ in range(n)])
+                for n in range(1, 101)]
+        for spec in [*optimizer_corpus(), *wide]:
+            for lam in (*OPTIMIZER_LAMS, 50.0, 100.0):
+                q = tailbounds.make_tail_query(spec.mu, lam=lam)
+                logs = {row.method: row.evaluate(spec, q).log_value for row in table}
+                for m, other in pairs:
+                    a, b = logs[m], logs[other]
+                    assert a <= b + 1e-12 * (1.0 + abs(b)), (spec.params[:4], spec.n, lam, m)
 
 
 def _answers(spec, lam: float) -> dict:
@@ -146,6 +166,24 @@ class TestVerifyCanFail:
         assert code == 1
         lines = out.splitlines()
         assert any(line.startswith("FAIL dominance thm1<=cor1 ") for line in lines)
+
+    def test_opt_lemma1_above_opt_chernoff_fails_dominance(self, monkeypatch, capsys):
+        # lifted just above opt-chernoff, opt-lemma1 is still an upper bound,
+        # so only the ordering in the table catches it
+        chernoff = geom_bounds.optimized_chernoff
+
+        def lifted(spec, x):
+            log = chernoff(spec, x / spec.mu).log_value
+            return bound_result(Method.OPT_LEMMA1, x / spec.mu, log + 1e-6 * (1.0 + abs(log)))
+
+        monkeypatch.setattr(geom_bounds, "optimized_lemma1", lifted)
+        code = main(["verify", "--trials", "2", "--seed", "1"])
+        failures = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("FAIL ")]
+        assert code == 1
+        assert failures
+        assert all(line.startswith("FAIL dominance opt-lemma1<=opt-chernoff ")
+                   for line in failures)
 
     def test_fixed_instance_is_checked_through_the_table(self, monkeypatch, capsys):
         # thm2 at 1 on the fixed instance at lam = 3 only: the old hand-listed
