@@ -40,7 +40,6 @@ from .model import (
     EmptyParams,
     ExponentialSumSpec,
     GeometricSumSpec,
-    KTooSmall,
     LambdaOutOfRange,
     LogProb,
     Method,
@@ -69,7 +68,6 @@ __all__ = [
     "EmptyParams",
     "ExponentialSumSpec",
     "GeometricSumSpec",
-    "KTooSmall",
     "LambdaOutOfRange",
     "LogProb",
     "McConfig",

@@ -16,7 +16,9 @@ support above n only, and lifted by 2^1000 so that values down to about
 k = n..K and certifies the tail it computes: the probability the cascade
 still holds in its filter state after step K is exactly P(X > K), a sum of
 nonnegative terms, so the upper tail needs one call up to k0 - 1, no
-truncation and none of the bounds that it is used to check. scipy is
+truncation and none of the bounds that it is used to check. The grid's
+K is capped at 10^7, checked in ``_pmf_grid`` before anything is allocated:
+the one support check, so an answer that builds no grid has no cap. scipy is
 imported only when a cascade runs. iid parameters also have a closed-form
 negative-binomial cross-check. Exponential sums keep the partial-fraction
 answer unless its error bound is neither within 1e-9 relative nor below that
@@ -39,8 +41,8 @@ import numpy as np
 from .model import (
     ExponentialSumSpec,
     GeometricSumSpec,
-    KTooSmall,
     OutOfRange,
+    as_double,
     require_count,
     require_side,
     require_threshold,
@@ -176,16 +178,9 @@ def _pmf_grid(spec: GeometricSumSpec, K: int,
     return pmf, TailEstimate(min(value, 1.0), error, OracleMethod.CONVOLUTION)
 
 
-def _require_support(K: float) -> None:
-    """Refuse a pmf grid past the support cap before anything is allocated."""
-    if not K <= _MAX_SUPPORT:
-        raise OutOfRange(f"pmf support {K} is past the cap {_MAX_SUPPORT}")
-
-
 def geom_pmf_convolution(spec: GeometricSumSpec, K: int) -> np.ndarray:
-    """Exact pmf P(X = k) for k = n..K (the support starts at n)."""
-    if K < spec.n:
-        raise KTooSmall(f"K={K} below minimum support n={spec.n}")
+    """Exact pmf P(X = k) for k = n..K, for an integer n <= K <= 10^7 (the
+    support starts at n; ``_pmf_grid`` refuses any other K before allocating)."""
     return _pmf_grid(spec, K, upper=False)[0]
 
 
@@ -197,7 +192,7 @@ def _roundoff(n: int, K: int) -> tuple[float, float]:
     but loose for the cascade lifted by 2^1000: a step there rounds to
     2^-1000 of a smallest subnormal, and scaling back by at most half of one.
     """
-    return _EPS * (2.0 * K + n), n * (K + 1) * _TINY
+    return _EPS * (2.0 * K + n), n * _TINY * (K + 1.0)  # finite at any float K
 
 
 def _partial_fractions_first(n: int, k0: int) -> bool:
@@ -227,7 +222,8 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """P(X >= x), exact up to round-off.
 
     Since X is integer valued, P(X >= x) = P(X >= k0) with k0 = ceil(x), and
-    for x <= n it is 1. Otherwise one of two routes answers, each certified
+    for x <= n, -inf included, it is 1. Otherwise x must be finite (NaN and
+    +inf raise ``DomainError``), and one of two routes answers, each certified
     relative to its value down to the cascade's floor n (k0 + 1) tiny mu.
 
     Partial fractions run first where trying them costs less than the cascade
@@ -238,11 +234,14 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     so it is dropped and k shrinks by 1. The answer stands if its error bound
     is within 1e-12 of the value or below the cascade's floor. Otherwise (tied
     p, cancelling weights, or a large n at a shallow k0) the ``sosfilt``
-    cascade runs (``_cascade_tail``), and only then is scipy imported.
+    cascade runs (``_pmf_grid`` up to k0 - 1), and only then is scipy
+    imported. Only the cascade is capped: its grid runs up to k0 - 1, which
+    must be at most 10^7, so x may pass the cap wherever partial fractions
+    answer.
     """
-    _require_support(x)
-    if x <= spec.n:
+    if as_double(x) <= spec.n:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
+    require_threshold(x)
     k0 = math.ceil(x)
     if _partial_fractions_first(spec.n, k0):
         p = spec.param_array.tolist()
@@ -257,12 +256,14 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
 def geom_lower_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     """P(X <= x) as a direct partial sum of the pmf (no cancellation).
 
+    0 for x < n, -inf included; otherwise x must be finite (NaN and +inf
+    raise ``DomainError``), and the grid up to floor(x) within the 10^7 cap.
     The terms are nonnegative, so the certificate is relative down to the
     grid's absolute subnormal floor (see ``_pmf_grid``).
     """
-    _require_support(x)
-    if x < spec.n:
+    if as_double(x) < spec.n:
         return TailEstimate(0.0, 0.0, OracleMethod.CLOSED_FORM)
+    require_threshold(x)
     return _pmf_grid(spec, math.floor(x), upper=False)[1]
 
 

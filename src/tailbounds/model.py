@@ -7,7 +7,10 @@ once at construction with compensated summation and cached.
 Every public entry point first checks its query against the paper's
 domains with the five validators here: ``require_upper`` (finite lam >= 1),
 ``require_lower`` (0 < lam <= 1), ``require_threshold`` (finite x >= 0),
-``require_count`` (an integer in a range) and ``require_side``.
+``require_count`` (an integer in a range) and ``require_side``. The real
+checks read their value through ``as_double``, so a number with no double
+value, such as the int 10**400, or a non-number is refused, not passed on to
+overflow or to fail in float arithmetic.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +42,6 @@ class DomainError(TailBoundsError):
 
 class LambdaOutOfRange(DomainError):
     """Raised when a tail ratio violates the side-specific range."""
-
-
-class KTooSmall(TailBoundsError):
-    """Raised when a pmf truncation point is below the minimum support."""
 
 
 class NegativeX(DomainError):
@@ -132,23 +132,39 @@ def bound_result(
     )
 
 
+def as_double(value) -> float:
+    """value as a double: +-inf for a number past the double range, NaN for a
+    non-number (a string included, though float() would parse it)."""
+    if type(value) is float:  # the common case, tested first: bounds call this per row
+        return value
+    if isinstance(value, (str, bytes, bytearray)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int (or Fraction) compares exactly but has no double
+        return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def require_upper(lam: float) -> None:
     """Refuse a tail ratio that is not finite and >= 1 (upper-tail bounds)."""
-    if not 1.0 <= lam < math.inf:
+    if not 1.0 <= as_double(lam) < math.inf:
         raise LambdaOutOfRange(f"upper-tail bound needs a finite lambda >= 1, got {lam}")
 
 
 def require_lower(lam: float) -> None:
     """Refuse a tail ratio outside (0, 1] (lower-tail bounds)."""
-    if not 0.0 < lam <= 1.0:
+    if not 0.0 < as_double(lam) <= 1.0:
         raise LambdaOutOfRange(f"lower-tail bound needs 0 < lambda <= 1, got {lam}")
 
 
 def require_threshold(x: float) -> None:
     """Refuse a threshold that is not finite and >= 0."""
-    if x < 0.0:
+    value = as_double(x)
+    if value < 0.0:
         raise NegativeX(f"need x >= 0, got {x}")
-    if not x < math.inf:
+    if not value < math.inf:
         raise DomainError(f"need a finite x >= 0, got {x}")
 
 
@@ -165,23 +181,33 @@ def require_side(side: str) -> None:
         raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def _sum_of_inverses(values: tuple[float, ...]) -> float:
-    """The mean sum 1/v of a spec, refusing one that overflows a double."""
+def _set_params(spec, names: tuple[str, str, str, str], what: str, top: float,
+                interval: str) -> None:
+    """Check a spec's parameters, then set them as floats with their mean
+    sum 1/v, their ascending read-only float64 array and its first entry.
+
+    ``names`` are the spec's four fields for these. Each parameter must be a
+    number in (0, top] (see ``as_double``) and the mean must not overflow;
+    ``what`` and ``interval`` name the parameter and its range in the errors.
+    """
+    values = getattr(spec, names[0])
+    if len(values) == 0:
+        raise EmptyParams(f"need at least one {what}")
+    doubles = tuple(map(as_double, values))
+    for v, d in zip(values, doubles):
+        if not 0.0 < d <= top:
+            raise OutOfRange(f"{what} {v!r} not in {interval}")
     try:
-        total = math.fsum(1.0 / v for v in values)
+        mu = math.fsum(1.0 / d for d in doubles)
     except OverflowError:  # fsum's intermediate sum overflowed
-        total = math.inf
-    if total == math.inf:
-        raise OutOfRange(f"the mean, sum 1/v, overflows; smallest v is {min(values)!r}")
-    return total
-
-
-def _sorted_array(values: tuple[float, ...]) -> np.ndarray:
-    """A spec's parameters sorted ascending, as a read-only float64 array."""
-    array = np.array(values, dtype=np.float64)
+        mu = math.inf
+    if mu == math.inf:
+        raise OutOfRange(f"the mean, sum 1/v, overflows; smallest v is {min(doubles)!r}")
+    array = np.array(doubles, dtype=np.float64)
     array.sort()  # in place: np.sort's copy costs more than the sort at small n
     array.flags.writeable = False
-    return array
+    for name, value in zip(names, (doubles, mu, array, float(array[0]))):
+        object.__setattr__(spec, name, value)
 
 
 @dataclass(frozen=True)
@@ -203,20 +229,13 @@ class GeometricSumSpec:
     param_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.params) == 0:
-            raise EmptyParams("need at least one success probability")
-        for p in self.params:
-            if not (0.0 < p <= 1.0):
-                raise OutOfRange(f"success probability {p!r} not in (0, 1]")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "mu", _sum_of_inverses(self.params))
+        _set_params(self, ("params", "mu", "param_array", "p_min"),
+                    "success probability", 1.0, "(0, 1]")
         try:  # divide twice: p*p underflows to 0 for subnormal-range p
             sigma2 = math.fsum((1.0 - p) / p / p for p in self.params)
         except OverflowError:  # fsum's intermediate sum overflowed
             sigma2 = math.inf
         object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "param_array", _sorted_array(self.params))
-        object.__setattr__(self, "p_min", float(self.param_array[0]))
 
     @property
     def n(self) -> int:
@@ -241,15 +260,8 @@ class ExponentialSumSpec:
     rate_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.rates) == 0:
-            raise EmptyParams("need at least one rate")
-        for a in self.rates:
-            if not (a > 0.0) or math.isinf(a):
-                raise OutOfRange(f"rate {a!r} not in (0, inf)")
-        object.__setattr__(self, "rates", tuple(float(a) for a in self.rates))
-        object.__setattr__(self, "mu", _sum_of_inverses(self.rates))
-        object.__setattr__(self, "rate_array", _sorted_array(self.rates))
-        object.__setattr__(self, "a_min", float(self.rate_array[0]))
+        _set_params(self, ("rates", "mu", "rate_array", "a_min"),
+                    "rate", sys.float_info.max, "(0, inf)")
 
     @property
     def n(self) -> int:
@@ -281,16 +293,18 @@ def make_tail_query(
 
     Both must come out finite: a NaN or infinite threshold has no tail to
     bound, and would otherwise reach the oracles as a silent 0 or a crash.
+    The refusal names the given value, which may have no double (``as_double``).
     """
     if (x is None) == (lam is None):
         raise DomainError("give exactly one of x or lambda")
     if x is None:
-        query = TailQuery(lam=float(lam), x=float(lam) * mu)
+        query = TailQuery(lam=as_double(lam), x=as_double(lam) * mu)
     else:
-        query = TailQuery(lam=float(x) / mu, x=float(x))
+        query = TailQuery(lam=as_double(x) / mu, x=as_double(x))
     if not (math.isfinite(query.lam) and math.isfinite(query.x)):
         raise DomainError(
-            f"need a finite threshold, got x={query.x}, lambda={query.lam}"
+            f"need a finite threshold, got x={query.x if x is None else x}, "
+            f"lambda={query.lam if lam is None else lam}"
         )
     return query
 

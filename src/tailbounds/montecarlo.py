@@ -26,7 +26,14 @@ from statistics import NormalDist
 import numpy as np
 
 from .exact_oracle import OracleMethod, TailEstimate
-from .model import ExponentialSumSpec, GeometricSumSpec, OutOfRange, require_count, require_side
+from .model import (
+    ExponentialSumSpec,
+    GeometricSumSpec,
+    OutOfRange,
+    as_double,
+    require_count,
+    require_side,
+)
 
 # Uniforms per block: 512 KB of float64, which stays in cache through every
 # pass. The fastest of 2^12..2^20 at n = 8 and n = 10^3 with a fresh block
@@ -51,8 +58,8 @@ class McConfig:
     def __post_init__(self) -> None:
         require_count("samples", self.samples, 1, math.inf)
         require_count("seed", self.seed, 0, _MAX_U64)
-        if not (0.0 < self.confidence < 1.0):
-            raise OutOfRange(f"confidence {self.confidence} not in (0, 1)")
+        if not 0.0 < as_double(self.confidence) < 1.0:
+            raise OutOfRange(f"confidence {self.confidence!r} not in (0, 1)")
 
 
 def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -177,11 +184,14 @@ def mc_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float, cfg: McConfig
     empirical fraction. Samples are drawn in blocks of max(1, BLOCK_DRAWS // n)
     in one reused buffer, so memory stays bounded by a few blocks whatever
     samples * n is; the blocks take the stream in order, so the estimate does
-    not depend on their size.
+    not depend on their size. x is any number but NaN; one past the double
+    range (such as the int 10**400) counts as +-inf: at +inf the upper tail
+    is 0 and the lower tail 1.
     """
     require_side(side)
+    given, x = x, as_double(x)
     if math.isnan(x):
-        raise OutOfRange("threshold x is NaN")
+        raise OutOfRange(f"threshold x is not a number, got {given!r}")
     rows = max(1, BLOCK_DRAWS // spec.n)
     divisors, geometric = _inversion(spec, rows)
     gen = np.random.Generator(np.random.PCG64DXSM(cfg.seed))

@@ -298,7 +298,13 @@ class TestExact:
             capsys, "exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "1e10"
         )
         assert code == 3
-        assert "cap" in err
+        assert "10000000]" in err  # tied p need a grid, whose cap the refusal names
+
+    def test_distinct_p_past_support_cap_answer(self, capsys):
+        code, out, _ = run(capsys, "exact", "--dist", "geom", "--p", "0.5,0.2", "--x", "1e9")
+        assert code == 0
+        assert out.splitlines()[0] == "method: partial-fractions"
+        assert "value: 0\n" in out and "error_bound: 9.88131291682e-324\n" in out
 
     @pytest.mark.parametrize("rates", ["1,1", "1,2"])
     def test_huge_x_is_domain_error(self, rates):

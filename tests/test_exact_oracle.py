@@ -23,9 +23,9 @@ from conftest import (
 )
 from tailbounds import exact_oracle, geom_bounds
 from tailbounds import (
+    DomainError,
     ExponentialSumSpec,
     GeometricSumSpec,
-    KTooSmall,
     McConfig,
     NegativeX,
     OracleMethod,
@@ -63,7 +63,8 @@ class TestPmfConvolution:
         assert np.all(pmf[1:] == 0.0)
 
     def test_k_too_small(self):
-        with pytest.raises(KTooSmall):
+        # K = n - 1: the kernel's one support check refuses it, naming K
+        with pytest.raises(OutOfRange, match=r"\[2, 10000000\], got 1$"):
             geom_pmf_convolution(HALF_HALF, 1)
 
     def test_matches_brute_force(self):
@@ -514,37 +515,64 @@ class TestExactTail:
     def test_bad_x_raises_the_routed_oracles_error(self, side):
         with pytest.raises(NegativeX):
             exact_tail(make_exponential_spec([1.0, 2.0]), -1.0, side)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(DomainError, match="finite x >= 0, got nan"):
             exact_tail(HALF_HALF, math.nan, side)
 
 
 class TestSupportCap:
-    # the cap is checked before the grid is allocated: x = 1e10 would ask
-    # for about 80 GB
+    # the cap is checked where a grid is built, before it is allocated: tied
+    # p at x = 1e10 would ask for about 80 GB. NaN and +inf are no threshold
     @pytest.mark.parametrize("x", [1e10, math.inf, math.nan])
     def test_cap_raises(self, x):
-        with pytest.raises(OutOfRange):
+        error, named = (OutOfRange, "10000000") if math.isfinite(x) else (DomainError, str(x))
+        with pytest.raises(error, match=named):
             geom_tail_exact(HALF_HALF, x)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(error, match=named):
             geom_lower_tail_exact(HALF_HALF, x)
 
+    def test_tied_query_past_cap_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            for oracle in (geom_tail_exact, geom_lower_tail_exact):
+                with pytest.raises(OutOfRange, match="10000000"):
+                    oracle(HALF_HALF, 1e10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("p", [[0.5, 0.2], [0.3, 0.5, 0.7, 0.2, 0.9, 0.4, 0.6, 0.25]],
+                             ids=["n2", "n8"])
+    @pytest.mark.parametrize("x", [2e7, 1e9, 1e300])
+    def test_distinct_p_past_cap_need_no_grid(self, p, x):
+        # partial fractions answer with no grid, so the cap does not apply:
+        # the tail underflows to 0, within a few smallest subnormals
+        spec = make_geometric_spec(p)
+        with _grid_calls() as grid:
+            est = geom_tail_exact(spec, x)
+        assert grid.call_count == 0
+        assert est.method is OracleMethod.PARTIAL_FRACTIONS
+        assert est.value == 0.0 and 0.0 < est.error_bound <= spec.n * _TINY
+
     def test_tails_up_to_cap(self, monkeypatch):
-        # the tail needs no grid past k0 - 1, so every x up to the cap is
-        # answered: P(X >= 100) = 100 * 2^-99 ~ 1.6e-28
+        # the tail needs no grid past k0 - 1, so every x up to the cap + 1 is
+        # answered: P(X >= 101) = 101 * 2^-100 ~ 8e-29
         monkeypatch.setattr(exact_oracle, "_MAX_SUPPORT", 100)
-        for x in (40.0, 95.0, 100.0):
+        for x in (40.0, 95.0, 100.0, 101.0):
             est = geom_tail_exact(HALF_HALF, x)
             ref = iid_geom_tail(0.5, 2, x)
             assert est.value > 0.0
             assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound
 
     def test_grid_at_cap_is_tried(self, monkeypatch):
+        # the upper tail at x = cap + 1 builds its grid up to K = cap
         monkeypatch.setattr(exact_oracle, "_MAX_SUPPORT", 100)
         with _grid_calls() as grid:
             assert geom_tail_exact(HALF_HALF, 100.0).value > 0.0
-        assert _sizes(grid) == [99]
-        with pytest.raises(OutOfRange, match="cap"):
-            geom_tail_exact(HALF_HALF, 101.0)
+            assert geom_tail_exact(HALF_HALF, 101.0).value > 0.0
+        assert _sizes(grid) == [99, 100]
+        with pytest.raises(OutOfRange, match=r"\[2, 100\], got 101$"):
+            geom_tail_exact(HALF_HALF, 102.0)
 
     def test_minus_infinity_is_whole_or_empty(self):
         assert geom_tail_exact(HALF_HALF, -math.inf).value == 1.0
@@ -675,7 +703,7 @@ def _assert_matches_reference(spec, K):
 class TestPmfKernel:
     # the one-call sosfilt cascade against the per-summand lfilter loop
 
-    @pytest.mark.parametrize("K", [2.5, math.nan, exact_oracle._MAX_SUPPORT + 1])
+    @pytest.mark.parametrize("K", [0, 2.5, math.nan, exact_oracle._MAX_SUPPORT + 1])
     def test_bad_support_refused_before_allocation(self, K):
         spec = make_geometric_spec([0.5])
         with mock.patch.object(exact_oracle.np, "zeros", side_effect=AssertionError):

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,11 +62,18 @@ class TestGeometricSpec:
         with pytest.raises(EmptyParams):
             make_geometric_spec([])
 
-    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.1, math.nan, 1e-310])
+    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.1, math.nan, 1e-310, "0.5", None,
+                                     pytest.param(10**400, id="10**400")])
     def test_out_of_range_rejected(self, bad):
-        # 1e-310 is a valid probability, but its mean 1/p overflows
-        with pytest.raises(OutOfRange):
+        # 1e-310 is a valid probability, but its mean 1/p overflows; a string
+        # or None does not compare with floats, and 10**400 has no double
+        with pytest.raises(OutOfRange, match=re.escape(repr(bad))):
             make_geometric_spec([0.5, bad])
+
+    def test_numbers_kept_as_their_doubles(self):
+        spec = make_geometric_spec([1, np.float32(0.5), Fraction(1, 4), True])
+        assert spec.params == (1.0, 0.5, 0.25, 1.0)
+        assert all(type(p) is float for p in spec.params)
 
     def test_overflowing_mean_rejected(self):
         with pytest.raises(OutOfRange):
@@ -121,6 +130,12 @@ class TestExponentialSpec:
             make_exponential_spec([-1.0])
         with pytest.raises(OutOfRange):  # the mean 1/a overflows
             make_exponential_spec([1.0, 1e-310])
+
+    @pytest.mark.parametrize("bad", ["1", None, 10**400], ids=["str", "None", "10**400"])
+    def test_non_numbers_rejected(self, bad):
+        # 10**400 passes a > 0 exactly, but has no double to be finite in
+        with pytest.raises(OutOfRange, match=re.escape(f"rate {bad!r} not in (0, inf)")):
+            make_exponential_spec([1.0, bad])
 
     @given(rates)
     @settings(max_examples=100, deadline=None)
@@ -281,11 +296,17 @@ class TestTailQuery:
             {"lam": math.nan},
             {"lam": math.inf},
             {"lam": 1e308},  # finite ratio, but x = lam * mu overflows
+            {"x": 10**400},  # no double value
+            {"lam": 10**400},
+            {"x": "8"},
+            {"lam": None, "x": [8.0]},
         ],
     )
     def test_non_finite_rejected(self, kwargs):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as refusal:
             make_tail_query(4.0, **kwargs)
+        given = kwargs.get("x", kwargs.get("lam"))
+        assert str(given) in str(refusal.value)
 
 
 class TestLogProb:

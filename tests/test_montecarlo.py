@@ -67,6 +67,11 @@ class TestConfig:
         with pytest.raises(OutOfRange):
             McConfig(samples=samples)
 
+    @pytest.mark.parametrize("confidence", ["0.9", None])
+    def test_confidence_must_be_a_number(self, confidence):
+        with pytest.raises(OutOfRange, match=f"confidence {confidence!r} not in"):
+            McConfig(samples=10, confidence=confidence)
+
     @pytest.mark.parametrize("seed", [1.5, True])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(OutOfRange):
@@ -294,6 +299,10 @@ class TestMcTail:
     def test_nan_threshold_refused(self):
         with pytest.raises(OutOfRange):
             mc_tail(HALF_HALF, math.nan, McConfig(samples=10))
+
+    def test_non_number_threshold_refused(self):
+        with pytest.raises(OutOfRange, match="got '8'"):
+            mc_tail(HALF_HALF, "8", McConfig(samples=10))
 
     def test_infinite_thresholds(self):
         cfg = McConfig(samples=100)
