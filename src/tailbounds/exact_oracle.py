@@ -279,10 +279,10 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
     most 1e305, past which ln Gamma(x) nears overflow; x <= n, -inf included,
     gives 1.
     """
-    if not (0.0 < p <= 1.0):
+    if not (0.0 < as_double(p) <= 1.0):
         raise OutOfRange(f"success probability {p} not in (0, 1]")
     require_count("n", n, 1, 100_000)
-    if not x <= 1e305:
+    if not as_double(x) <= 1e305:
         raise OutOfRange(f"need x <= 1e305, got x={x}")
     if x <= n:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
@@ -326,7 +326,8 @@ def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[flo
     factor e^d_i of exact, d_i = (n+13) u m_i. A term above the smallest subnormal
     has E_i > -746, so |c_i| < 746 + 2 S + G_i; every log is below 745 in size, so
     m_i < 3725 n and d_i < 1/2 for n below 10^6, where e^d - 1 < 2 d. The bound
-    is the sum of 2 d_i t_i, plus a smallest subnormal per term for underflow.
+    is the sum of 2 d_i t_i, plus a smallest subnormal per term for underflow;
+    a term that underflows to 0, its exponent -inf included, adds only that.
     """
     n = len(values)
     logs = list(map(math.log, values))
@@ -348,8 +349,10 @@ def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[flo
                 else:
                     p += g
                     above[j] += g
-            terms.append(math.exp(total - logs[i] + c - (p + q)))
-            weighted += terms[-1] * (base + p - q - c)
+            t = math.exp(total - logs[i] + c - (p + q))
+            terms.append(t)
+            if t:  # a term of 0 (c may be -inf) is left to the tiny floor
+                weighted += t * (base + p - q - c)
         value = math.fsum(terms[::2]) - math.fsum(terms[1::2])
     except (ValueError, OverflowError):
         return math.nan, math.inf

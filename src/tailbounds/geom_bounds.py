@@ -22,6 +22,7 @@ from .model import (
     DomainError,
     GeometricSumSpec,
     Method,
+    as_double,
     bound_result,
     require_lower,
     require_threshold,
@@ -117,15 +118,16 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
     for x >= 0 and 1 <= z < 1/(1-p_min).
     """
     require_threshold(x)
-    if not z >= 1.0:
+    z_double = as_double(z)
+    if not z_double >= 1.0:
         raise DomainError(f"need z >= 1, got {z}")
-    w = z - 1.0  # exact for z >= 1
+    w = z_double - 1.0  # exact for z >= 1
     if not spec.p_min - (1.0 - spec.p_min) * w > 0.0:
         raise DomainError(
             f"z={z} is at or beyond the pole 1/(1-p_min) for p_min={spec.p_min}"
         )
     return bound_result(
-        Method.LEMMA1, x / spec.mu, _lemma1_log(spec, x, w), internal_param=z
+        Method.LEMMA1, x / spec.mu, _lemma1_log(spec, x, w), internal_param=z_double
     )
 
 
@@ -225,10 +227,11 @@ def lemma_la_check(A: float, x: float) -> bool:
     Self-test helper backing the lower-bound derivation; must hold on the
     whole stated domain. Small relative slack absorbs round-off.
     """
-    if not A >= 1.0:
+    a, t = as_double(A), as_double(x)
+    if not a >= 1.0:
         raise DomainError(f"need A >= 1, got {A}")
-    if not (0.0 <= x <= 1.0 / A):
+    if not (0.0 <= t <= 1.0 / a):
         raise DomainError(f"need 0 <= x <= 1/A, got x={x}, A={A}")
-    lhs = -math.inf if x >= 1.0 else A * (x + math.log1p(-x))
-    rhs = math.log1p(-A * x * x / 2.0)
+    lhs = -math.inf if t >= 1.0 else a * (t + math.log1p(-t))
+    rhs = math.log1p(-a * t * t / 2.0)
     return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))

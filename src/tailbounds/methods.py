@@ -83,18 +83,28 @@ def rows(dist: str, *sides: Side) -> tuple[MethodRow, ...]:
     return tuple(row for row in METHODS if row.dist == dist and row.side in sides)
 
 
-_GEOM_UPPER = rows("geom", Side.UPPER)
+# best_upper's candidates: the geometric upper rows less those opt-lemma1 never
+# exceeds (opt-chernoff, whose root solve then cannot decide the minimum). The
+# closed forms all stay: their orderings hold in exact arithmetic only, and in
+# floating point thm1 or cor1 can round below thm2 (at lambda = 1e20 with a
+# p_min far below 1e-30, by 2 ulps), or tie it exactly as an earlier row.
+_BEST_CANDIDATES = tuple(
+    row for row in rows("geom", Side.UPPER)
+    if row.method not in BY_NAME[Method.OPT_LEMMA1.value].never_exceeds
+)
 
 
 def best_upper(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """The smallest geometric upper-tail bound, reported under the winning method
     with the evaluations of every root solve behind the choice.
 
-    Ties go to the earlier row of the table.
+    Ties go to the earlier row of the table. The rows opt-lemma1 never exceeds
+    (opt-chernoff) are skipped, so ``evaluations`` counts opt-lemma1's solve
+    alone.
     """
     require_upper(lam)
     query = make_tail_query(spec.mu, lam=lam)
-    candidates = [row.evaluate(spec, query) for row in _GEOM_UPPER]
+    candidates = [row.evaluate(spec, query) for row in _BEST_CANDIDATES]
     best = min(candidates, key=lambda r: r.log_value)
     evaluations = sum(r.evaluations for r in candidates if r.evaluations is not None)
     return dataclasses.replace(best, evaluations=evaluations)

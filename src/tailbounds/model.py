@@ -311,8 +311,10 @@ def make_tail_query(
 
 def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     """ln E z^X, summed factor by factor to survive deep arguments."""
-    if not 0.0 <= z < math.inf:
+    value = as_double(z)
+    if not 0.0 <= value < math.inf:
         raise DomainError(f"pgf needs a finite z >= 0, got {z}")
+    z = value
     if z == 0.0:
         return -math.inf
     p = spec.param_array
@@ -333,10 +335,11 @@ def log_inequality_check(x: float, y: float) -> bool:
     True by convexity of -ln(1-t); exposed as a self-test helper. A relative
     slack of 1e-12 absorbs round-off when x and y nearly coincide.
     """
-    if not (0.0 < x <= y < 1.0):
+    s, t = as_double(x), as_double(y)
+    if not (0.0 < s <= t < 1.0):
         raise DomainError(f"need 0 < x <= y < 1, got x={x}, y={y}")
-    lhs = -math.log1p(-x)
-    rhs = -(x / y) * math.log1p(-y)
+    lhs = -math.log1p(-s)
+    rhs = -(s / t) * math.log1p(-t)
     return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
 
 

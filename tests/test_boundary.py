@@ -1,7 +1,8 @@
 """Every public entry point on the edges of its domain.
 
-TABLE maps each public callable that takes a tail ratio, a threshold or a
-count to calls that put one bad value into one such argument, and to the
+TABLE maps each public callable that takes a tail ratio, a threshold, a
+count or another real argument to calls that put one bad value into one
+such argument, and to the
 answer its docstring documents for each value: an exception class, which
 the call must raise with a message naming the value (or, as a pair of the
 class and a text, naming that text), or the result it must return. No call
@@ -19,7 +20,8 @@ from tailbounds import DomainError, LambdaOutOfRange, NegativeX, OutOfRange
 
 BIG = 1e308
 HUGE = 10**400  # a Python int past the double range: compares exactly, has no float
-REAL_INPUTS = (math.nan, math.inf, -math.inf, BIG, HUGE)
+TEXT = "2.5"  # a string is not a number, though float() would parse it
+REAL_INPUTS = (math.nan, math.inf, -math.inf, BIG, HUGE, TEXT)
 COUNT_INPUTS = (2.5, True, 10**9, -1)
 
 GEOM = tb.make_geometric_spec([0.3, 0.7, 0.3])
@@ -95,7 +97,8 @@ TABLE = {
     # z = 1 makes the bound 1 at every x
     "lemma1_bound": [
         ("threshold", lambda v: tb.lemma1_bound(GEOM, v, 1.0).value,
-         lambda v: 1.0 if v == BIG else threshold(v))
+         lambda v: 1.0 if v == BIG else threshold(v)),
+        ("real", lambda v: tb.lemma1_bound(GEOM, 10.0, v).value, lambda v: DomainError),
     ],
     "optimized_lemma1": [
         ("threshold", lambda v: tb.optimized_lemma1(GEOM, v).value,
@@ -118,6 +121,7 @@ TABLE = {
     "iid_geom_tail": [
         ("threshold", lambda v: tb.iid_geom_tail(0.5, 2, v).value, iid_threshold),
         ("count", lambda v: tb.iid_geom_tail(0.5, v, 10.0).value, count()),
+        ("real", lambda v: tb.iid_geom_tail(v, 2, 10.0).value, lambda v: OutOfRange),
     ],
     "mc_tail": [
         ("threshold", lambda v: tb.mc_tail(GEOM, v, CFG).value, mc_threshold),
@@ -130,9 +134,14 @@ TABLE = {
     ],
     "log_inequality_check": [
         ("threshold", lambda v: tb.log_inequality_check(v, 0.5), lambda v: DomainError),
+        ("real", lambda v: tb.log_inequality_check(0.25, v), lambda v: DomainError),
     ],
     "lemma_la_check": [
         ("threshold", lambda v: tb.lemma_la_check(1.0, v), lambda v: DomainError),
+        ("real", lambda v: tb.lemma_la_check(v, 0.5), lambda v: DomainError),
+    ],
+    "log_pgf_geometric": [
+        ("real", lambda v: tb.log_pgf_geometric(GEOM, v), lambda v: DomainError),
     ],
     "geom_pmf_convolution": [
         ("count", lambda v: tb.geom_pmf_convolution(GEOM_ONE, v).size,
@@ -149,9 +158,9 @@ TABLE = {
     ],
 }
 
-# Public callables that take no tail ratio, threshold or count: records,
-# enums, spec constructors (validated by their own parameter checks) and
-# log_pgf_geometric, which checks its argument z itself.
+# Public callables that take no tail ratio, threshold, count or other real
+# argument: records, enums and spec constructors (validated by their own
+# parameter checks).
 NO_QUERY_ARGUMENT = {
     "BoundResult",
     "ExponentialSumSpec",
@@ -161,13 +170,13 @@ NO_QUERY_ARGUMENT = {
     "OracleMethod",
     "TailEstimate",
     "TailQuery",
-    "log_pgf_geometric",
     "make_exponential_spec",
     "make_geometric_spec",
     "read_params_file",
 }
 
-INPUTS = {"ratio": REAL_INPUTS, "threshold": REAL_INPUTS, "count": COUNT_INPUTS}
+INPUTS = {"ratio": REAL_INPUTS, "threshold": REAL_INPUTS, "real": REAL_INPUTS,
+          "count": COUNT_INPUTS}
 CASES = [
     pytest.param(call, answer, value,
                  id=f"{name}-{i}-{kind}-{'10**400' if value == HUGE else repr(value)}")

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -543,10 +544,11 @@ class TestSupportCap:
 
     @pytest.mark.parametrize("p", [[0.5, 0.2], [0.3, 0.5, 0.7, 0.2, 0.9, 0.4, 0.6, 0.25]],
                              ids=["n2", "n8"])
-    @pytest.mark.parametrize("x", [2e7, 1e9, 1e300])
+    @pytest.mark.parametrize("x", [2e7, 1e9, 1e300, sys.float_info.max])
     def test_distinct_p_past_cap_need_no_grid(self, p, x):
         # partial fractions answer with no grid, so the cap does not apply:
-        # the tail underflows to 0, within a few smallest subnormals
+        # the tail underflows to 0, within a few smallest subnormals (at the
+        # largest double, k ln q overflows to -inf for p = 0.9: its term is 0)
         spec = make_geometric_spec(p)
         with _grid_calls() as grid:
             est = geom_tail_exact(spec, x)

@@ -526,11 +526,13 @@ class TestAgainstBisection:
         assert statistics.median(lemma1) <= 5
         assert max(chernoff + lemma1) <= 16
 
-    def test_best_upper_counts_both_solves(self):
+    def test_best_upper_counts_the_lemma1_solve_alone(self):
+        # opt-chernoff never goes below opt-lemma1, so best_upper skips its solve
         spec = make_geometric_spec([0.5, 0.3, 0.2])
         r = best_upper(spec, 3.0)
-        solves = optimized_chernoff(spec, 3.0), optimized_lemma1(spec, 3.0 * spec.mu)
-        assert r.evaluations == sum(s.evaluations for s in solves)
+        lemma1 = optimized_lemma1(spec, 3.0 * spec.mu)
+        assert r.evaluations == lemma1.evaluations > 0
+        assert optimized_chernoff(spec, 3.0).evaluations > 0
         assert upper_tail_thm1(spec, 3.0).evaluations is None
 
 

@@ -1,4 +1,5 @@
 import argparse
+import math
 import random
 
 import pytest
@@ -17,6 +18,29 @@ def _method_choices() -> list[str]:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     bound = sub.choices["bound"]
     return next(a for a in bound._actions if a.dest == "method").choices
+
+
+def _bits(r) -> tuple:
+    """A bound result's reported fields, with every float as its exact bits."""
+    param = None if r.internal_param is None else float(r.internal_param).hex()
+    return r.log_value.hex(), r.value.hex(), r.method, param, r.clamped
+
+
+def _extreme_corpus():
+    """Specs of n in {1, 2, 3, 5, 50}: p_min from 1e-300 up, alone, tied or
+    next to p = 1 summands, and all-certain specs."""
+    rng = random.Random(29)
+    for n in (1, 2, 3, 5, 50):
+        yield [1.0] * n
+        for p_min in (1e-300, 1e-200, 4.491630506933066e-139, 1e-60, 1e-31, 1e-10, 0.05, 0.5):
+            others = [rng.uniform(0.05, 1.0) for _ in range(n - 1)]
+            yield [p_min, *others]
+            yield [p_min] * n
+            yield [p_min, *[1.0] * (n - 1)]
+
+
+EXTREME_LAMS = (1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.01, 1.5, 2.0, 10.0, 1e3,
+                1e10, 1e20, 1e50, 1e100, 1e200, 1e300, 1e308)
 
 
 class TestTable:
@@ -39,12 +63,46 @@ class TestTable:
                 assert by_method[other].side is row.side
 
     def test_best_upper_is_the_table_minimum(self):
+        # skipping the rows opt-lemma1 never exceeds must not change any
+        # answer, nor which of two tied rows reports it; on bench-style specs,
+        # and where the closed forms meet in floating point (lambda = 1e20 and
+        # 1e200 with a tiny p_min, and p = 1 summands at lambda = 1)
         assert tailbounds.best_upper is methods.best_upper
-        spec = tailbounds.make_geometric_spec([0.5, 0.2, 0.1])
-        q = tailbounds.make_tail_query(spec.mu, lam=2.5)
-        upper = methods.rows("geom", Side.UPPER)
-        values = [row.evaluate(spec, q).log_value for row in upper]
-        assert methods.best_upper(spec, 2.5).log_value == min(values)
+        rng = random.Random(8)
+        bench = [[rng.uniform(0.05, 1.0) for _ in range(8)] for _ in range(40)]
+        cases = [(p, (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)) for p in bench]
+        cases += [(p, EXTREME_LAMS) for p in _extreme_corpus()]
+        for _ in range(300):  # where cor1 can round below thm1 and thm2
+            p = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(1, 30))]
+            p[0] = 10.0 ** rng.uniform(-300.0, -20.0)
+            cases.append((p, [10.0 ** rng.uniform(15.0, 300.0) for _ in range(4)]))
+        table = methods.rows("geom", Side.UPPER)
+        checked = set()
+        for p, lams in cases:
+            spec = tailbounds.make_geometric_spec(p)
+            for lam in lams:
+                if not math.isfinite(lam * spec.mu):
+                    continue
+                q = tailbounds.make_tail_query(spec.mu, lam=lam)
+                every = min((row.evaluate(spec, q) for row in table),
+                            key=lambda r: r.log_value)  # min keeps the first of equals
+                best = methods.best_upper(spec, lam)
+                assert _bits(best) == _bits(every), (p[:3], len(p), lam)
+                checked.add(best.method)
+        assert {Method.THM1, Method.THM2, Method.COR1, Method.OPT_LEMMA1} <= checked
+
+    def test_best_upper_never_solves_opt_chernoff(self, monkeypatch):
+        spec = tailbounds.make_geometric_spec([0.3, 0.5, 0.7, 0.2])
+        expected = [methods.best_upper(spec, lam) for lam in (1.0, 1.5, 3.0)]
+
+        def refuse(spec, lam):
+            raise AssertionError("opt-chernoff evaluated")
+
+        monkeypatch.setattr(geom_bounds, "optimized_chernoff", refuse)
+        answers = [methods.best_upper(spec, lam) for lam in (1.0, 1.5, 3.0)]
+        assert answers == expected
+        lemma1 = geom_bounds.optimized_lemma1(spec, 3.0 * spec.mu)
+        assert answers[-1].evaluations == lemma1.evaluations
 
     def test_sweep_columns_come_from_the_table(self, capsys):
         code = main([
