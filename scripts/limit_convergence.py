@@ -15,6 +15,11 @@ from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import BY_NAME
 
 
+def rel_err(value: float, reference: float) -> float:
+    """|value - reference| / reference, or nan where the reference underflowed to 0."""
+    return abs(value - reference) / reference if reference > 0.0 else float("nan")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--a", default="1,2")
@@ -39,9 +44,9 @@ def main() -> None:
         bound_disc = thm2.evaluate(geom, make_tail_query(geom.mu, lam=args.lam)).value
         print(
             f"{N:8d} {exact_disc:16.10e} "
-            f"{abs(exact_disc - exact_cont) / exact_cont:10.2e} "
+            f"{rel_err(exact_disc, exact_cont):10.2e} "
             f"{bound_disc:16.10e} "
-            f"{abs(bound_disc - bound_cont) / bound_cont:10.2e}"
+            f"{rel_err(bound_disc, bound_cont):10.2e}"
         )
 
 

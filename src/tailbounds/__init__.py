@@ -23,7 +23,6 @@ from .exp_bounds import (
 )
 from .geom_bounds import (
     lemma1_bound,
-    lemma_la_check,
     lower_tail_tl1,
     optimized_chernoff,
     optimized_lemma1,
@@ -47,7 +46,6 @@ from .model import (
     OutOfRange,
     TailBoundsError,
     TailQuery,
-    log_inequality_check,
     log_pgf_geometric,
     make_exponential_spec,
     make_geometric_spec,
@@ -89,8 +87,6 @@ __all__ = [
     "hypoexp_survival",
     "iid_geom_tail",
     "lemma1_bound",
-    "lemma_la_check",
-    "log_inequality_check",
     "log_pgf_geometric",
     "lower_tail_tl1",
     "make_exponential_spec",

@@ -418,8 +418,9 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     Partial fractions in log space run first, and their answer stands unless
     its error bound (infinite for tied rates or a term past the double range)
     passes both 1e-9 of its value and the bound the matrix route would report.
-    x must be finite and >= 0, with max(a) x <= 2^1020 so that the matrix
-    route's scaling 2^s stays finite. The matrix route takes at most 2048 rates
+    x must be finite and >= 0. Where partial fractions miss 1e-9 relative,
+    max(a) x must also be <= 2^1020, so that the matrix route's scaling 2^s
+    stays finite. The matrix route takes at most 2048 rates
     (``_MAX_MATRIX_N``); partial-fraction answers have no such cap. Both routes
     read one list of the products c_i = -a_i x over the sorted ``rate_array``,
     so the answer depends only on the multiset of rates.
@@ -427,16 +428,19 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     require_threshold(x)
     a = spec.rate_array.tolist()  # numpy scalars would warn on overflow
     c = [-ai * x for ai in a]  # the exponents of both routes
-    if not -c[-1] <= 2.0**1020:
-        raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
     if x == 0.0:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
     value, error = _partial_fractions(a, c)
-    if error <= _REL_TOL * value or error <= (scaling := _matrix_exp_scaling(c))[1]:
+    if error <= _REL_TOL * value:
+        return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
+    if not -c[-1] <= 2.0**1020:
+        raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
+    s, bound = _matrix_exp_scaling(c)
+    if error <= bound:
         return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
     if spec.n > _MAX_MATRIX_N:
         raise OutOfRange(f"need n <= {_MAX_MATRIX_N} on the matrix route, got n={spec.n}")
-    return TailEstimate(_matrix_exp_survival(c, scaling[0]), scaling[1], OracleMethod.MATRIX_EXP)
+    return TailEstimate(_matrix_exp_survival(c, s), bound, OracleMethod.MATRIX_EXP)
 
 
 def exact_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float,

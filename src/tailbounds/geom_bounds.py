@@ -219,19 +219,3 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
         internal_param=w,
         evaluations=evaluations,
     )
-
-
-def lemma_la_check(A: float, x: float) -> bool:
-    """Check A (x + ln(1-x)) <= ln(1 - A x^2 / 2) for A >= 1, 0 <= x <= 1/A.
-
-    Self-test helper backing the lower-bound derivation; must hold on the
-    whole stated domain. Small relative slack absorbs round-off.
-    """
-    a, t = as_double(A), as_double(x)
-    if not a >= 1.0:
-        raise DomainError(f"need A >= 1, got {A}")
-    if not (0.0 <= t <= 1.0 / a):
-        raise DomainError(f"need 0 <= x <= 1/A, got x={x}, A={A}")
-    lhs = -math.inf if t >= 1.0 else a * (t + math.log1p(-t))
-    rhs = math.log1p(-a * t * t / 2.0)
-    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))

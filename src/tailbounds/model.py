@@ -329,20 +329,6 @@ def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     return math.fsum((np.log(p) + math.log(z) - np.log(gaps)).tolist())
 
 
-def log_inequality_check(x: float, y: float) -> bool:
-    """Check -ln(1-x) <= -(x/y) ln(1-y) for 0 < x <= y < 1.
-
-    True by convexity of -ln(1-t); exposed as a self-test helper. A relative
-    slack of 1e-12 absorbs round-off when x and y nearly coincide.
-    """
-    s, t = as_double(x), as_double(y)
-    if not (0.0 < s <= t < 1.0):
-        raise DomainError(f"need 0 < x <= y < 1, got x={x}, y={y}")
-    lhs = -math.log1p(-s)
-    rhs = -(s / t) * math.log1p(-t)
-    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
-
-
 def read_params_file(path: str) -> list[float]:
     """Read the shared plain-text parameter format.
 

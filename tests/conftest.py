@@ -1,5 +1,6 @@
-"""Shared helpers: seeded random specs, slow independent oracles, scalar samplers,
-and the bisection solver the optimized bounds are checked against."""
+"""Shared helpers: seeded random specs, slow independent oracles, the paper's two
+scalar lemmas, scalar samplers, and the bisection solver the optimized bounds
+are checked against."""
 
 from __future__ import annotations
 
@@ -117,6 +118,34 @@ def pgf_geometric(spec, z: float) -> float:
     for p in spec.params:
         out *= p * z / pgf_pole_gap(p, z)
     return out
+
+
+def log_inequality_check(x: float, y: float) -> bool:
+    """Check -ln(1-x) <= -(x/y) ln(1-y) for 0 < x <= y < 1.
+
+    True by convexity of -ln(1-t). A relative slack of 1e-12 absorbs round-off
+    when x and y nearly coincide.
+    """
+    if not (0.0 < x <= y < 1.0):
+        raise DomainError(f"need 0 < x <= y < 1, got x={x}, y={y}")
+    lhs = -math.log1p(-x)
+    rhs = -(x / y) * math.log1p(-y)
+    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+
+
+def lemma_la_check(A: float, x: float) -> bool:
+    """Check A (x + ln(1-x)) <= ln(1 - A x^2 / 2) for A >= 1, 0 <= x <= 1/A.
+
+    The scalar lemma behind the lower bound on the upper tail; it must hold on
+    the whole stated domain. A relative slack of 1e-12 absorbs round-off.
+    """
+    if not A >= 1.0:
+        raise DomainError(f"need A >= 1, got {A}")
+    if not (0.0 <= x <= 1.0 / A):
+        raise DomainError(f"need 0 <= x <= 1/A, got x={x}, A={A}")
+    lhs = -math.inf if x >= 1.0 else A * (x + math.log1p(-x))
+    rhs = math.log1p(-A * x * x / 2.0)
+    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
 
 
 def mgf_exponential(spec, t: float) -> float:

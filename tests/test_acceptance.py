@@ -11,6 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
+    lemma_la_check,
+    log_inequality_check,
     matrix_exp_survival,
     partial_fractions_survival,
     random_exp_specs,
@@ -26,8 +28,6 @@ from tailbounds import (
     hypoexp_survival,
     iid_geom_tail,
     lemma1_bound,
-    lemma_la_check,
-    log_inequality_check,
     lower_tail_tl1,
     make_exponential_spec,
     make_geometric_spec,

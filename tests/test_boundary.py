@@ -104,7 +104,7 @@ TABLE = {
         ("threshold", lambda v: tb.optimized_lemma1(GEOM, v).value,
          lambda v: 0.0 if v == BIG else threshold(v))
     ],
-    # max rate * x must stay below 2^1020
+    # max rate * x must stay below 2^1020 where partial fractions miss 1e-9
     "hypoexp_survival": [
         ("threshold", lambda v: tb.hypoexp_survival(EXP, v).value,
          lambda v: OutOfRange if v == BIG else threshold(v)),
@@ -131,14 +131,6 @@ TABLE = {
          lambda v: BIG if v == BIG else DomainError),
         ("ratio", lambda v: tb.make_tail_query(GEOM.mu, lam=v).lam,
          lambda v: DomainError),
-    ],
-    "log_inequality_check": [
-        ("threshold", lambda v: tb.log_inequality_check(v, 0.5), lambda v: DomainError),
-        ("real", lambda v: tb.log_inequality_check(0.25, v), lambda v: DomainError),
-    ],
-    "lemma_la_check": [
-        ("threshold", lambda v: tb.lemma_la_check(1.0, v), lambda v: DomainError),
-        ("real", lambda v: tb.lemma_la_check(v, 0.5), lambda v: DomainError),
     ],
     "log_pgf_geometric": [
         ("real", lambda v: tb.log_pgf_geometric(GEOM, v), lambda v: DomainError),

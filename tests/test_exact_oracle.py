@@ -442,6 +442,17 @@ class TestOneListOfProducts:
         assert est.method is route
         assert scaling.call_count == calls
 
+    def test_double_range_guard_binds_only_on_the_matrix_route(self):
+        # max(a) x = 1e310 passes 2^1020, yet partial fractions certify the tail,
+        # e^-1 to within 1e-300 relative, well within 1e-9: they answer
+        est = hypoexp_survival(make_exponential_spec([1e-300, 1e10]), 1e300)
+        assert est.method is OracleMethod.PARTIAL_FRACTIONS
+        assert abs(est.value - math.exp(-1.0)) <= est.error_bound <= 1e-9 * est.value
+        # where they miss 1e-9, the matrix route's 2^s would pass the double range
+        for rates in ((1.0, 2.0), (1.0, 1.0)):
+            with pytest.raises(OutOfRange, match=r"need max rate \* x <= 2\^1020, got x=1e\+308"):
+                hypoexp_survival(make_exponential_spec(rates), 1e308)
+
     def test_overflowing_squarings_are_refused_without_warnings(self):
         # x is about 1e290: s = 998 squarings, and the a-priori bound is 1.0
         spec = make_exponential_spec([1e10, 1e-10, 1e-10, 1e-10, 1e-300])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     OPTIMIZER_LAMS,
+    lemma_la_check,
     optimizer_corpus,
     random_geom_specs,
     reference_chernoff_log,
@@ -21,7 +22,6 @@ from tailbounds import (
     Method,
     best_upper,
     lemma1_bound,
-    lemma_la_check,
     lower_tail_tl1,
     make_geometric_spec,
     optimized_chernoff,

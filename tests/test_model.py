@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mgf_exponential, pgf_geometric
+from conftest import log_inequality_check, mgf_exponential, pgf_geometric
 from tailbounds import (
     DomainError,
     EmptyParams,
     LogProb,
     OutOfRange,
-    log_inequality_check,
     log_pgf_geometric,
     make_exponential_spec,
     make_geometric_spec,

@@ -36,3 +36,10 @@ def test_limit_convergence_runs():
     proc = run_script("limit_convergence.py", "--n-grid", "10,100")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4 + 2
+
+
+def test_limit_convergence_prints_nan_where_the_tail_underflows():
+    # at lambda = 800 the continuous tail and bound are 0: no relative error
+    proc = run_script("limit_convergence.py", "--lambda", "800", "--n-grid", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split()[2::2] == ["nan", "nan"]
