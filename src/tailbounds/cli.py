@@ -10,8 +10,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import exact_oracle, geom_bounds, methods, montecarlo
 from .methods import Side
 from .model import (
@@ -227,6 +225,8 @@ def cmd_verify(args) -> int:
         + " ".join(_fmt(v) for v in sandwich)
     )
     _verify_instance(fixed, failures)
+
+    import numpy as np
 
     rng = np.random.default_rng(args.seed)
     for suite, n_max, make, lo, hi in (

@@ -18,11 +18,13 @@ still holds in its filter state after step K is exactly P(X > K), a sum of
 nonnegative terms, so the upper tail needs one call up to k0 - 1, no
 truncation and none of the bounds that it is used to check. The grid's
 K is capped at 10^7, checked in ``_pmf_grid`` before anything is allocated:
-the one support check, so an answer that builds no grid has no cap. scipy is
-imported only when a cascade runs. iid parameters also have a closed-form
-negative-binomial cross-check. Exponential sums keep the partial-fraction
-answer unless its error bound is neither within 1e-9 relative nor below that
-of a scaling-and-squaring matrix exponential, which then runs. Every
+the one support check, so an answer that builds no grid has no cap. numpy
+and scipy are imported only when a cascade runs (numpy also for the matrix
+exponential below), so partial-fraction answers load neither. iid
+parameters also have a closed-form negative-binomial cross-check.
+Exponential sums keep the partial-fraction answer unless its error bound is
+neither within 1e-9 relative nor below that of a scaling-and-squaring
+matrix exponential, which then runs. Every
 estimate carries a rigorous error bound (round-off scale, truncation
 remainder, or both). The exponential lower tail, 1 - P(X > x), has an
 absolute bound: the survival's plus half an ulp of the subtraction. It is
@@ -34,9 +36,9 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     ExponentialSumSpec,
@@ -48,8 +50,11 @@ from .model import (
     require_threshold,
 )
 
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).smallest_subnormal)
+if TYPE_CHECKING:
+    import numpy as np
+
+_EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)  # the smallest subnormal
 
 # Relative accuracy that keeps hypoexp_survival on its partial-fraction route.
 _REL_TOL = 1e-9
@@ -123,8 +128,8 @@ def _pmf_grid(spec: GeometricSumSpec, K: int,
     p z^-1 / (1 - (1-p) z^-1) run over the whole grid from k = 0, so each
     entry is that cascade's, moved by n places. The sections run in the
     ascending order of ``spec.param_array``, so the grid depends only on the
-    multiset of p. scipy is imported here, on first use, so that importing
-    the package stays cheap.
+    multiset of p. numpy and scipy are imported here, on first use, so that
+    importing the package stays cheap.
 
     The impulse is 2^1000, not 1. Every exact value is at most 1, which
     leaves about 2^23 of headroom for round-off, and values that would be
@@ -155,6 +160,7 @@ def _pmf_grid(spec: GeometricSumSpec, K: int,
     times the value, plus their subnormal term once per summed entry.
     """
     require_count("pmf support", K, spec.n, _MAX_SUPPORT)
+    import numpy as np
     from scipy.signal import sosfilt
 
     p = spec.param_array
@@ -229,22 +235,22 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     Partial fractions run first where trying them costs less than the cascade
     (``_partial_fractions_first``, from n and k0 alone). For distinct p_i < 1,
     P(X > k) = sum_i w_i q_i^k with w_i = prod_{j!=i} p_j/(p_j - p_i) (Sen and
-    Balakrishnan 1999): ``_partial_fractions`` over ``param_array`` with
+    Balakrishnan 1999): ``_partial_fractions`` over the sorted p with
     exponents k ln q_i, k = k0 - 1. A summand with p_i = 1 is the constant 1,
     so it is dropped and k shrinks by 1. The answer stands if its error bound
     is within 1e-12 of the value or below the cascade's floor. Otherwise (tied
     p, cancelling weights, or a large n at a shallow k0) the ``sosfilt``
-    cascade runs (``_pmf_grid`` up to k0 - 1), and only then is scipy
-    imported. Only the cascade is capped: its grid runs up to k0 - 1, which
-    must be at most 10^7, so x may pass the cap wherever partial fractions
-    answer.
+    cascade runs (``_pmf_grid`` up to k0 - 1), and only then are numpy and
+    scipy imported. Only the cascade is capped: its grid runs up to k0 - 1,
+    which must be at most 10^7, so x may pass the cap wherever partial
+    fractions answer.
     """
     if as_double(x) <= spec.n:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
     require_threshold(x)
     k0 = math.ceil(x)
     if _partial_fractions_first(spec.n, k0):
-        p = spec.param_array.tolist()
+        p = sorted(spec.params)
         p = p[: bisect.bisect_left(p, 1.0)]
         k = k0 - 1 - (spec.n - len(p))
         value, error = _partial_fractions(p, [k * math.log1p(-v) for v in p])
@@ -398,6 +404,8 @@ def _matrix_exp_survival(c: list[float], s: int) -> float:
     is the first-row sum of exp(Q x): a degree-13 Taylor polynomial of Q x/2^s,
     squared s times. Squarings that overflow to a NaN row sum raise ``OutOfRange``.
     """
+    import numpy as np
+
     B = (np.diag(c) - np.diag(c[:-1], 1)) / float(2**s)
     T = acc = np.eye(len(c))  # both are rebound, never updated in place
     for k in range(1, 14):
@@ -422,11 +430,12 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     max(a) x must also be <= 2^1020, so that the matrix route's scaling 2^s
     stays finite. The matrix route takes at most 2048 rates
     (``_MAX_MATRIX_N``); partial-fraction answers have no such cap. Both routes
-    read one list of the products c_i = -a_i x over the sorted ``rate_array``,
-    so the answer depends only on the multiset of rates.
+    read one list of the products c_i = -a_i x over the sorted rates, so the
+    answer depends only on the multiset of rates. Only the matrix route
+    imports numpy.
     """
     require_threshold(x)
-    a = spec.rate_array.tolist()  # numpy scalars would warn on overflow
+    a = sorted(spec.rates)
     c = [-ai * x for ai in a]  # the exponents of both routes
     if x == 0.0:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)

@@ -21,7 +21,7 @@ from .model import (
 
 def exp_upper_i(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     """P(X >= lam*mu) <= (1/lam) exp(-a_min*mu*(lam-1-ln lam)) for lam >= 1."""
-    require_upper(lam)
+    require_upper(lam, spec.mu)
     log_bound = -math.log(lam) - spec.a_min * spec.mu * (lam - 1.0 - math.log(lam))
     return bound_result(Method.TEXP_I, lam, log_bound)
 
@@ -41,7 +41,7 @@ def exp_lower_tail_iii(spec: ExponentialSumSpec, lam: float) -> BoundResult:
 
 def exp_tail_lower_iv(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     """LOWER bound: P(X >= lam*mu) >= exp(-a_min*mu*(lam-1)) / (2e a_min mu)."""
-    require_upper(lam)
+    require_upper(lam, spec.mu)
     log_bound = -1.0 - math.log(2.0 * spec.a_min * spec.mu) - spec.a_min * spec.mu * (
         lam - 1.0
     )

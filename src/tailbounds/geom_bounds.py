@@ -7,15 +7,14 @@ parameter t, and a generating-function bound minimized over w = z - 1). Both
 objectives are convex, and each optimum is a root of
 sum_i 1/(a_i - b_i s) = T, with gaps a_i - b_i s linear in the variable s.
 One solver finds both by Newton steps on the reciprocal of the sum, which
-is concave, with numpy over the spec's parameter array. Every bound is
-computed in log space and returned as a BoundResult.
+is concave, with numpy over the spec's parameter array; numpy is imported
+by the functions that use it, so the closed forms run without it. Every
+bound is computed in log space and returned as a BoundResult.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .model import (
     BoundResult,
@@ -32,7 +31,7 @@ from .model import (
 
 def upper_tail_thm1(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Closed-form Chernoff bound P(X >= lam*mu) <= exp(-p_min*mu*(lam-1-ln lam))."""
-    require_upper(lam)
+    require_upper(lam, spec.mu)
     log_bound = -spec.p_min * spec.mu * (lam - 1.0 - math.log(lam))
     t = (1.0 - 1.0 / lam) * spec.p_min
     return bound_result(Method.THM1, lam, log_bound, internal_param=t)
@@ -51,7 +50,7 @@ def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     At lam = 1 the exponent factor vanishes and the bound is 1 regardless
     of p_min (the 0 * log(0) product is taken as 0, by continuity in lam).
     """
-    require_upper(lam)
+    require_upper(lam, spec.mu)
     if lam == 1.0:
         log_bound = 0.0
     elif spec.p_min == 1.0:
@@ -84,7 +83,7 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
 
     Degenerates to 0 when p_min = 1 (the sum is deterministic).
     """
-    require_upper(lam)
+    require_upper(lam, spec.mu)
     if spec.p_min == 1.0:
         return bound_result(Method.TL, lam, -math.inf)
     log1mp = math.log1p(-spec.p_min)
@@ -105,6 +104,8 @@ def _lemma1_log(spec: GeometricSumSpec, x: float, w: float) -> float:
     Every gap p_i - q_i w is linear in w, so w resolves the domain up to the
     pole 1 + w = 1/(1 - p_min) for any p_min, where z = 1 + w would round.
     """
+    import numpy as np
+
     others = spec.param_array[1:]
     log_gaps = np.log1p(-(1.0 - others) * w / others)
     return (spec.n - x) * math.log1p(w) - float(log_gaps.sum())
@@ -166,7 +167,9 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     minimizer is where sum 1/(p_i - t) = lam mu. Never worse than
     upper_tail_thm1, whose t is one point of the same domain.
     """
-    require_upper(lam)
+    require_upper(lam, spec.mu)
+    import numpy as np
+
     target = lam * spec.mu
     p = spec.param_array
     p_min = spec.p_min

@@ -1,11 +1,14 @@
 """Distribution specs, derived statistics, generating functions and bound results.
 
 Everything downstream (bounds, oracles, Monte Carlo, CLI) consumes the
-immutable spec types defined here. All derived statistics are computed
-once at construction with compensated summation and cached.
+immutable spec types defined here. The derived statistics are computed
+once at construction with compensated summation. The parameters' sorted
+float64 array is built with numpy on its first use and cached, so building
+a spec, like importing the package, loads only the standard library.
 
 Every public entry point first checks its query against the paper's
-domains with the five validators here: ``require_upper`` (finite lam >= 1),
+domains with the five validators here: ``require_upper`` (finite lam >= 1,
+with a finite threshold lam * mu where the bound reads a spec),
 ``require_lower`` (0 < lam <= 1), ``require_threshold`` (finite x >= 0),
 ``require_count`` (an integer in a range) and ``require_side``. The real
 checks read their value through ``as_double``, so a number with no double
@@ -15,13 +18,16 @@ overflow or to fail in float arithmetic.
 
 from __future__ import annotations
 
+import array
 import enum
 import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TailBoundsError(ValueError):
@@ -147,10 +153,14 @@ def as_double(value) -> float:
         return math.nan
 
 
-def require_upper(lam: float) -> None:
-    """Refuse a tail ratio that is not finite and >= 1 (upper-tail bounds)."""
-    if not 1.0 <= as_double(lam) < math.inf:
+def require_upper(lam: float, mu: float | None = None) -> None:
+    """Refuse a tail ratio that is not finite and >= 1 (upper-tail bounds),
+    and, for a bound that reads a spec, one whose threshold lam * mu overflows."""
+    value = as_double(lam)
+    if not 1.0 <= value < math.inf:
         raise LambdaOutOfRange(f"upper-tail bound needs a finite lambda >= 1, got {lam}")
+    if mu is not None and value * mu == math.inf:
+        raise DomainError(f"need a finite threshold, got x=inf, lambda={lam}")
 
 
 def require_lower(lam: float) -> None:
@@ -181,14 +191,15 @@ def require_side(side: str) -> None:
         raise OutOfRange(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def _set_params(spec, names: tuple[str, str, str, str], what: str, top: float,
+def _set_params(spec, names: tuple[str, str, str], what: str, top: float,
                 interval: str) -> None:
     """Check a spec's parameters, then set them as floats with their mean
-    sum 1/v, their ascending read-only float64 array and its first entry.
+    sum 1/v and their smallest value, and as C doubles in ``_doubles``.
 
-    ``names`` are the spec's four fields for these. Each parameter must be a
-    number in (0, top] (see ``as_double``) and the mean must not overflow;
-    ``what`` and ``interval`` name the parameter and its range in the errors.
+    ``names`` are the spec's fields for the first three. Each parameter must
+    be a number in (0, top] (see ``as_double``) and the mean must not
+    overflow; ``what`` and ``interval`` name the parameter and its range in
+    the errors.
     """
     values = getattr(spec, names[0])
     if len(values) == 0:
@@ -203,11 +214,28 @@ def _set_params(spec, names: tuple[str, str, str, str], what: str, top: float,
         mu = math.inf
     if mu == math.inf:
         raise OutOfRange(f"the mean, sum 1/v, overflows; smallest v is {min(doubles)!r}")
-    array = np.array(doubles, dtype=np.float64)
-    array.sort()  # in place: np.sort's copy costs more than the sort at small n
-    array.flags.writeable = False
-    for name, value in zip(names, (doubles, mu, array, float(array[0]))):
+    for name, value in zip((*names, "_doubles"),
+                           (doubles, mu, min(doubles), array.array("d", doubles))):
         object.__setattr__(spec, name, value)
+
+
+def _sorted_array(doubles: array.array) -> np.ndarray:
+    """doubles sorted ascending, as a read-only float64 array.
+
+    A spec's ``param_array`` or ``rate_array``, built on first use and kept
+    in its ``_array`` field. The doubles were converted from Python floats
+    when the spec was built, which at n = 10^4 costs several times this
+    sort, so a first use stays well under a call that reads the array
+    (best_upper's, say). The field is set with ``object.__setattr__``, not
+    by ``functools.cached_property``, which writes the instance ``__dict__``
+    and so makes every later attribute read on the spec about twice as slow
+    in CPython 3.11.
+    """
+    import numpy as np
+
+    out = np.sort(np.frombuffer(doubles, dtype=np.float64))
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,19 +245,19 @@ class GeometricSumSpec:
     Each summand has success probability ``p_i`` in (0, 1] and pmf
     p_i (1-p_i)^(k-1). Derived statistics: mean ``mu`` = sum 1/p_i,
     smallest probability ``p_min``, and variance ``sigma2`` = sum (1-p_i)/p_i^2.
-    ``param_array`` holds ``params`` sorted ascending (read-only float64), and
-    ``p_min`` is its first entry; ``params`` keeps the caller's order, which the
-    Monte Carlo stream reads (draw j of a sample belongs to summand j).
+    ``params`` keeps the caller's order, which the Monte Carlo stream reads
+    (draw j of a sample belongs to summand j).
     """
 
     params: tuple[float, ...]
     mu: float = field(init=False)
     p_min: float = field(init=False)
     sigma2: float = field(init=False)
-    param_array: np.ndarray = field(init=False, compare=False, repr=False)
+    _doubles: array.array = field(init=False, compare=False, repr=False)
+    _array: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        _set_params(self, ("params", "mu", "param_array", "p_min"),
+        _set_params(self, ("params", "mu", "p_min"),
                     "success probability", 1.0, "(0, 1]")
         try:  # divide twice: p*p underflows to 0 for subnormal-range p
             sigma2 = math.fsum((1.0 - p) / p / p for p in self.params)
@@ -241,31 +269,45 @@ class GeometricSumSpec:
     def n(self) -> int:
         return len(self.params)
 
+    @property
+    def param_array(self) -> np.ndarray:
+        """``params`` sorted ascending (read-only float64), built on first use;
+        ``p_min`` is its first entry."""
+        if self._array is None:
+            object.__setattr__(self, "_array", _sorted_array(self._doubles))
+        return self._array
+
 
 @dataclass(frozen=True)
 class ExponentialSumSpec:
     """Parameters of a sum of independent exponential variables.
 
     Each summand has rate ``a_i`` > 0 (mean 1/a_i, density a_i e^(-a_i x)).
-    Derived: mean ``mu`` = sum 1/a_i and smallest rate ``a_min``.
-    ``rate_array`` holds ``rates`` sorted ascending (read-only float64), and
-    ``a_min`` is its first entry; both hypoexponential routes read it, so
-    every exact answer depends only on the multiset of rates. ``rates`` keeps
-    the caller's order, which the Monte Carlo stream reads.
+    Derived: mean ``mu`` = sum 1/a_i and smallest rate ``a_min``. ``rates``
+    keeps the caller's order, which the Monte Carlo stream reads.
     """
 
     rates: tuple[float, ...]
     mu: float = field(init=False)
     a_min: float = field(init=False)
-    rate_array: np.ndarray = field(init=False, compare=False, repr=False)
+    _doubles: array.array = field(init=False, compare=False, repr=False)
+    _array: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        _set_params(self, ("rates", "mu", "rate_array", "a_min"),
+        _set_params(self, ("rates", "mu", "a_min"),
                     "rate", sys.float_info.max, "(0, inf)")
 
     @property
     def n(self) -> int:
         return len(self.rates)
+
+    @property
+    def rate_array(self) -> np.ndarray:
+        """``rates`` sorted ascending (read-only float64), built on first use;
+        ``a_min`` is its first entry."""
+        if self._array is None:
+            object.__setattr__(self, "_array", _sorted_array(self._doubles))
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -317,6 +359,8 @@ def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     z = value
     if z == 0.0:
         return -math.inf
+    import numpy as np
+
     p = spec.param_array
     # 1 - (1-p) z in two forms with complementary round-off: (1-z) + p z is
     # exact at z = 1 for any p (the direct form collapses to 0 for p below

@@ -15,15 +15,16 @@ samples * n is. Each block's rows are then summed: for n < 16 by whole-column
 adds in the order numpy's own pairwise sum takes along a row, so the sums are
 bit-identical to u.sum(axis=1) at a fraction of its cost; from n = 16 by
 u.sum(axis=1) itself.
+
+numpy, and statistics for the interval's normal quantile, are imported by
+the functions that use them, so importing the package loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact_oracle import OracleMethod, TailEstimate
 from .model import (
@@ -34,6 +35,9 @@ from .model import (
     require_count,
     require_side,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Uniforms per block: 512 KB of float64, which stays in cache through every
 # pass. The fastest of 2^12..2^20 at n = 8 and n = 10^3 with a fresh block
@@ -69,6 +73,8 @@ def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     leaves every value in [2^-54, 1 - 2^-53] with no rounding. (Adding 2^-54
     instead would round k = 2^53 - 1 up to 1.)
     """
+    import numpy as np
+
     gen.random(out=out)
     return np.maximum(out, 2.0**-54, out=out)
 
@@ -85,6 +91,8 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     require_count("seed", seed, 0, _MAX_U64)
     require_count("start", start, 0, _MAX_U64)
     require_count("count", count, 0, 1 << 22)
+    import numpy as np
+
     gen = np.random.Generator(np.random.PCG64DXSM(seed).advance(int(start)))
     return _uniforms(gen, np.empty(count))
 
@@ -95,6 +103,8 @@ def _two_sided_z(confidence: float) -> float:
     Taken from the lower quantile: 1 - confidence is exact for confidence >=
     0.5, where 0.5 + confidence / 2 rounds to 1 just below confidence 1.
     """
+    from statistics import NormalDist
+
     return -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
 
 
@@ -119,6 +129,8 @@ def _inversion(spec, rows: int) -> tuple[np.ndarray, bool]:
     the row rows times, so the divide runs as one flat loop instead of one
     short broadcast loop per row.
     """
+    import numpy as np
+
     geometric = isinstance(spec, GeometricSumSpec)
     row = ([-math.inf if p == 1.0 else math.log1p(-p) for p in spec.params]
            if geometric else [-a for a in spec.rates])
@@ -142,6 +154,8 @@ def _row_sums(u: np.ndarray) -> np.ndarray:
     89 against 123 us at n = 16, 79 against 61 us at n = 32 and 912 against
     21 us at n = 1000.
     """
+    import numpy as np
+
     n = u.shape[1]
     if n > _COLUMN_ADD_MAX_N:
         return u.sum(axis=1)
@@ -167,6 +181,8 @@ def _sums_block(divisors: np.ndarray, geometric: bool,
     """Sums of gen's next count samples (count <= len(divisors)), inverted in
     place in buf and added up by ``_row_sums``, bit-identical to
     .sum(axis=1); a geometric row sums its floors and adds n."""
+    import numpy as np
+
     n = divisors.shape[1]
     u = _uniforms(gen, buf[:count * n]).reshape(count, n)
     np.log(u, out=u)
@@ -192,6 +208,8 @@ def mc_tail(spec: GeometricSumSpec | ExponentialSumSpec, x: float, cfg: McConfig
     given, x = x, as_double(x)
     if math.isnan(x):
         raise OutOfRange(f"threshold x is not a number, got {given!r}")
+    import numpy as np
+
     rows = max(1, BLOCK_DRAWS // spec.n)
     divisors, geometric = _inversion(spec, rows)
     gen = np.random.Generator(np.random.PCG64DXSM(cfg.seed))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -79,6 +80,37 @@ def reference_pmf_grid(spec, K: int, upper: bool = True) -> tuple[np.ndarray, fl
         c, (state,) = lfilter([0.0, p], [1.0, -(1.0 - p)], c, zi=[0.0])
         tail += state / p
     return c, (tail if upper else float(np.sum(c)))
+
+
+def decimal_tail(spec: GeometricSumSpec, x: float) -> Decimal:
+    """P(X >= x) for at most 20 geometric summands, in 40-digit decimal at any depth.
+
+    The package's cascade (``exact_oracle._pmf_grid``) in the standard
+    library's decimal arithmetic, on the exact values of the doubles p_i: over
+    m = 0..k0 - 1 - n, section i emits y = p_i v + s_i for its input v (an
+    impulse of 1 at m = 0) and keeps s_i = (1 - p_i) y. The tail
+    P(X >= k0) = P(X > k0 - 1) is then the final states' sum of s_i / p_i.
+    Every operation adds or multiplies nonnegative numbers, so nothing cancels,
+    and decimal's exponent range reaches far below any double. A value meets
+    at most about 3 (k0 + n) roundings of half a unit in the 40th digit on
+    its way, so the answer is relative to about 1e-34 for k0 up to 10^5.
+    """
+    if spec.n > 20:
+        raise ValueError(f"decimal_tail takes at most 20 summands, got {spec.n}")
+    k0 = math.ceil(x)
+    if k0 <= spec.n:
+        return Decimal(1)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p = [Decimal(v) for v in sorted(spec.params)]
+        q = [1 - v for v in p]
+        s = [Decimal(0)] * spec.n
+        for m in range(k0 - spec.n):
+            v = Decimal(1 if m == 0 else 0)
+            for i in range(spec.n):
+                v = p[i] * v + s[i]
+                s[i] = q[i] * v
+        return sum((si / pi for si, pi in zip(s, p)), Decimal(0))
 
 
 def partial_fractions_survival(spec, x: float) -> tuple[float, float]:

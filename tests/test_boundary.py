@@ -36,6 +36,12 @@ def upper(v):
     return 0.0 if v == BIG else LambdaOutOfRange
 
 
+def spec_upper(v):
+    """An upper-tail bound on GEOM: a finite lam >= 1 whose threshold
+    lam * mu is finite, which it is not at 1e308."""
+    return DomainError if v == BIG else LambdaOutOfRange
+
+
 def lower(v):
     """A lower-tail bound: 0 < lam <= 1."""
     return LambdaOutOfRange
@@ -72,21 +78,18 @@ def mc_threshold(v):
 
 # name: [(kind, call with the value in one argument, answer for each value)]
 TABLE = {
-    "upper_tail_thm1": [("ratio", lambda v: tb.upper_tail_thm1(GEOM, v).value, upper)],
-    "upper_tail_thm2": [("ratio", lambda v: tb.upper_tail_thm2(GEOM, v).value, upper)],
+    "upper_tail_thm1": [("ratio", lambda v: tb.upper_tail_thm1(GEOM, v).value, spec_upper)],
+    "upper_tail_thm2": [("ratio", lambda v: tb.upper_tail_thm2(GEOM, v).value, spec_upper)],
     "upper_tail_cor1": [("ratio", lambda v: tb.upper_tail_cor1(v).value, upper)],
     "upper_tail_cor2": [("ratio", lambda v: tb.upper_tail_cor2(v).value, upper)],
     "upper_tail_lower_bound_tl": [
-        ("ratio", lambda v: tb.upper_tail_lower_bound_tl(GEOM, v).value, upper)
+        ("ratio", lambda v: tb.upper_tail_lower_bound_tl(GEOM, v).value, spec_upper)
     ],
     "optimized_chernoff": [
-        ("ratio", lambda v: tb.optimized_chernoff(GEOM, v).value, upper)
+        ("ratio", lambda v: tb.optimized_chernoff(GEOM, v).value, spec_upper)
     ],
-    # lam * mu overflows at 1e308, and opt-lemma1 has no finite threshold
-    "best_upper": [
-        ("ratio", lambda v: tb.best_upper(GEOM, v).value,
-         lambda v: DomainError if v == BIG else LambdaOutOfRange)
-    ],
+    "best_upper": [("ratio", lambda v: tb.best_upper(GEOM, v).value, spec_upper)],
+    # EXP's threshold 1e308 * 1.5 is finite, so these two answer 0 there
     "exp_upper_i": [("ratio", lambda v: tb.exp_upper_i(EXP, v).value, upper)],
     "exp_upper_ii": [("ratio", lambda v: tb.exp_upper_ii(v).value, upper)],
     "exp_tail_lower_iv": [("ratio", lambda v: tb.exp_tail_lower_iv(EXP, v).value, upper)],

@@ -575,7 +575,8 @@ class TestVerify:
 
 
 # Runs the CLI as `python -m tailbounds.cli` would, then reports its exit
-# code and the scipy modules it loaded as JSON on the last line of stderr.
+# code and the numpy and scipy modules it loaded as JSON on the last line of
+# stderr.
 _FRESH_CLI = """
 import json, runpy, sys
 code = 0
@@ -583,8 +584,8 @@ try:
     runpy.run_module("tailbounds.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-sys.stderr.write(json.dumps({"code": code, "scipy": scipy}) + "\\n")
+loaded = {top: [m for m in sys.modules if m.split(".")[0] == top] for top in ("numpy", "scipy")}
+sys.stderr.write(json.dumps({"code": code, **loaded}) + "\\n")
 """
 
 
@@ -598,45 +599,65 @@ def python_fresh(*args) -> subprocess.CompletedProcess:
 
 
 def run_fresh(*argv):
-    """(exit code, stdout, scipy modules loaded) of the CLI in a new interpreter."""
+    """(exit code, stdout, numpy modules, scipy modules) of the CLI in a new
+    interpreter, the modules being those it loaded."""
     proc = python_fresh("-c", _FRESH_CLI, *argv)
     report = json.loads(proc.stderr.splitlines()[-1])
-    return report["code"], proc.stdout, report["scipy"]
+    return report["code"], proc.stdout, report["numpy"], report["scipy"]
+
+
+_BOUND_BEST = ("bound", "--dist", "geom", "--p", "0.5,0.5", "--lambda", "2", "--method", "best")
+_MC = ("mc", "--dist", "geom", "--p", "0.5,0.5", "--x", "8", "--samples", "1000")
+_EXACT_EXP = ("exact", "--dist", "exp", "--a", "1,2", "--x", "1")
+_EXACT_GEOM8 = ("exact", "--dist", "geom", "--p", "0.3,0.5,0.7,0.2,0.9,0.4,0.6,0.25",
+                "--lambda", "2")
 
 
 class TestFreshInterpreter:
-    """The closed-form paths never pay for importing scipy."""
+    """The closed-form and partial-fraction paths never pay for importing
+    numpy, and only the cascade pays for scipy."""
 
     def test_import_loads_no_scipy(self):
+        # neither the package nor the CLI module loads numpy or scipy
         probe = (
-            "import sys, tailbounds; "
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+            "import sys\n"
+            "def heavy():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]\n"
+            "import tailbounds\n"
+            "package = heavy()\n"
+            "import tailbounds.cli\n"
+            "print(package, heavy())"
         )
         proc = python_fresh("-c", probe)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[] []\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("bound", "--dist", "geom", "--p", "0.5,0.5", "--lambda", "2",
-             "--method", "best"),
-            ("mc", "--dist", "geom", "--p", "0.5,0.5", "--x", "8",
-             "--samples", "1000"),
-            ("exact", "--dist", "exp", "--a", "1,2", "--x", "1"),
-            ("exact", "--dist", "geom", "--p", "0.3,0.5,0.7,0.2,0.9,0.4,0.6,0.25",
-             "--lambda", "2"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", [_BOUND_BEST, _MC, _EXACT_EXP, _EXACT_GEOM8])
     def test_closed_form_commands_load_no_scipy(self, argv):
-        code, out, scipy = run_fresh(*argv)
+        code, out, _, scipy = run_fresh(*argv)
         assert code == 0
         assert "value: " in out
         assert scipy == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--dist", "geom", "--p", "0.5,0.5", "--lambda", "2", "--method", "thm1"),
+            ("bound", "--dist", "exp", "--a", "1,2", "--lambda", "2", "--method", "texp-i"),
+            _EXACT_EXP,
+            _EXACT_GEOM8,
+        ],
+        ids=["thm1", "texp-i", "exact-exp", "exact-geom8"],
+    )
+    def test_closed_form_commands_load_no_numpy(self, argv):
+        code, out, numpy, _ = run_fresh(*argv)
+        assert code == 0
+        assert "value: " in out
+        assert numpy == []
+
     def test_geom_exact_matches_in_process(self, capsys):
         argv = ("exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "8")
-        code, out, scipy = run_fresh(*argv)
+        code, out, _, scipy = run_fresh(*argv)
         assert code == 0
         assert scipy  # the convolution oracle loads it on first use
         assert (code, out) == run(capsys, *argv)[:2]

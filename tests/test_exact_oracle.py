@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import random
 import sys
 import time
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_pmf,
     brute_force_tail,
+    decimal_tail,
     matrix_exp_survival,
     partial_fractions_survival,
     pgf_geometric,
@@ -713,13 +716,59 @@ def _assert_matches_reference(spec, K):
     assert abs(tail.value - ref_tail) <= tail.error_bound + _state_roundoff(spec, K + 1, ref_tail)
 
 
+def _bench_pool():
+    """bench/pool.py, which regenerates the reference file's specs from their seeds."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pool.py")
+    spec = importlib.util.spec_from_file_location("bench_pool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _uniform_params(seed: int, n: int) -> list[float]:
+    """n draws of U(0.05, 1) from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [rng.uniform(0.05, 1.0) for _ in range(n)]
+
+
+class TestDecimalReference:
+    """conftest.decimal_tail, the tests' geometric upper tail at any depth."""
+
+    def test_matches_reference_file(self):
+        # the file's values agree with mpmath to 55 digits and keep 25 of them
+        pool = _bench_pool()
+        for entry in pool.load_reference()["geom8"][::20]:
+            spec = make_geometric_spec(pool.spec_params(entry))
+            for lam, (_, value) in entry["upper"].items():
+                tail = decimal_tail(spec, float(entry["x"][lam]))
+                with localcontext() as ctx:
+                    ctx.prec = 25
+                    assert +tail == Decimal(value), (entry["seed"], lam)
+
+    @pytest.mark.parametrize("p, lam, log", [
+        ([0.5, 0.5], 750.0, -2070.742026931626),  # x = 3000
+        (_uniform_params(0, 8), 400.0, -2303.7294908061726),
+    ], ids=["half-half", "random0"])
+    def test_known_deep_logs(self, p, lam, log):
+        # both lie below the double range, where the oracles answer 0
+        spec = make_geometric_spec(p)
+        assert float(decimal_tail(spec, lam * spec.mu).ln()) == pytest.approx(log, abs=1e-12)
+
+
+def test_float_constants_match_numpy():
+    # taken from the standard library, so that the module loads without numpy
+    assert exact_oracle._EPS == np.finfo(np.float64).eps
+    assert exact_oracle._TINY == np.finfo(np.float64).smallest_subnormal
+
+
 class TestPmfKernel:
     # the one-call sosfilt cascade against the per-summand lfilter loop
 
     @pytest.mark.parametrize("K", [0, 2.5, math.nan, exact_oracle._MAX_SUPPORT + 1])
     def test_bad_support_refused_before_allocation(self, K):
+        # the kernel imports numpy when it runs, so numpy.zeros itself is patched
         spec = make_geometric_spec([0.5])
-        with mock.patch.object(exact_oracle.np, "zeros", side_effect=AssertionError):
+        with mock.patch("numpy.zeros", side_effect=AssertionError):
             with pytest.raises(OutOfRange):
                 geom_pmf_convolution(spec, K)
             with pytest.raises(OutOfRange):

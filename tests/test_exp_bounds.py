@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_exp_specs
 from tailbounds import (
+    DomainError,
     LambdaOutOfRange,
     exact_oracle,
     exp_lower_tail_iii,
@@ -84,6 +85,15 @@ class TestTailLowerIV:
         for lam in (1.0, 2.0):
             exact = hypoexp_survival(UNIT_PAIR, lam * UNIT_PAIR.mu)
             assert exp_tail_lower_iv(UNIT_PAIR, lam).value <= exact.value + 1e-12
+
+
+@pytest.mark.parametrize("bound", [exp_upper_i, exp_tail_lower_iv])
+def test_overflowing_threshold_refused(bound):
+    # lambda mu = 1e10 * 1e300 overflows; 1e8 * 1e300 does not
+    spec = make_exponential_spec([1e-300])
+    with pytest.raises(DomainError, match="finite threshold"):
+        bound(spec, 1e10)
+    assert bound(spec, 1e8).log_value > -math.inf
 
 
 class TestScaleInvariance:

@@ -317,6 +317,21 @@ class TestTinyPmin:
         assert r.log_value == pytest.approx(-20.0, rel=1e-12)
 
 
+class TestOverflowingThreshold:
+    """A bound that reads a spec refuses a lambda whose threshold lambda mu
+    overflows, as best_upper and the CLI do."""
+
+    @pytest.mark.parametrize("bound", [upper_tail_thm1, upper_tail_thm2, optimized_chernoff,
+                                       upper_tail_lower_bound_tl])
+    def test_refused(self, bound):
+        # lambda mu = 1e10 * 1e300: thm2 and opt-chernoff answered log -inf, an
+        # upper bound of 0, though the tail is about e^-1e10 > 0
+        spec = make_geometric_spec([1e-300])
+        with pytest.raises(DomainError, match="finite threshold"):
+            bound(spec, 1e10)
+        assert bound(spec, 1e8).log_value > -math.inf  # lambda mu = 1e308 answers
+
+
 class TestBestUpper:
     def test_picks_winner(self):
         r = best_upper(HALF_HALF, 2.0)

@@ -52,6 +52,7 @@ class TestGeometricSpec:
         assert spec.params == (0.5, 0.2, 0.1)  # the caller's order, for Monte Carlo
         assert spec.p_min == spec.param_array[0]
         assert not spec.param_array.flags.writeable
+        assert spec.param_array is spec.param_array  # built once, on first use
         # the array takes no part in equality, hashing or repr
         again = make_geometric_spec([0.5, 0.2, 0.1])
         assert spec == again and hash(spec) == hash(again)
@@ -107,6 +108,7 @@ class TestExponentialSpec:
         assert spec.rates == (3.0, 0.5, 2.0)  # the caller's order, for Monte Carlo
         assert spec.a_min == spec.rate_array[0]
         assert not spec.rate_array.flags.writeable
+        assert spec.rate_array is spec.rate_array  # built once, on first use
         # the array takes no part in equality, hashing or repr
         again = make_exponential_spec([3.0, 0.5, 2.0])
         assert spec == again and hash(spec) == hash(again)
