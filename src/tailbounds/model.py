@@ -1,10 +1,11 @@
 """Distribution specs, derived statistics, generating functions and bound results.
 
 Everything downstream (bounds, oracles, Monte Carlo, CLI) consumes the
-immutable spec types defined here. The derived statistics are computed
-once at construction with compensated summation. The parameters' sorted
-float64 array is built with numpy on its first use and cached, so building
-a spec, like importing the package, loads only the standard library.
+immutable spec types defined here. A spec keeps its parameters once, as a
+tuple of floats, with derived statistics computed at construction by
+compensated summation. A geometric spec's sorted float64 ``param_array`` is
+built with numpy on its first use and cached, so building a spec, like
+importing the package, loads only the standard library.
 
 Every public entry point first checks its query against the paper's
 domains with the five validators here: ``require_upper`` (finite lam >= 1,
@@ -18,7 +19,6 @@ overflow or to fail in float arithmetic.
 
 from __future__ import annotations
 
-import array
 import enum
 import math
 import numbers
@@ -194,9 +194,9 @@ def require_side(side: str) -> None:
 def _set_params(spec, names: tuple[str, str, str], what: str, top: float,
                 interval: str) -> None:
     """Check a spec's parameters, then set them as floats with their mean
-    sum 1/v and their smallest value, and as C doubles in ``_doubles``.
+    sum 1/v and their smallest value.
 
-    ``names`` are the spec's fields for the first three. Each parameter must
+    ``names`` are the spec's fields for these three. Each parameter must
     be a number in (0, top] (see ``as_double``) and the mean must not
     overflow; ``what`` and ``interval`` name the parameter and its range in
     the errors.
@@ -214,28 +214,8 @@ def _set_params(spec, names: tuple[str, str, str], what: str, top: float,
         mu = math.inf
     if mu == math.inf:
         raise OutOfRange(f"the mean, sum 1/v, overflows; smallest v is {min(doubles)!r}")
-    for name, value in zip((*names, "_doubles"),
-                           (doubles, mu, min(doubles), array.array("d", doubles))):
+    for name, value in zip(names, (doubles, mu, min(doubles))):
         object.__setattr__(spec, name, value)
-
-
-def _sorted_array(doubles: array.array) -> np.ndarray:
-    """doubles sorted ascending, as a read-only float64 array.
-
-    A spec's ``param_array`` or ``rate_array``, built on first use and kept
-    in its ``_array`` field. The doubles were converted from Python floats
-    when the spec was built, which at n = 10^4 costs several times this
-    sort, so a first use stays well under a call that reads the array
-    (best_upper's, say). The field is set with ``object.__setattr__``, not
-    by ``functools.cached_property``, which writes the instance ``__dict__``
-    and so makes every later attribute read on the spec about twice as slow
-    in CPython 3.11.
-    """
-    import numpy as np
-
-    out = np.sort(np.frombuffer(doubles, dtype=np.float64))
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -253,7 +233,6 @@ class GeometricSumSpec:
     mu: float = field(init=False)
     p_min: float = field(init=False)
     sigma2: float = field(init=False)
-    _doubles: array.array = field(init=False, compare=False, repr=False)
     _array: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -272,9 +251,19 @@ class GeometricSumSpec:
     @property
     def param_array(self) -> np.ndarray:
         """``params`` sorted ascending (read-only float64), built on first use;
-        ``p_min`` is its first entry."""
+        ``p_min`` is its first entry.
+
+        Cached in the ``_array`` field with ``object.__setattr__``, not by
+        ``functools.cached_property``, which writes the instance ``__dict__``
+        and so makes every later attribute read on the spec about twice as
+        slow in CPython 3.11.
+        """
         if self._array is None:
-            object.__setattr__(self, "_array", _sorted_array(self._doubles))
+            import numpy as np
+
+            out = np.sort(np.array(self.params))
+            out.flags.writeable = False
+            object.__setattr__(self, "_array", out)
         return self._array
 
 
@@ -290,8 +279,6 @@ class ExponentialSumSpec:
     rates: tuple[float, ...]
     mu: float = field(init=False)
     a_min: float = field(init=False)
-    _doubles: array.array = field(init=False, compare=False, repr=False)
-    _array: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _set_params(self, ("rates", "mu", "a_min"),
@@ -300,14 +287,6 @@ class ExponentialSumSpec:
     @property
     def n(self) -> int:
         return len(self.rates)
-
-    @property
-    def rate_array(self) -> np.ndarray:
-        """``rates`` sorted ascending (read-only float64), built on first use;
-        ``a_min`` is its first entry."""
-        if self._array is None:
-            object.__setattr__(self, "_array", _sorted_array(self._doubles))
-        return self._array
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from tailbounds import (
     exact_oracle,
     uniform_block,
 )
-from tailbounds.model import require_upper
+from tailbounds.model import require_side, require_upper
 
 
 def random_geom_specs(seed: int, count: int, n_max: int = 8, p_lo: float = 0.05):
@@ -82,48 +82,58 @@ def reference_pmf_grid(spec, K: int, upper: bool = True) -> tuple[np.ndarray, fl
     return c, (tail if upper else float(np.sum(c)))
 
 
-def decimal_tail(spec: GeometricSumSpec, x: float) -> Decimal:
-    """P(X >= x) for at most 20 geometric summands, in 40-digit decimal at any depth.
+def decimal_tail(spec: GeometricSumSpec, x: float, side: str = "upper") -> Decimal:
+    """P(X >= x) (side "upper") or P(X <= x) (side "lower") for at most 20
+    geometric summands, in 40-digit decimal at any depth.
 
     The package's cascade (``exact_oracle._pmf_grid``) in the standard
     library's decimal arithmetic, on the exact values of the doubles p_i: over
-    m = 0..k0 - 1 - n, section i emits y = p_i v + s_i for its input v (an
-    impulse of 1 at m = 0) and keeps s_i = (1 - p_i) y. The tail
-    P(X >= k0) = P(X > k0 - 1) is then the final states' sum of s_i / p_i.
-    Every operation adds or multiplies nonnegative numbers, so nothing cancels,
-    and decimal's exponent range reaches far below any double. A value meets
-    at most about 3 (k0 + n) roundings of half a unit in the 40th digit on
-    its way, so the answer is relative to about 1e-34 for k0 up to 10^5.
+    m = 0..M, section i emits y = p_i v + s_i for its input v (an impulse of
+    1 at m = 0) and keeps s_i = (1 - p_i) y, so the last section emits
+    P(X = n + m). For the upper tail, M = k0 - 1 - n with k0 = ceil(x), and
+    P(X >= k0) = P(X > k0 - 1) is the final states' sum of s_i / p_i. For the
+    lower tail, M = floor(x) - n, and P(X <= floor(x)) is the sum of the last
+    section's outputs. Every operation adds or multiplies nonnegative
+    numbers, so nothing cancels, and decimal's exponent range reaches far
+    below any double. A value meets at most about 3 (M + 2n) roundings of
+    half a unit in the 40th digit on its way, so the answer is relative to
+    about 1e-34 for M up to 10^5.
     """
     if spec.n > 20:
         raise ValueError(f"decimal_tail takes at most 20 summands, got {spec.n}")
-    k0 = math.ceil(x)
-    if k0 <= spec.n:
-        return Decimal(1)
+    require_side(side)
+    upper = side == "upper"
+    steps = math.ceil(x) - spec.n if upper else math.floor(x) - spec.n + 1
+    if steps <= 0:
+        return Decimal(1 if upper else 0)
     with localcontext() as ctx:
         ctx.prec = 40
         p = [Decimal(v) for v in sorted(spec.params)]
         q = [1 - v for v in p]
         s = [Decimal(0)] * spec.n
-        for m in range(k0 - spec.n):
+        lower = Decimal(0)
+        for m in range(steps):
             v = Decimal(1 if m == 0 else 0)
             for i in range(spec.n):
                 v = p[i] * v + s[i]
                 s[i] = q[i] * v
+            lower += v
+        if not upper:
+            return lower
         return sum((si / pi for si, pi in zip(s, p)), Decimal(0))
 
 
 def partial_fractions_survival(spec, x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) and its error bound from the package's
     partial-fraction kernel alone, with the exponents -a_i x."""
-    a = spec.rate_array.tolist()
+    a = sorted(spec.rates)
     return exact_oracle._partial_fractions(a, [-ai * x for ai in a])
 
 
 def matrix_exp_survival(spec, x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) and its error bound from the package's matrix
     route alone, on the same exponents -a_i x."""
-    c = [-ai * x for ai in spec.rate_array.tolist()]
+    c = [-ai * x for ai in sorted(spec.rates)]
     s, bound = exact_oracle._matrix_exp_scaling(c)
     return exact_oracle._matrix_exp_survival(c, s), bound
 

@@ -287,7 +287,7 @@ class TestHypoexpSurvival:
         est = hypoexp_survival(spec, x)
         assert est.method is OracleMethod.PARTIAL_FRACTIONS
         assert abs(Decimal(est.value) - _decimal_exp_sum(rates, x)) <= Decimal(est.error_bound)
-        c = [-a * x for a in spec.rate_array.tolist()]
+        c = [-a * x for a in sorted(spec.rates)]
         assert est.error_bound < exact_oracle._matrix_exp_scaling(c)[1]
 
     @pytest.mark.parametrize("lam", [1.5, 3.0])
@@ -732,27 +732,32 @@ def _uniform_params(seed: int, n: int) -> list[float]:
 
 
 class TestDecimalReference:
-    """conftest.decimal_tail, the tests' geometric upper tail at any depth."""
+    """conftest.decimal_tail, the tests' geometric tails at any depth."""
 
     def test_matches_reference_file(self):
         # the file's values agree with mpmath to 55 digits and keep 25 of them
         pool = _bench_pool()
         for entry in pool.load_reference()["geom8"][::20]:
             spec = make_geometric_spec(pool.spec_params(entry))
-            for lam, (_, value) in entry["upper"].items():
-                tail = decimal_tail(spec, float(entry["x"][lam]))
-                with localcontext() as ctx:
-                    ctx.prec = 25
-                    assert +tail == Decimal(value), (entry["seed"], lam)
+            for side in ("upper", "lower"):
+                for lam, (_, value) in entry[side].items():
+                    tail = decimal_tail(spec, float(entry["x"][lam]), side)
+                    with localcontext() as ctx:
+                        ctx.prec = 25
+                        assert +tail == Decimal(value), (entry["seed"], side, lam)
 
-    @pytest.mark.parametrize("p, lam, log", [
-        ([0.5, 0.5], 750.0, -2070.742026931626),  # x = 3000
-        (_uniform_params(0, 8), 400.0, -2303.7294908061726),
-    ], ids=["half-half", "random0"])
-    def test_known_deep_logs(self, p, lam, log):
-        # both lie below the double range, where the oracles answer 0
+    @pytest.mark.parametrize("p, lam, side, log", [
+        ([0.5, 0.5], 750.0, "upper", -2070.742026931626),  # x = 3000
+        (_uniform_params(0, 8), 400.0, "upper", -2303.7294908061726),
+        # x = 20 = n, so P(X <= x) = prod p_i, where geom_lower_tail_exact
+        # answers 0 +- 2.1e-321
+        ([1e-20] * 20, 1e-20, "lower", -921.0340371976183),
+    ], ids=["half-half", "random0", "lower-1e-20x20"])
+    def test_known_deep_logs(self, p, lam, side, log):
+        # all lie below the double range, where the oracles answer 0
         spec = make_geometric_spec(p)
-        assert float(decimal_tail(spec, lam * spec.mu).ln()) == pytest.approx(log, abs=1e-12)
+        tail = decimal_tail(spec, lam * spec.mu, side)
+        assert float(tail.ln()) == pytest.approx(log, abs=1e-12)
 
 
 def test_float_constants_match_numpy():
