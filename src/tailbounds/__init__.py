@@ -1,9 +1,12 @@
 """Tail bounds for sums of independent geometric or exponential variables.
 
 Closed-form and numerically optimized Chernoff-type bounds for the upper and
-lower tails, a matching lower bound for the upper tail, exact oracles
-(convolution and hypoexponential closed forms), and seeded Monte Carlo
-estimation, all sharing immutable distribution specs.
+lower tails, a matching lower bound for the upper tail, exact oracles, and
+seeded Monte Carlo estimation, all sharing immutable distribution specs.
+The oracles' routes: partial fractions for geometric and exponential sums,
+an iterated convolution of the geometric pmf, a scaling-and-squaring matrix
+exponential for tied or clustered rates, and closed forms for thresholds
+outside the support and for equal p (``iid_geom_tail``, a negative binomial).
 """
 
 from .exact_oracle import (

@@ -13,6 +13,7 @@ import numpy as np
 
 from tailbounds import (
     DomainError,
+    ExponentialSumSpec,
     GeometricSumSpec,
     OutOfRange,
     make_exponential_spec,
@@ -82,27 +83,31 @@ def reference_pmf_grid(spec, K: int, upper: bool = True) -> tuple[np.ndarray, fl
     return c, (tail if upper else float(np.sum(c)))
 
 
-def decimal_tail(spec: GeometricSumSpec, x: float, side: str = "upper") -> Decimal:
-    """P(X >= x) (side "upper") or P(X <= x) (side "lower") for at most 20
-    geometric summands, in 40-digit decimal at any depth.
+def decimal_tail(spec, x: float, side: str = "upper") -> Decimal:
+    """P(X >= x) (side "upper") or P(X <= x) (side "lower") in decimal
+    arithmetic at any depth, for at most 50 geometric summands, or for
+    exponential rates that are all distinct or all equal.
 
-    The package's cascade (``exact_oracle._pmf_grid``) in the standard
-    library's decimal arithmetic, on the exact values of the doubles p_i: over
-    m = 0..M, section i emits y = p_i v + s_i for its input v (an impulse of
-    1 at m = 0) and keeps s_i = (1 - p_i) y, so the last section emits
-    P(X = n + m). For the upper tail, M = k0 - 1 - n with k0 = ceil(x), and
-    P(X >= k0) = P(X > k0 - 1) is the final states' sum of s_i / p_i. For the
-    lower tail, M = floor(x) - n, and P(X <= floor(x)) is the sum of the last
-    section's outputs. Every operation adds or multiplies nonnegative
-    numbers, so nothing cancels, and decimal's exponent range reaches far
-    below any double. A value meets at most about 3 (M + 2n) roundings of
-    half a unit in the 40th digit on its way, so the answer is relative to
-    about 1e-34 for M up to 10^5.
+    Geometric: the package's cascade (``exact_oracle._pmf_grid``) in 40-digit
+    decimal, on the exact values of the doubles p_i: over m = 0..M, section i
+    emits y = p_i v + s_i for its input v (an impulse of 1 at m = 0) and keeps
+    s_i = (1 - p_i) y, so the last section emits P(X = n + m). For the upper
+    tail, M = k0 - 1 - n with k0 = ceil(x), and P(X >= k0) = P(X > k0 - 1) is
+    the final states' sum of s_i / p_i. For the lower tail, M = floor(x) - n,
+    and P(X <= floor(x)) is the sum of the last section's outputs. Every
+    operation adds or multiplies nonnegative numbers, so nothing cancels, and
+    decimal's exponent range reaches far below any double. A value meets at
+    most about 3 (M + 2n) roundings of half a unit in the 40th digit on its
+    way, so the answer is relative to about 1e-34 for M up to 10^5.
+
+    Exponential: see ``_decimal_exp_tail``.
     """
-    if spec.n > 20:
-        raise ValueError(f"decimal_tail takes at most 20 summands, got {spec.n}")
     require_side(side)
     upper = side == "upper"
+    if isinstance(spec, ExponentialSumSpec):
+        return _decimal_exp_tail(spec.rates, x, upper)
+    if spec.n > 50:
+        raise ValueError(f"decimal_tail takes at most 50 summands, got {spec.n}")
     steps = math.ceil(x) - spec.n if upper else math.floor(x) - spec.n + 1
     if steps <= 0:
         return Decimal(1 if upper else 0)
@@ -121,6 +126,61 @@ def decimal_tail(spec: GeometricSumSpec, x: float, side: str = "upper") -> Decim
         if not upper:
             return lower
         return sum((si / pi for si, pi in zip(s, p)), Decimal(0))
+
+
+def _decimal_exp_tail(rates, x: float, upper: bool) -> Decimal:
+    """Hypoexponential P(X > x) (``upper``) or P(X <= x), to about 50 digits.
+
+    Distinct rates: the partial-fraction sum S = sum_i w_i e^(-a_i x), with
+    w_i = prod_{j!=i} a_j / (a_j - a_i), and the lower tail 1 - S. Each term
+    carries 60 significant digits; where the terms cancel, the sum is redone
+    with the digits they cancel added, so about 50 always remain.
+
+    One rate a repeated n times: the Poisson sums e^(-ax) sum_{k<n} (ax)^k / k!
+    (upper) and e^(-ax) sum_{k>=n} (ax)^k / k! (lower), in 50 digits. Every
+    term is nonnegative. The lower series stops once k >= 2 ax, where each
+    term is at most half the one before, and a term falls below 1e-50 of the
+    sum, so the rest is below 2e-50 of it.
+    """
+    if x <= 0:
+        return Decimal(1 if upper else 0)
+    if len(set(rates)) == 1:
+        with localcontext() as ctx:
+            ctx.prec = 50
+            ax = Decimal(rates[0]) * Decimal(x)
+            term = Decimal(1)  # (ax)^k / k!
+            head = Decimal(0)
+            for k in range(len(rates)):
+                head += term
+                term = term * ax / (k + 1)
+            if upper:
+                return (-ax).exp() * head
+            tail = Decimal(0)
+            k = len(rates)
+            while k < 2 * ax or term >= tail.scaleb(-50):
+                tail += term
+                k += 1
+                term = term * ax / k
+            return (-ax).exp() * tail
+    if len(set(rates)) < len(rates):
+        raise ValueError("decimal_tail takes exponential rates all distinct or all equal")
+    digits = 60
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            a = [Decimal(r) for r in rates]
+            whole = math.prod(a)
+            terms = [
+                whole / ai / math.prod(aj - ai for j, aj in enumerate(a) if j != i)
+                * (-ai * Decimal(x)).exp()
+                for i, ai in enumerate(a)
+            ]
+            total = sum(terms) if upper else 1 - sum(terms)
+            size = sum(map(abs, terms)) + (0 if upper else 1)
+            lost = (size / abs(total)).adjusted() if total else digits
+            if digits - lost >= 50:
+                return total
+            digits = 50 + lost
 
 
 def partial_fractions_survival(spec, x: float) -> tuple[float, float]:

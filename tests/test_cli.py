@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import tailbounds
-from tailbounds import OutOfRange, montecarlo
+from tailbounds import OutOfRange, make_exponential_spec, montecarlo
 from tailbounds.cli import main
+from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import Side, rows
 
 
@@ -17,6 +19,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_P8 = "0.3,0.5,0.7,0.2,0.9,0.4,0.6,0.25"
+
+
+def uniform_file(path, n: int, lo: float, hi: float):
+    """A params file of n draws of U(lo, hi) from random.Random(1), one a line."""
+    rng = random.Random(1)
+    path.write_text("".join(f"{rng.uniform(lo, hi)}\n" for _ in range(n)))
+    return path
+
+
+@pytest.fixture(scope="module")
+def params_1e4(tmp_path_factory):
+    return uniform_file(tmp_path_factory.mktemp("params") / "params_1e4.txt", 10**4, 0.05, 1.0)
 
 
 class TestBound:
@@ -52,6 +69,51 @@ class TestBound:
         )
         assert code == 0
         assert "-0" not in out.split()
+        lines = out.splitlines()
+        assert ("value: 1" in lines) == ("log_value: 0" in lines)
+
+    def test_opt_lemma1_keeps_a_tiny_p(self, capsys):
+        # one summand: log P(X >= x) = (x - 1) ln(1 - p), about -20 here, where
+        # 1 - p rounds to 1
+        code, out, _ = run(
+            capsys, "bound", "--dist", "geom", "--p", "7.37e-81",
+            "--lambda", "20", "--method", "opt-lemma1",
+        )
+        assert code == 0
+        assert "log_value: -20" in out.splitlines()
+
+    def test_opt_chernoff_at_lambda_one_is_not_clamped(self, capsys):
+        # the root at lambda = 1 is t = 0 exactly, where the bound is 1
+        code, out, _ = run(
+            capsys, "bound", "--dist", "geom", "--p", "0.3,0.7,0.05",
+            "--lambda", "1", "--method", "opt-chernoff",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "internal_param: 0" in lines
+        assert "clamped: true" not in lines
+
+    @pytest.mark.parametrize("p, lam", [("1,1", "1"), ("4.491630506933066e-139", "1e20")],
+                             ids=["tie", "thm1-below-thm2"])
+    def test_best_reports_thm1(self, capsys, p, lam):
+        # every row is 1 at p = (1, 1), and a tie goes to the earlier row;
+        # at lambda = 1e20 thm1 rounds 2 ulps below thm2
+        code, out, _ = run(
+            capsys, "bound", "--dist", "geom", "--p", p, "--lambda", lam, "--method", "best",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "method: thm1"
+
+    def test_best_prints_the_same_for_a_reversed_params_file(self, capsys, params_1e4, tmp_path):
+        reversed_file = tmp_path / "reversed.txt"
+        reversed_file.write_text("".join(reversed(params_1e4.read_text().splitlines(True))))
+        first, second = (
+            run(capsys, "bound", "--dist", "geom", "--params-file", str(path),
+                "--lambda", "3", "--method", "best")
+            for path in (params_1e4, reversed_file)
+        )
+        assert first == second
+        assert first[0] == 0
 
     def test_cor1_at_one(self, capsys):
         code, out, _ = run(
@@ -230,6 +292,13 @@ class TestExact:
         (line,) = [v for v in out.splitlines() if v.startswith("error_bound: ")]
         assert float(line.split()[1]) < 1e-20
 
+    @pytest.mark.parametrize("x, value", [("60", "1.04083408559e-16"), ("3000", "0")])
+    def test_two_fair_geometrics(self, capsys, x, value):
+        # P(X >= k) = k / 2^(k-1), which underflows to 0 at k = 3000
+        code, out, _ = run(capsys, "exact", "--dist", "geom", "--p", "0.5,0.5", "--x", x)
+        assert code == 0
+        assert f"value: {value}\n" in out
+
     def test_geom_whole_support_is_closed_form(self, capsys):
         code, out, _ = run(
             capsys, "exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "2"
@@ -244,6 +313,11 @@ class TestExact:
         )
         assert code == 0
         assert "value: 0.600423599106" in out
+        code, out, _ = run(
+            capsys, "exact", "--dist", "exp", "--a", "1,2,3", "--x", "4"
+        )
+        assert code == 0
+        assert "value: 0.0539466729948" in out
 
     def test_geom_subnormal_tail(self, capsys):
         code, out, _ = run(
@@ -262,6 +336,38 @@ class TestExact:
         code, out, _ = first
         assert code == 0
         assert float(out.split("error_bound: ")[1].split()[0]) >= 1e-13
+
+    @pytest.mark.parametrize("orders, x", [
+        (("0.3,0.9,0.3", "0.9,0.3,0.3"), "40"),
+        (("0.76,0.69,0.76", "0.69,0.76,0.76"), "44"),
+    ], ids=["x40", "x44"])
+    def test_tied_p_print_the_same_in_any_order(self, capsys, orders, x):
+        # tied p take the cascade, which reads the p sorted; in the caller's
+        # order, the last printed digit of error_bound at x = 44 would differ
+        first, second = (
+            run(capsys, "exact", "--dist", "geom", "--p", p, "--x", x) for p in orders
+        )
+        assert first == second
+        assert first[1].splitlines()[0] == "method: convolution"
+
+    @pytest.mark.parametrize("argv", [
+        ("--dist", "geom", "--p", _P8, "--lambda", "2"),
+        ("--dist", "geom", "--p", _P8, "--x", "1.7976931348623157e308"),
+        ("--dist", "exp", "--a", "1e-300,1e10", "--x", "1e300"),
+    ], ids=["geom8", "geom8-largest-double", "exp-stiff-huge-x"])
+    def test_partial_fractions_answer(self, capsys, argv):
+        code, out, _ = run(capsys, "exact", *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "method: partial-fractions"
+
+    @pytest.mark.parametrize("lam", ["2", "3"])
+    def test_params_file_of_1e3(self, capsys, tmp_path, lam):
+        path = uniform_file(tmp_path / "params_1e3.txt", 10**3, 0.05, 1.0)
+        code, out, _ = run(
+            capsys, "exact", "--dist", "geom", "--params-file", str(path), "--lambda", lam
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "method: convolution"
 
     def test_tied_rates_past_the_matrix_cap_are_domain_error(self, capsys, tmp_path):
         path = tmp_path / "tied.txt"
@@ -368,6 +474,26 @@ class TestMc:
         )
         assert code == 0
         assert f"value: {value}\n" in out
+
+    def test_params_file_of_1e4(self, capsys, params_1e4):
+        code, out, _ = run(
+            capsys, "mc", "--dist", "geom", "--params-file", str(params_1e4),
+            "--lambda", "1.02", "--samples", "2000",
+        )
+        assert code == 0
+        assert "samples: 2000\n" in out
+
+    def test_lower_side(self, capsys):
+        code, out, _ = run(
+            capsys, "mc", "--dist", "exp", "--a", "1,2,3", "--lambda", "0.5",
+            "--side", "lower", "--samples", "200000",
+        )
+        assert code == 0
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert fields["side"] == "lower"
+        spec = make_exponential_spec([1.0, 2.0, 3.0])
+        exact = exact_tail(spec, float(fields["x"]), "lower").value
+        assert abs(float(fields["value"]) - exact) <= float(fields["error_bound"])
 
     def test_zero_samples_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -609,8 +735,7 @@ def run_fresh(*argv):
 _BOUND_BEST = ("bound", "--dist", "geom", "--p", "0.5,0.5", "--lambda", "2", "--method", "best")
 _MC = ("mc", "--dist", "geom", "--p", "0.5,0.5", "--x", "8", "--samples", "1000")
 _EXACT_EXP = ("exact", "--dist", "exp", "--a", "1,2", "--x", "1")
-_EXACT_GEOM8 = ("exact", "--dist", "geom", "--p", "0.3,0.5,0.7,0.2,0.9,0.4,0.6,0.25",
-                "--lambda", "2")
+_EXACT_GEOM8 = ("exact", "--dist", "geom", "--p", _P8, "--lambda", "2")
 
 
 class TestFreshInterpreter:

@@ -286,7 +286,7 @@ class TestHypoexpSurvival:
         x = 1.5 * spec.mu
         est = hypoexp_survival(spec, x)
         assert est.method is OracleMethod.PARTIAL_FRACTIONS
-        assert abs(Decimal(est.value) - _decimal_exp_sum(rates, x)) <= Decimal(est.error_bound)
+        assert abs(Decimal(est.value) - decimal_tail(spec, x)) <= Decimal(est.error_bound)
         c = [-a * x for a in sorted(spec.rates)]
         assert est.error_bound < exact_oracle._matrix_exp_scaling(c)[1]
 
@@ -297,9 +297,7 @@ class TestHypoexpSurvival:
         est = hypoexp_survival(spec, x)
         assert est.method is OracleMethod.PARTIAL_FRACTIONS
         assert 0.0 < est.value
-        assert abs(Decimal(est.value) - _decimal_exp_sum(_RANDOM_1E3, x)) <= Decimal(
-            est.error_bound
-        )
+        assert abs(Decimal(est.value) - decimal_tail(spec, x)) <= Decimal(est.error_bound)
 
     def test_numpy_rates_overflow_without_warning(self):
         # 1000 evenly spaced rates at x = 1: one exponent E_i reaches 734, past
@@ -351,7 +349,7 @@ class TestHypoexpSurvival:
         if len(set(rates)) < len(rates):
             assert error == math.inf and not keep
             return
-        assert abs(Decimal(value) - _decimal_exp_sum(rates, 1.0)) <= Decimal(error)
+        assert abs(Decimal(value) - decimal_tail(spec, 1.0)) <= Decimal(error)
         if keep:
             assert (est.value, est.error_bound) == (value, error)
 
@@ -369,11 +367,12 @@ class TestHypoexpSurvival:
             rates[:k] = [b * (1.0 + rng.uniform(1e-9, 1e-7)) for _ in range(k)]
             if len(set(rates)) < n:
                 continue
-            est = hypoexp_survival(make_exponential_spec(rates), 1.0)
+            spec = make_exponential_spec(rates)
+            est = hypoexp_survival(spec, 1.0)
             if est.method is not OracleMethod.MATRIX_EXP:
                 continue
             checked += 1
-            error = abs(Decimal(est.value) - _decimal_exp_sum(rates, 1.0))
+            error = abs(Decimal(est.value) - decimal_tail(spec, 1.0))
             assert error <= Decimal(est.error_bound), rates
         assert checked > 600
 
@@ -731,33 +730,66 @@ def _uniform_params(seed: int, n: int) -> list[float]:
     return [rng.uniform(0.05, 1.0) for _ in range(n)]
 
 
+_RANDOM0 = make_geometric_spec(_uniform_params(0, 8))
+_EXP123 = make_exponential_spec([1.0, 2.0, 3.0])
+
+# Tails below the oracles' reach, with their known logs: (spec, x, side, log).
+# Each lies below the double range or below an absolute certificate, where
+# the oracles answer 0.
+_DEEP_LOGS = {
+    "half-half": (HALF_HALF, 3000.0, "upper", -2070.742026931626),
+    "random0": (_RANDOM0, 400.0 * _RANDOM0.mu, "upper", -2303.7294908061726),
+    # x = 20 = n, so P(X <= x) = prod p_i
+    "lower-1e-20x20": (make_geometric_spec([1e-20] * 20), 20.0, "lower", -921.0340371976183),
+    "exp-123": (_EXP123, 800.0, "upper", -798.9013877113318),
+    # about a1 a2 a3 x^3 / 3! (1 - (a1 + a2 + a3) x / 4), where 1 - S cancels
+    "exp-123-lower": (_EXP123, 1e-6, "lower", -41.446533173892696),
+}
+
+
 class TestDecimalReference:
-    """conftest.decimal_tail, the tests' geometric tails at any depth."""
+    """conftest.decimal_tail, the tests' geometric and exponential tails at any depth."""
 
     def test_matches_reference_file(self):
-        # the file's values agree with mpmath to 55 digits and keep 25 of them
+        # the file's values agree with mpmath to 55 digits and keep 25 of them;
+        # exp8 holds distinct (exp), clustered and repeated (erlang) rates
         pool = _bench_pool()
-        for entry in pool.load_reference()["geom8"][::20]:
-            spec = make_geometric_spec(pool.spec_params(entry))
+        reference = pool.load_reference()
+        entries = [(make_geometric_spec, entry) for entry in reference["geom8"][::20]]
+        entries += [(make_exponential_spec, entry) for entry in reference["exp8"][::10]]
+        for make, entry in entries:
+            spec = make(pool.spec_params(entry))
             for side in ("upper", "lower"):
                 for lam, (_, value) in entry[side].items():
                     tail = decimal_tail(spec, float(entry["x"][lam]), side)
                     with localcontext() as ctx:
                         ctx.prec = 25
-                        assert +tail == Decimal(value), (entry["seed"], side, lam)
+                        assert +tail == Decimal(value), (entry["kind"], entry["seed"], side, lam)
 
-    @pytest.mark.parametrize("p, lam, side, log", [
-        ([0.5, 0.5], 750.0, "upper", -2070.742026931626),  # x = 3000
-        (_uniform_params(0, 8), 400.0, "upper", -2303.7294908061726),
-        # x = 20 = n, so P(X <= x) = prod p_i, where geom_lower_tail_exact
-        # answers 0 +- 2.1e-321
-        ([1e-20] * 20, 1e-20, "lower", -921.0340371976183),
-    ], ids=["half-half", "random0", "lower-1e-20x20"])
-    def test_known_deep_logs(self, p, lam, side, log):
-        # all lie below the double range, where the oracles answer 0
-        spec = make_geometric_spec(p)
-        tail = decimal_tail(spec, lam * spec.mu, side)
+    @pytest.mark.parametrize("spec, x, side, log", list(_DEEP_LOGS.values()), ids=list(_DEEP_LOGS))
+    def test_known_deep_logs(self, spec, x, side, log):
+        tail = decimal_tail(spec, x, side)
         assert float(tail.ln()) == pytest.approx(log, abs=1e-12)
+
+
+# Why each oracle answers 0 there today; a change that reaches one drops its marker.
+_OUT_OF_REACH = {
+    "half-half": "tied p take the cascade, whose lifted values reach only about 1e-609",
+    "random0": "partial fractions return a linear value, which underflows",
+    "lower-1e-20x20": "the lower cascade returns a linear value, which underflows",
+    "exp-123": "partial fractions return a linear value, which underflows",
+    "exp-123-lower": "the lower tail is 1 - S, certified only to about 1e-13 absolute",
+}
+
+
+@pytest.mark.parametrize("spec, x, side, log", [
+    pytest.param(*case, id=name,
+                 marks=pytest.mark.xfail(strict=True, reason=_OUT_OF_REACH[name]))
+    for name, case in _DEEP_LOGS.items()
+])
+def test_oracle_reaches_known_deep_logs(spec, x, side, log):
+    value = exact_tail(spec, x, side).value
+    assert value > 0.0 and math.log(value) == pytest.approx(log, abs=1e-9)
 
 
 def test_float_constants_match_numpy():
@@ -873,30 +905,6 @@ class TestPmfKernel:
             assert abs(est.value - min(ref, 1.0)) <= est.error_bound
 
 
-def _decimal_exp_sum(rates, x):
-    """Hypoexponential survival by partial fractions in decimal arithmetic.
-
-    Each term carries 60 significant digits. Where the terms cancel, the sum
-    is redone with the digits they cancel added, so about 50 always remain.
-    """
-    digits = 60
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = digits
-            a = [Decimal(r) for r in rates]
-            whole = math.prod(a)
-            terms = [
-                whole / ai / math.prod(aj - ai for aj in a if aj is not ai)
-                * (-ai * Decimal(x)).exp()
-                for ai in a
-            ]
-            total = sum(terms)
-            lost = (sum(map(abs, terms)) / abs(total)).adjusted() if total else digits
-            if digits - lost >= 50:
-                return total
-            digits = 50 + lost
-
-
 def _decimal_negbin_tail(p, n, m):
     """P(Binomial(m-1, p) <= n-1) in 50-digit decimal arithmetic."""
     with localcontext() as ctx:
@@ -966,40 +974,8 @@ def _decimal_geom_tail(params, k0):
         return weight * total
 
 
-def _decimal_recursion_tail(params, k0):
-    """P(X >= k0) = 1 - P(X < k0) for any p, in 400-digit decimal arithmetic.
-
-    The pmf of X - n comes from c_i(m) = p_i c_{i-1}(m) + (1 - p_i) c_i(m - 1);
-    a tail near 1e-315 cancels about 315 of the 400 digits.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 400
-        c = [Decimal(1)] + [Decimal(0)] * (k0 - 1 - len(params))
-        for v in params:
-            p = Decimal(v)
-            prev = Decimal(0)
-            for m in range(len(c)):
-                prev = c[m] = p * c[m] + (1 - p) * prev
-        return 1 - sum(c)
-
-
-def _decimal_lower_tail(params, k1):
-    """P(X <= k1) from the pmf of X - n, convolved in 50-digit decimal."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        d = [Decimal(1)] + [Decimal(0)] * (k1 - len(params))
-        for v in params:
-            p = Decimal(v)
-            q = 1 - p
-            prev = Decimal(0)
-            for j, old in enumerate(d):  # d_i(j) = q d_i(j-1) + p d_{i-1}(j)
-                prev = q * prev + p * old
-                d[j] = prev
-        return sum(d)
-
-
 class TestCertificates:
-    # Each value must lie within its own error_bound of a 50-digit reference,
+    # Each value must lie within its own error_bound of a decimal reference,
     # including in deep tails where rounding the exponent dominates.
     def test_partial_fractions(self):
         rng = np.random.default_rng(53)
@@ -1011,8 +987,9 @@ class TestCertificates:
                 continue
             lam = float(rng.choice([0.5, 1.0, 2.0, 5.0, 10.0, 20.0]))
             x = lam * math.fsum(1.0 / a for a in rates)
-            value, error = partial_fractions_survival(make_exponential_spec(rates), x)
-            assert abs(Decimal(value) - _decimal_exp_sum(rates, x)) <= Decimal(error)
+            spec = make_exponential_spec(rates)
+            value, error = partial_fractions_survival(spec, x)
+            assert abs(Decimal(value) - decimal_tail(spec, x)) <= Decimal(error)
             checked += 1
 
     def test_iid_closed_form(self):
@@ -1036,7 +1013,7 @@ class TestCertificates:
             x = n + float(rng.uniform(0.0, 1.0)) ** 2 * min(spec.mu - n, 200.0)
             est = geom_lower_tail_exact(spec, x)
             k1 = math.floor(x)
-            ref = _decimal_lower_tail(spec.params, k1)
+            ref = decimal_tail(spec, k1, "lower")
             assert abs(Decimal(est.value) - ref) <= Decimal(est.error_bound)
             assert est.error_bound <= _sum_roundoff(spec.n, k1, est.value, k1 + 1 - n)
             values.append(est.value)
@@ -1047,9 +1024,10 @@ class TestCertificates:
         # every pmf entry, about 1e-320, is subnormal, but the lifted entries
         # are normal and their sum is scaled back once; scaling each entry back
         # before the sum would round it on its own (2 to 5 subnormals off here)
-        est = geom_lower_tail_exact(make_geometric_spec(list(p)), len(p) + 1000)
+        spec = make_geometric_spec(list(p))
+        est = geom_lower_tail_exact(spec, len(p) + 1000)
         assert 0.0 < est.value < np.finfo(np.float64).smallest_normal
-        ref = _decimal_lower_tail(p, len(p) + 1000)
+        ref = decimal_tail(spec, len(p) + 1000, "lower")
         assert abs(Decimal(est.value) - ref) <= Decimal(_TINY)
 
 
@@ -1081,10 +1059,11 @@ class TestLogConcaveCertificate:
         # are computed lifted by 2^1000 as normal numbers and rounded once
         # when scaled back (a cascade of subnormals is 5.5 and 7 of them off)
         p = (0.3, 0.3, 0.7)
-        est = geom_tail_exact(make_geometric_spec(list(p)), x)
+        spec = make_geometric_spec(list(p))
+        est = geom_tail_exact(spec, x)
         assert est.method is OracleMethod.CONVOLUTION
         assert 0.0 < est.value < np.finfo(np.float64).smallest_normal
-        assert abs(Decimal(est.value) - _decimal_recursion_tail(p, x)) <= Decimal(_TINY)
+        assert abs(Decimal(est.value) - decimal_tail(spec, x)) <= Decimal(_TINY)
 
     @pytest.mark.parametrize("lam", [3.0, 5.0, 10.0])
     def test_relative_certificate_in_shallow_tails(self, lam):
