@@ -12,20 +12,21 @@ exponent).
 
 import argparse
 import math
+import sys
 
-from tailbounds import make_geometric_spec, make_tail_query
+from tailbounds import TailBoundsError, make_geometric_spec, make_tail_query, parse_params
 from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import Side, best_upper, rows
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--p", default="0.5,0.2,0.1")
+    parser.add_argument("--p", type=parse_params, default="0.5,0.2,0.1")
     parser.add_argument("--lambda-max", type=float, default=6.0)
     parser.add_argument("--steps", type=int, default=11)
     args = parser.parse_args()
 
-    spec = make_geometric_spec([float(t) for t in args.p.split(",")])
+    spec = make_geometric_spec(args.p)
     columns = rows("geom", Side.UPPER, Side.UPPER_FROM_BELOW)
     print(f"params={list(spec.params)}  mu={spec.mu:.6g}  p_min={spec.p_min}  "
           f"sigma2={spec.sigma2:.6g}")
@@ -52,4 +53,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TailBoundsError as exc:  # one line and exit 3, as tailbounds
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)

@@ -9,8 +9,10 @@ the sharper discrete bound is compared with its continuous analogue too.
 """
 
 import argparse
+import sys
 
-from tailbounds import make_exponential_spec, make_geometric_spec, make_tail_query
+from tailbounds import (TailBoundsError, make_exponential_spec, make_geometric_spec,
+                        make_tail_query, parse_params)
 from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import BY_NAME
 
@@ -22,12 +24,12 @@ def rel_err(value: float, reference: float) -> float:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--a", default="1,2")
+    parser.add_argument("--a", type=parse_params, default="1,2")
     parser.add_argument("--lambda", dest="lam", type=float, default=2.0)
     parser.add_argument("--n-grid", default="10,100,1000,10000")
     args = parser.parse_args()
 
-    rates = [float(t) for t in args.a.split(",")]
+    rates = args.a
     cont = make_exponential_spec(rates)
     exact_cont = exact_tail(cont, args.lam * cont.mu).value
     texp_i, thm2 = BY_NAME["texp-i"], BY_NAME["thm2"]
@@ -51,4 +53,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TailBoundsError as exc:  # one line and exit 3, as tailbounds
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)

@@ -53,6 +53,7 @@ from .model import (
     make_exponential_spec,
     make_geometric_spec,
     make_tail_query,
+    parse_params,
     read_params_file,
 )
 from .montecarlo import (
@@ -98,6 +99,7 @@ __all__ = [
     "mc_tail",
     "optimized_chernoff",
     "optimized_lemma1",
+    "parse_params",
     "read_params_file",
     "uniform_block",
     "upper_tail_cor1",

@@ -20,6 +20,7 @@ from .model import (
     make_exponential_spec,
     make_geometric_spec,
     make_tail_query,
+    parse_params,
     read_params_file,
     require_count,
 )
@@ -40,12 +41,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_inline(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise CliUsageError(f"cannot parse parameter list {text!r}") from None
-
+_SAMPLES = 100_000  # the --samples default of mc and sweep
 
 # --dist: (its parameter flag, the other distribution's flag, the spec constructor)
 _DISTS = {"geom": ("p", "a", make_geometric_spec), "exp": ("a", "p", make_exponential_spec)}
@@ -58,15 +54,15 @@ def _load_spec(args) -> GeometricSumSpec | ExponentialSumSpec:
         raise CliUsageError(f"--{wrong} does not apply to --dist {args.dist}")
     if (inline is None) == (args.params_file is None):
         raise CliUsageError(f"give exactly one of --{flag} or --params-file")
-    if args.params_file is not None:
-        try:
+    try:
+        if args.params_file is None:
+            values = parse_params(inline)
+        else:
             values = read_params_file(args.params_file)
-        except OSError as exc:
-            raise CliUsageError(f"cannot read {args.params_file}: {exc}") from None
-        except ValueError as exc:
-            raise CliUsageError(str(exc)) from None
-    else:
-        values = _parse_inline(inline)
+    except OSError as exc:
+        raise CliUsageError(f"cannot read {args.params_file}: {exc}") from None
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
     return make(values)
 
 
@@ -211,7 +207,7 @@ def _verify_instance(spec, failures: list[str]) -> None:
 
 
 def cmd_verify(args) -> int:
-    require_count("seed", args.seed, 0, 2**64 - 1)  # McConfig's range, as mc and sweep
+    require_count("seed", args.seed, 0, montecarlo.MAX_U64)  # McConfig's range, as mc and sweep
     failures: list[str] = []
 
     fixed = make_geometric_spec([0.5, 0.5])
@@ -285,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc = commands.add_parser("mc", help="Monte Carlo tail estimate")
     _add_spec_flags(mc)
     _add_query_flags(mc)
-    mc.add_argument("--samples", type=_positive_int, default=100_000)
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--confidence", type=float, default=0.99)
+    mc.add_argument("--samples", type=_positive_int, default=_SAMPLES)
+    mc.add_argument("--seed", type=int, default=montecarlo.McConfig.seed)
+    mc.add_argument("--confidence", type=float, default=montecarlo.McConfig.confidence)
     mc.add_argument("--side", choices=("upper", "lower"), default="upper")
     mc.set_defaults(func=cmd_mc)
 
@@ -296,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambda-from", type=float, required=True)
     sweep.add_argument("--lambda-to", type=float, required=True)
     sweep.add_argument("--steps", type=_positive_int, required=True)
-    sweep.add_argument("--samples", type=_positive_int, default=100_000)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--samples", type=_positive_int, default=_SAMPLES)
+    sweep.add_argument("--seed", type=int, default=montecarlo.McConfig.seed)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = commands.add_parser("verify", help="run the property suites")
     verify.add_argument("--trials", type=_positive_int, required=True)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=int, default=montecarlo.McConfig.seed)
     verify.set_defaults(func=cmd_verify)
 
     return parser

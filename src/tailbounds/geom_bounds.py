@@ -95,9 +95,10 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
     return bound_result(Method.TL, lam, log_bound)
 
 
-def _lemma1_log(spec: GeometricSumSpec, x: float, w: float) -> float:
+def _lemma1_log(others, n: int, x: float, w: float) -> float:
     """lemma1_bound's log at z = 1 + w, with the prefactor cancelled against the
-    pole factor of i* = 0, the p_min entry of the sorted ``param_array`` (q_i = 1 - p_i):
+    pole factor of i* = 0, the p_min entry of the sorted ``param_array``, whose
+    other entries are ``others`` (q_i = 1 - p_i):
 
         (n - x) ln(1 + w) - sum_{i != i*} ln(1 - q_i w / p_i).
 
@@ -106,9 +107,8 @@ def _lemma1_log(spec: GeometricSumSpec, x: float, w: float) -> float:
     """
     import numpy as np
 
-    others = spec.param_array[1:]
     log_gaps = np.log1p(-(1.0 - others) * w / others)
-    return (spec.n - x) * math.log1p(w) - float(log_gaps.sum())
+    return (n - x) * math.log1p(w) - float(log_gaps.sum())
 
 
 def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
@@ -127,9 +127,8 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
         raise DomainError(
             f"z={z} is at or beyond the pole 1/(1-p_min) for p_min={spec.p_min}"
         )
-    return bound_result(
-        Method.LEMMA1, x / spec.mu, _lemma1_log(spec, x, w), internal_param=z_double
-    )
+    log_bound = _lemma1_log(spec.param_array[1:], spec.n, x, w)
+    return bound_result(Method.LEMMA1, x / spec.mu, log_bound, internal_param=z_double)
 
 
 def _reciprocal_root(a, b, c: float, target: float, lo: float, hi: float):
@@ -218,7 +217,7 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     return bound_result(
         Method.OPT_LEMMA1,
         lam,
-        _lemma1_log(spec, x, w),
+        _lemma1_log(others, spec.n, x, w),
         internal_param=w,
         evaluations=evaluations,
     )

@@ -352,23 +352,26 @@ def log_pgf_geometric(spec: GeometricSumSpec, z: float) -> float:
     return math.fsum((np.log(p) + math.log(z) - np.log(gaps)).tolist())
 
 
-def read_params_file(path: str) -> list[float]:
-    """Read the shared plain-text parameter format.
-
-    One or more decimal numbers per line, separated by whitespace or commas;
-    lines whose first non-blank character is '#' are ignored.
+def parse_params(text: str, path: str | None = None) -> list[float]:
+    """Read a parameter list: numbers separated by commas or whitespace, with
+    each line (ended by a line feed alone, as in a file read with universal newlines)
+    whose first non-blank character is '#' skipped. A token float() rejects
+    raises ValueError naming it, and ``path`` and the line when given.
     """
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            for token in stripped.replace(",", " ").split():
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: cannot parse {token!r} as a number"
-                    ) from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.lstrip().startswith("#"):
+            continue
+        for token in line.replace(",", " ").split():
+            try:
+                values.append(float(token))
+            except ValueError:
+                where = "" if path is None else f"{path}:{lineno}: "
+                raise ValueError(f"{where}cannot parse {token!r} as a number") from None
     return values
+
+
+def read_params_file(path: str) -> list[float]:
+    """Read a parameter file with ``parse_params``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_params(handle.read(), path)

@@ -45,7 +45,8 @@ if TYPE_CHECKING:
 # reused buffers 2^15 is within noise of it and 2^14 5-12% slower.
 BLOCK_DRAWS = 1 << 16
 
-_MAX_U64 = 2**64 - 1
+# The largest seed and stream position: the generator takes 64-bit values.
+MAX_U64 = 2**64 - 1
 
 # Largest n whose rows _row_sums adds column by column (see there).
 _COLUMN_ADD_MAX_N = 15
@@ -61,7 +62,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         require_count("samples", self.samples, 1, math.inf)
-        require_count("seed", self.seed, 0, _MAX_U64)
+        require_count("seed", self.seed, 0, MAX_U64)
         if not 0.0 < as_double(self.confidence) < 1.0:
             raise OutOfRange(f"confidence {self.confidence!r} not in (0, 1)")
 
@@ -88,8 +89,8 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     64-bit unsigned integers; count is at most 2^22 (8 bytes a draw, 32 MB
     at the cap).
     """
-    require_count("seed", seed, 0, _MAX_U64)
-    require_count("start", start, 0, _MAX_U64)
+    require_count("seed", seed, 0, MAX_U64)
+    require_count("start", start, 0, MAX_U64)
     require_count("count", count, 0, 1 << 22)
     import numpy as np
 

@@ -154,8 +154,8 @@ TABLE = {
 }
 
 # Public callables that take no tail ratio, threshold, count or other real
-# argument: records, enums and spec constructors (validated by their own
-# parameter checks).
+# argument: records, enums, spec constructors (validated by their own
+# parameter checks) and the parameter-list readers.
 NO_QUERY_ARGUMENT = {
     "BoundResult",
     "ExponentialSumSpec",
@@ -167,6 +167,7 @@ NO_QUERY_ARGUMENT = {
     "TailQuery",
     "make_exponential_spec",
     "make_geometric_spec",
+    "parse_params",
     "read_params_file",
 }
 

@@ -175,11 +175,23 @@ class TestBound:
         assert code == 3
 
     def test_unparseable_params(self, capsys):
-        code, _, _ = run(
+        code, out, err = run(
             capsys, "bound", "--dist", "geom", "--p", "0.5,abc",
             "--lambda", "2", "--method", "thm1",
         )
         assert code == 2
+        assert out == ""
+        assert err == "error: cannot parse 'abc' as a number\n"
+
+    def test_inline_comment_is_an_empty_list(self, capsys):
+        # an inline list reads like a params file: a line starting with '#' is a comment
+        code, out, err = run(
+            capsys, "bound", "--dist", "geom", "--p", "# 0.5",
+            "--lambda", "2", "--method", "thm1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: need at least one success probability\n"
 
     def test_wrong_param_flag_for_dist(self, capsys):
         code, _, _ = run(

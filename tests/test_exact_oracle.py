@@ -792,6 +792,17 @@ def test_oracle_reaches_known_deep_logs(spec, x, side, log):
     assert value > 0.0 and math.log(value) == pytest.approx(log, abs=1e-9)
 
 
+# Kept out of _DEEP_LOGS: decimal_tail refuses a tie among other rates.
+@pytest.mark.xfail(strict=True, raises=OutOfRange,
+                   reason="the tie takes the matrix route, which refuses max rate * x > 2^1020")
+def test_oracle_answers_a_tie_beside_a_stiff_rate():
+    # the Erlang(2) tail at rate 1e-300, 2/e; the Exp(1e10) summand moves it
+    # by about 1e-310 relative
+    spec = make_exponential_spec([1e-300, 1e-300, 1e10])
+    value = exact_tail(spec, 1e300).value
+    assert math.log(value) == pytest.approx(-0.30685281944005469, abs=1e-9)
+
+
 def test_float_constants_match_numpy():
     # taken from the standard library, so that the module loads without numpy
     assert exact_oracle._EPS == np.finfo(np.float64).eps

@@ -283,7 +283,7 @@ class TestOptimizedLemma1:
     def test_reported_z_reproduces_bound(self, spec, lam):
         assume(spec.p_min < 1.0)
         r = optimized_lemma1(spec, lam * spec.mu)
-        again = _lemma1_log(spec, lam * spec.mu, r.internal_param)
+        again = _lemma1_log(spec.param_array[1:], spec.n, lam * spec.mu, r.internal_param)
         assert abs(again - r.log_value) <= 1e-12 * max(1.0, abs(r.log_value))
 
     @given(probs, st.floats(min_value=0.0, max_value=50.0))

@@ -1,10 +1,16 @@
-"""The scripts under scripts/ run to completion against this checkout's package."""
+"""The scripts under scripts/ run to completion against this checkout's package, and
+read parameter lists as the tailbounds command does."""
 
+import math
 import os
+import runpy
 import subprocess
 import sys
 
+import pytest
+
 import tailbounds
+from tailbounds import cli
 from tailbounds.methods import Side, rows
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tailbounds.__file__)))
@@ -43,3 +49,87 @@ def test_limit_convergence_prints_nan_where_the_tail_underflows():
     proc = run_script("limit_convergence.py", "--lambda", "800", "--n-grid", "10")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split()[2::2] == ["nan", "nan"]
+
+
+def test_compare_bounds_reads_a_space_separated_list():
+    proc = run_script("compare_bounds.py", "--p", "0.5 0.2", "--steps", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("params=[0.5, 0.2]  ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("compare_bounds.py", ("--p", "0.5,abc"), 2),
+    ("compare_bounds.py", ("--p", "0.5,0"), 3),
+    ("limit_convergence.py", ("--a", "1,0"), 3),
+])
+def test_scripts_refuse_a_bad_list_in_one_line(name, argv, code):
+    # exit 2 for a list that does not parse, 3 for a value outside its range, as tailbounds
+    proc = run_script(name, *argv)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr.splitlines()[-1]
+
+
+# (text, its numbers, or None where a token is not a number). Each route must
+# read the text as it reads the plain comma list of those numbers, or refuse it
+# with exit 2.
+GRAMMAR = [
+    ("0.5,0.25", [0.5, 0.25]),
+    ("0.5 0.25", [0.5, 0.25]),
+    ("0.5\t 0.25", [0.5, 0.25]),
+    ("0.5\n0.25\n", [0.5, 0.25]),
+    ("0.5,0.25,", [0.5, 0.25]),
+    ("0.5,,0.25", [0.5, 0.25]),
+    (" 0.5 , 0.25", [0.5, 0.25]),
+    ("# two summands\n0.5, 0.25\n  # done", [0.5, 0.25]),
+    ("0.5\n\n  \n0.25", [0.5, 0.25]),
+    ("# 0.5", []),
+    ("0.5,nan", [0.5, math.nan]),
+    ("inf", [math.inf]),
+    ("1_0", [10.0]),
+    ("0.5,abc", None),
+    ("0.5 # comment", None),
+    ("0.5;0.25", None),
+]
+
+ROUTES = ["tailbounds --p", "tailbounds --params-file", "compare_bounds.py --p",
+          "limit_convergence.py --a"]
+
+
+def read_through(route, text, tmp_path, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of one route given a parameter list, run in-process."""
+    path = tmp_path / "params.txt"
+    path.write_text(text)
+    query = ["--lambda", "2", "--method", "best"]
+    argv = {
+        "tailbounds --p": ["bound", "--dist", "geom", "--p", text, *query],
+        "tailbounds --params-file": ["bound", "--dist", "geom", "--params-file", str(path), *query],
+        "compare_bounds.py --p": ["compare_bounds.py", "--p", text, "--steps", "2"],
+        "limit_convergence.py --a": ["limit_convergence.py", "--a", text, "--n-grid", "10"],
+    }[route]
+    try:
+        if route.startswith("tailbounds"):
+            code = cli.main(argv)
+        else:
+            monkeypatch.setattr(sys, "argv", [os.path.join(SCRIPTS, argv[0]), *argv[1:]])
+            runpy.run_path(sys.argv[0], run_name="__main__")
+            code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("text, numbers", GRAMMAR, ids=[repr(text) for text, _ in GRAMMAR])
+def test_one_grammar_for_every_parameter_list(route, text, numbers, tmp_path, monkeypatch,
+                                               capsys):
+    code, out, err = read_through(route, text, tmp_path, monkeypatch, capsys)
+    assert "Traceback" not in err
+    if numbers is None:
+        assert (code, out) == (2, "")
+    else:
+        plain = ",".join(map(repr, numbers))
+        assert (code, out, err) == read_through(route, plain, tmp_path, monkeypatch, capsys)
