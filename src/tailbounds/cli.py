@@ -243,9 +243,10 @@ def cmd_verify(args) -> int:
 
 def _add_spec_flags(sub) -> None:
     sub.add_argument("--dist", choices=("geom", "exp"), required=True)
-    sub.add_argument("--p", help="comma-separated success probabilities (geom)")
-    sub.add_argument("--a", help="comma-separated rates (exp)")
-    sub.add_argument("--params-file", help="plain-text parameter file")
+    sub.add_argument("--p", help="success probabilities (geom), separated by commas or whitespace")
+    sub.add_argument("--a", help="rates (exp), separated by commas or whitespace")
+    sub.add_argument("--params-file", help="plain-text file of the --p or --a values, "
+                     "separated the same way; blank lines and lines starting with # are skipped")
 
 
 def _add_query_flags(sub) -> None:

@@ -7,14 +7,18 @@ parameter t, and a generating-function bound minimized over w = z - 1). Both
 objectives are convex, and each optimum is a root of
 sum_i 1/(a_i - b_i s) = T, with gaps a_i - b_i s linear in the variable s.
 One solver finds both by Newton steps on the reciprocal of the sum, which
-is concave, with numpy over the spec's parameter array; numpy is imported
-by the functions that use it, so the closed forms run without it. Every
-bound is computed in log space and returned as a BoundResult.
+is concave. Its two inner sums, and the log-gap sum of both bounds, run
+with numpy over the spec's cached parameter array, or on Python floats for
+a spec of up to _LIST_MAX_N summands while numpy is not imported; numpy is
+imported only there, so the closed forms, and the optimized bounds of small
+specs, run without it. Every bound is computed in log space and returned
+as a BoundResult.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .model import (
     BoundResult,
@@ -95,9 +99,58 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
     return bound_result(Method.TL, lam, log_bound)
 
 
+# Largest spec.n whose optimized rows run on Python floats (see _sorted_params).
+_LIST_MAX_N = 24
+
+
+def _sorted_params(spec: GeometricSumSpec):
+    """The spec's parameters ascending, as the optimized rows' kernels take them:
+    a list of floats for at most ``_LIST_MAX_N`` summands in a process that has
+    not imported numpy, otherwise the cached numpy ``param_array``.
+
+    The lists spare a small solve the import of numpy, about 0.06 s. The
+    cut-off is where a list pass stops being cheaper than an array pass with
+    numpy loaded: an array operation costs about 1 us at these lengths, a
+    list pass about 0.15 us per summand. Medians over 24 random queries per
+    n (p_i ~ U(0.05, 1), lam from 1.5 to 20), pinned to one CPU of a 2-vCPU
+    Xeon host (Python 3.11, numpy 2.4), lists against arrays: best_upper 28
+    against 33 us at n = 8, 29 against 32 at n = 16, 31 against 31 at
+    n = 24, 33 against 31 at n = 32 and 48 against 34 at n = 64;
+    optimized_chernoff 13 against 25 us at n = 8 and 30 against 27 at
+    n = 32. Once numpy is imported the arrays serve every n: there is no
+    import left to spare, and a process that works with arrays keeps numpy's
+    code in the CPU caches through its small solves for its large ones. On
+    the same host, in the interleaved mix of ``bench/run.py --workload
+    deep``, best_upper at n = 10^3 took 155 us instead of 73 us when the
+    n = 8 calls around it ran on lists.
+    """
+    if "numpy" not in sys.modules and spec.n <= _LIST_MAX_N:
+        return sorted(spec.params)
+    return spec.param_array
+
+
+def _complements(values):
+    """1 - v for each of ``values``, in their kind: a list or a numpy array."""
+    if isinstance(values, list):
+        return [1.0 - v for v in values]
+    return 1.0 - values
+
+
+def _log_gap_sum(a, b, s: float) -> float:
+    """sum_i ln(1 - b_i s / a_i) over a list or a numpy array a, with b a
+    float or a sequence of a's kind."""
+    if isinstance(a, list):
+        if isinstance(b, float):
+            return math.fsum([math.log1p(-b * s / ai) for ai in a])
+        return math.fsum([math.log1p(-bi * s / ai) for ai, bi in zip(a, b)])
+    import numpy as np
+
+    return float(np.log1p(-b * s / a).sum())
+
+
 def _lemma1_log(others, n: int, x: float, w: float) -> float:
     """lemma1_bound's log at z = 1 + w, with the prefactor cancelled against the
-    pole factor of i* = 0, the p_min entry of the sorted ``param_array``, whose
+    pole factor of i* = 0, the p_min entry of the sorted parameters, whose
     other entries are ``others`` (q_i = 1 - p_i):
 
         (n - x) ln(1 + w) - sum_{i != i*} ln(1 - q_i w / p_i).
@@ -105,10 +158,7 @@ def _lemma1_log(others, n: int, x: float, w: float) -> float:
     Every gap p_i - q_i w is linear in w, so w resolves the domain up to the
     pole 1 + w = 1/(1 - p_min) for any p_min, where z = 1 + w would round.
     """
-    import numpy as np
-
-    log_gaps = np.log1p(-(1.0 - others) * w / others)
-    return (n - x) * math.log1p(w) - float(log_gaps.sum())
+    return (n - x) * math.log1p(w) - _log_gap_sum(others, _complements(others), w)
 
 
 def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
@@ -127,8 +177,21 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
         raise DomainError(
             f"z={z} is at or beyond the pole 1/(1-p_min) for p_min={spec.p_min}"
         )
-    log_bound = _lemma1_log(spec.param_array[1:], spec.n, x, w)
+    log_bound = _lemma1_log(_sorted_params(spec)[1:], spec.n, x, w)
     return bound_result(Method.LEMMA1, x / spec.mu, log_bound, internal_param=z_double)
+
+
+def _reciprocal_sums(a, b, c: float, s: float) -> tuple[float, float]:
+    """R(s) = sum_i r_i and c R'(s) = sum_i b_i r_i^2, r_i = c/(a_i - b_i s), over
+    a list or a numpy array a, with b a float or a sequence of a's kind."""
+    if isinstance(a, list):
+        if isinstance(b, float):
+            r = [c / (ai - b * s) for ai in a]
+            return math.fsum(r), math.fsum([b * ri * ri for ri in r])
+        r = [c / (ai - bi * s) for ai, bi in zip(a, b)]
+        return math.fsum(r), math.fsum([bi * ri * ri for ri, bi in zip(r, b)])
+    r = c / (a - b * s)
+    return float(r.sum()), float((b * r) @ r)
 
 
 def _reciprocal_root(a, b, c: float, target: float, lo: float, hi: float):
@@ -147,9 +210,7 @@ def _reciprocal_root(a, b, c: float, target: float, lo: float, hi: float):
     """
     s, evaluations = hi, 0
     while True:
-        r = c / (a - b * s)
-        total = float(r.sum())
-        slope = float((b * r) @ r)  # c R'
+        total, slope = _reciprocal_sums(a, b, c, s)
         evaluations += 1
         if total <= target or (total - target) ** 2 <= 2e-18 * slope:
             return s, evaluations
@@ -167,10 +228,8 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     upper_tail_thm1, whose t is one point of the same domain.
     """
     require_upper(lam, spec.mu)
-    import numpy as np
-
     target = lam * spec.mu
-    p = spec.param_array
+    p = _sorted_params(spec)
     p_min = spec.p_min
     # 1/(p_min - t) <= sum 1/(p_i - t) <= mu/(1 - t/p_min) brackets the root;
     # the factor p_min keeps each term finite next to the pole, and both ends
@@ -180,7 +239,7 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     lo = min((1.0 - 1.0 / lam) * p_min, below_pole)
     hi = lo if lam == 1.0 else max(lo, min(p_min - 1.0 / target, below_pole))
     t, evaluations = _reciprocal_root(p, 1.0, p_min, lam * (spec.mu * p_min), lo, hi)
-    log_bound = -t * target - float(np.log1p(-t / p).sum())
+    log_bound = -t * target - _log_gap_sum(p, 1.0, t)
     return bound_result(
         Method.OPT_CHERNOFF, lam, log_bound, internal_param=t, evaluations=evaluations
     )
@@ -206,13 +265,13 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     if p_min == 1.0:
         return bound_result(Method.OPT_LEMMA1, lam, -math.inf, evaluations=0)
 
-    others = spec.param_array[1:]
+    others = _sorted_params(spec)[1:]
     q_min = 1.0 - p_min
     w_max = p_min / q_min
     while not p_min - q_min * w_max > 0.0:
         w_max = math.nextafter(w_max, 0.0)
     w, evaluations = _reciprocal_root(
-        others, 1.0 - others, p_min, (x - 1.0) * p_min, 0.0, w_max
+        others, _complements(others), p_min, (x - 1.0) * p_min, 0.0, w_max
     )
     return bound_result(
         Method.OPT_LEMMA1,

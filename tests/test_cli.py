@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tailbounds
-from tailbounds import OutOfRange, make_exponential_spec, montecarlo
+from tailbounds import OutOfRange, geom_bounds, make_exponential_spec, montecarlo
 from tailbounds.cli import main
 from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import Side, rows
@@ -751,8 +751,9 @@ _EXACT_GEOM8 = ("exact", "--dist", "geom", "--p", _P8, "--lambda", "2")
 
 
 class TestFreshInterpreter:
-    """The closed-form and partial-fraction paths never pay for importing
-    numpy, and only the cascade pays for scipy."""
+    """The closed-form and partial-fraction paths, and the optimized bounds of
+    small specs, never pay for importing numpy, and only the cascade pays for
+    scipy."""
 
     def test_import_loads_no_scipy(self):
         # neither the package nor the CLI module loads numpy or scipy
@@ -781,16 +782,30 @@ class TestFreshInterpreter:
         [
             ("bound", "--dist", "geom", "--p", "0.5,0.5", "--lambda", "2", "--method", "thm1"),
             ("bound", "--dist", "exp", "--a", "1,2", "--lambda", "2", "--method", "texp-i"),
+            _BOUND_BEST,
+            (*_BOUND_BEST[:-1], "opt-chernoff"),
+            (*_BOUND_BEST[:-1], "opt-lemma1"),
+            (*_BOUND_BEST[:-1], "lemma1", "--z", "1.2"),
             _EXACT_EXP,
             _EXACT_GEOM8,
         ],
-        ids=["thm1", "texp-i", "exact-exp", "exact-geom8"],
+        ids=["thm1", "texp-i", "best", "opt-chernoff", "opt-lemma1", "lemma1", "exact-exp",
+             "exact-geom8"],
     )
     def test_closed_form_commands_load_no_numpy(self, argv):
+        # the optimized rows of a spec this small solve on Python floats
         code, out, numpy, _ = run_fresh(*argv)
         assert code == 0
         assert "value: " in out
         assert numpy == []
+
+    @pytest.mark.parametrize("extra, loads", [(0, False), (1, True)])
+    def test_optimized_rows_load_numpy_above_the_cut_off(self, extra, loads):
+        p = ",".join(["0.5"] * (geom_bounds._LIST_MAX_N + extra))
+        code, out, numpy, _ = run_fresh(*_BOUND_BEST[:4], p, *_BOUND_BEST[5:])
+        assert code == 0
+        assert "value: " in out
+        assert bool(numpy) == loads
 
     def test_geom_exact_matches_in_process(self, capsys):
         argv = ("exact", "--dist", "geom", "--p", "0.5,0.5", "--x", "8")

@@ -32,7 +32,8 @@ from tailbounds import (
     upper_tail_thm1,
     upper_tail_thm2,
 )
-from tailbounds.geom_bounds import _lemma1_log, _reciprocal_root
+from tailbounds import geom_bounds
+from tailbounds.geom_bounds import _lemma1_log, _reciprocal_root, _sorted_params
 from tailbounds.model import bound_result
 
 # Frozen expected values, evaluated from the closed forms at 30-digit
@@ -283,7 +284,7 @@ class TestOptimizedLemma1:
     def test_reported_z_reproduces_bound(self, spec, lam):
         assume(spec.p_min < 1.0)
         r = optimized_lemma1(spec, lam * spec.mu)
-        again = _lemma1_log(spec.param_array[1:], spec.n, lam * spec.mu, r.internal_param)
+        again = _lemma1_log(_sorted_params(spec)[1:], spec.n, lam * spec.mu, r.internal_param)
         assert abs(again - r.log_value) <= 1e-12 * max(1.0, abs(r.log_value))
 
     @given(probs, st.floats(min_value=0.0, max_value=50.0))
@@ -549,6 +550,70 @@ class TestAgainstBisection:
         assert r.evaluations == lemma1.evaluations > 0
         assert optimized_chernoff(spec, 3.0).evaluations > 0
         assert upper_tail_thm1(spec, 3.0).evaluations is None
+
+
+class TestListAndArrayKernels:
+    """Up to _LIST_MAX_N summands, and until numpy is imported, the optimized
+    rows solve on Python floats, otherwise on the numpy parameter array. Both
+    kernels, run over the same sorted values, take the same Newton steps and
+    agree in the log bound. The tolerance is 1e-12 (1 + |log|), as
+    _lemma1_log cancels near lam = 1."""
+
+    @staticmethod
+    def corpus():
+        # n on both sides of the cut-off, with p_i = 1, p_min down to 1e-300 and ties
+        rng = random.Random(35)
+        specs = []
+        for _ in range(120):
+            n = rng.randint(1, 2 * geom_bounds._LIST_MAX_N)
+            p = [rng.uniform(0.05, 1.0) for _ in range(n)]
+            if rng.random() < 0.5:
+                p[0] = 10.0 ** rng.uniform(-300.0, -1.0)
+            p += [min(p)] * rng.randint(0, 2) + [1.0] * rng.randint(0, 2)
+            specs.append(make_geometric_spec(p))
+        return specs
+
+    @staticmethod
+    def both_kernels(monkeypatch, evaluate):
+        """evaluate() with every spec's parameters as a list, then as an array."""
+        results = []
+        for params in (lambda spec: sorted(spec.params), lambda spec: spec.param_array):
+            monkeypatch.setattr(geom_bounds, "_sorted_params", params)
+            results.append(evaluate())
+        return results
+
+    def test_rows_agree(self, monkeypatch):
+        for spec in self.corpus():
+            for lam in OPTIMIZER_LAMS + (1.0001,):
+                x = lam * spec.mu
+                what = (spec.params[:4], spec.n, lam)
+                rows = self.both_kernels(monkeypatch, lambda: (
+                    optimized_chernoff(spec, lam),
+                    optimized_lemma1(spec, x),
+                    best_upper(spec, lam),
+                ))
+                for listed, arrayed in zip(*rows):
+                    assert listed.evaluations == arrayed.evaluations, what
+                    assert listed.method == arrayed.method, what
+                    tolerance = 1e-12 * (1.0 + abs(arrayed.log_value))
+                    assert abs(listed.log_value - arrayed.log_value) <= tolerance, what
+
+    def test_lemma1_agrees(self, monkeypatch):
+        for spec in self.corpus():
+            if spec.p_min == 1.0:
+                continue
+            # halfway to the pole in w = z - 1, for z >= 1 a double
+            z = 1.0 + 0.5 * spec.p_min / (1.0 - spec.p_min)
+            for lam in (1.0, 1.0001, 2.0, 20.0):
+                listed, arrayed = self.both_kernels(
+                    monkeypatch, lambda: lemma1_bound(spec, lam * spec.mu, z).log_value
+                )
+                assert abs(listed - arrayed) <= 1e-12 * (1.0 + abs(arrayed)), (spec.n, lam)
+
+    def test_arrays_once_numpy_is_imported(self):
+        # as in this process; tests/test_cli.py runs the lists in a fresh one
+        spec = make_geometric_spec([0.5, 0.2])
+        assert _sorted_params(spec) is spec.param_array
 
 
 class TestResultClamping:

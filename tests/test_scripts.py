@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import tailbounds
-from tailbounds import cli
+from tailbounds import cli, parse_params
 from tailbounds.methods import Side, rows
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tailbounds.__file__)))
@@ -130,6 +130,10 @@ def test_one_grammar_for_every_parameter_list(route, text, numbers, tmp_path, mo
     assert "Traceback" not in err
     if numbers is None:
         assert (code, out) == (2, "")
+        with pytest.raises(ValueError) as refusal:
+            parse_params(text)
+        # each route names the token, as parse_params does
+        assert err.splitlines()[-1].endswith(str(refusal.value))
     else:
         plain = ",".join(map(repr, numbers))
         assert (code, out, err) == read_through(route, plain, tmp_path, monkeypatch, capsys)
