@@ -19,22 +19,18 @@ from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import Side, best_upper, rows
 
 
-def param_list(text: str) -> list[float]:
-    """parse_params as an argparse type, so that a refusal names the bad token."""
-    try:
-        return parse_params(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--p", type=param_list, default="0.5,0.2,0.1")
+    parser.add_argument("--p", default="0.5,0.2,0.1")
     parser.add_argument("--lambda-max", type=float, default=6.0)
     parser.add_argument("--steps", type=int, default=11)
     args = parser.parse_args()
+    try:
+        params = parse_params(args.p)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    spec = make_geometric_spec(args.p)
+    spec = make_geometric_spec(params)
     columns = rows("geom", Side.UPPER, Side.UPPER_FROM_BELOW)
     print(f"params={list(spec.params)}  mu={spec.mu:.6g}  p_min={spec.p_min}  "
           f"sigma2={spec.sigma2:.6g}")

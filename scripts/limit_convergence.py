@@ -17,14 +17,6 @@ from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import BY_NAME
 
 
-def param_list(text: str) -> list[float]:
-    """parse_params as an argparse type, so that a refusal names the bad token."""
-    try:
-        return parse_params(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def rel_err(value: float, reference: float) -> float:
     """|value - reference| / reference, or nan where the reference underflowed to 0."""
     return abs(value - reference) / reference if reference > 0.0 else float("nan")
@@ -32,12 +24,15 @@ def rel_err(value: float, reference: float) -> float:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--a", type=param_list, default="1,2")
+    parser.add_argument("--a", default="1,2")
     parser.add_argument("--lambda", dest="lam", type=float, default=2.0)
     parser.add_argument("--n-grid", default="10,100,1000,10000")
     args = parser.parse_args()
+    try:
+        rates = parse_params(args.a)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    rates = args.a
     cont = make_exponential_spec(rates)
     exact_cont = exact_tail(cont, args.lam * cont.mu).value
     texp_i, thm2 = BY_NAME["texp-i"], BY_NAME["thm2"]

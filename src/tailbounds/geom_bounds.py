@@ -9,16 +9,18 @@ sum_i 1/(a_i - b_i s) = T, with gaps a_i - b_i s linear in the variable s.
 One solver finds both by Newton steps on the reciprocal of the sum, which
 is concave. Its two inner sums, and the log-gap sum of both bounds, run
 with numpy over the spec's cached parameter array, or on Python floats for
-a spec of up to _LIST_MAX_N summands while numpy is not imported; numpy is
-imported only there, so the closed forms, and the optimized bounds of small
-specs, run without it. Every bound is computed in log space and returned
-as a BoundResult.
+a spec of up to _LIST_MAX_N summands while numpy is not imported, to the
+same bits either way; numpy is imported only there, so the closed forms,
+and the optimized bounds of small specs, run without it. Every bound is
+computed in log space and returned as a BoundResult.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from itertools import repeat
 
 from .model import (
     BoundResult,
@@ -99,7 +101,8 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
     return bound_result(Method.TL, lam, log_bound)
 
 
-# Largest spec.n whose optimized rows run on Python floats (see _sorted_params).
+# Largest spec.n whose optimized rows may run on Python floats (see _sorted_params);
+# at most 128, the one block of numpy's sum that _pairwise_sum reproduces.
 _LIST_MAX_N = 24
 
 
@@ -108,57 +111,83 @@ def _sorted_params(spec: GeometricSumSpec):
     a list of floats for at most ``_LIST_MAX_N`` summands in a process that has
     not imported numpy, otherwise the cached numpy ``param_array``.
 
-    The lists spare a small solve the import of numpy, about 0.06 s. The
-    cut-off is where a list pass stops being cheaper than an array pass with
-    numpy loaded: an array operation costs about 1 us at these lengths, a
-    list pass about 0.15 us per summand. Medians over 24 random queries per
-    n (p_i ~ U(0.05, 1), lam from 1.5 to 20), pinned to one CPU of a 2-vCPU
-    Xeon host (Python 3.11, numpy 2.4), lists against arrays: best_upper 28
-    against 33 us at n = 8, 29 against 32 at n = 16, 31 against 31 at
-    n = 24, 33 against 31 at n = 32 and 48 against 34 at n = 64;
-    optimized_chernoff 13 against 25 us at n = 8 and 30 against 27 at
-    n = 32. Once numpy is imported the arrays serve every n: there is no
-    import left to spare, and a process that works with arrays keeps numpy's
-    code in the CPU caches through its small solves for its large ones. On
-    the same host, in the interleaved mix of ``bench/run.py --workload
-    deep``, best_upper at n = 10^3 took 155 us instead of 73 us when the
-    n = 8 calls around it ran on lists.
+    Both kinds give the same bits, so the choice only moves time. A process
+    that has imported numpy keeps the arrays for every n: its code stays warm
+    for the large solves (in the interleaved mix of ``bench/run.py --workload
+    deep``, best_upper at n = 10^3 took 155 us instead of 73 us when the n = 8
+    calls around it ran on lists). Without numpy, lists spare the import: a
+    fresh ``tailbounds bound --method best --params-file`` took, lists against
+    arrays, 0.071 against 0.139 s at n = 8, 0.079 against 0.156 at n = 10^3,
+    0.107 against 0.165 at n = 10^4 and 0.226 against 0.176 at n = 3 10^4.
+    The cut-off sits far below that crossover because the bits must agree:
+    up to it an array caller also takes its logs from math.log1p (see
+    _log_gap_sum), which best_upper pays for, with math against numpy logs,
+    31.7 against 34.4 us at n = 8, 32.1 against 32.0 at n = 24, 33.5
+    against 32.3 at n = 32 and 42.1 against 31.6 at n = 128. Medians of 10
+    fresh runs per n, and in-process medians over 24 random queries per n
+    (p_i ~ U(0.05, 1), lam from 1.5 to 20), each pinned to one CPU of a
+    2-vCPU Xeon host (Python 3.11, numpy 2.4).
     """
     if "numpy" not in sys.modules and spec.n <= _LIST_MAX_N:
         return sorted(spec.params)
     return spec.param_array
 
 
-def _complements(values):
-    """1 - v for each of ``values``, in their kind: a list or a numpy array."""
-    if isinstance(values, list):
-        return [1.0 - v for v in values]
-    return 1.0 - values
+def _lemma1_terms(spec: GeometricSumSpec):
+    """(p_i, q_i = 1 - p_i) over the sorted parameters but i* = 0, the p_min
+    entry, in the kind _sorted_params gives."""
+    others = _sorted_params(spec)[1:]
+    if isinstance(others, list):
+        return others, [1.0 - p for p in others]
+    return others, 1.0 - others
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """The float64 sum numpy gives for an array of at most 128 ``values`` (one
+    block of its pairwise sum), added in its order: 8 interleaved partial sums
+    over the largest multiple of 8 values, combined as a tree, then the rest."""
+    total = 0.0
+    blocked = len(values) - len(values) % 8
+    if blocked:
+        r = values[:8]
+        for i in range(8, blocked, 8):
+            r = list(map(operator.add, r, values[i : i + 8]))
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[blocked:]:
+        total += v
+    return total
 
 
 def _log_gap_sum(a, b, s: float) -> float:
-    """sum_i ln(1 - b_i s / a_i) over a list or a numpy array a, with b a
-    float or a sequence of a's kind."""
+    """sum_i ln(1 - b_i s / a_i) over a list or a numpy array a, with b a float
+    or a sequence of a's kind. Up to _LIST_MAX_N terms the logs are math.log1p's
+    and add with math.fsum for either kind: numpy's log1p can differ from the C
+    library's in the last bit (its AVX-512 build does for about 3% of inputs).
+    So small specs leave numpy's log1p cold for the next large one: in the
+    interleaved mix of ``bench/run.py --workload deep``, best_upper at
+    n = 10^3 took 83 us against 74 us when small arrays used numpy's logs."""
     if isinstance(a, list):
-        if isinstance(b, float):
-            return math.fsum([math.log1p(-b * s / ai) for ai in a])
-        return math.fsum([math.log1p(-bi * s / ai) for ai, bi in zip(a, b)])
-    import numpy as np
+        ratios = [-bi * s / ai for ai, bi in zip(a, repeat(b) if isinstance(b, float) else b)]
+    elif len(a) <= _LIST_MAX_N:
+        ratios = (-b * s / a).tolist()
+    else:
+        import numpy as np
 
-    return float(np.log1p(-b * s / a).sum())
+        return float(np.log1p(-b * s / a).sum())
+    return math.fsum([math.log1p(v) for v in ratios])
 
 
-def _lemma1_log(others, n: int, x: float, w: float) -> float:
+def _lemma1_log(others, complements, n: int, x: float, w: float) -> float:
     """lemma1_bound's log at z = 1 + w, with the prefactor cancelled against the
-    pole factor of i* = 0, the p_min entry of the sorted parameters, whose
-    other entries are ``others`` (q_i = 1 - p_i):
+    pole factor of i* = 0, over ``others`` and ``complements`` of _lemma1_terms
+    (the p_i and q_i = 1 - p_i, i != i*):
 
         (n - x) ln(1 + w) - sum_{i != i*} ln(1 - q_i w / p_i).
 
     Every gap p_i - q_i w is linear in w, so w resolves the domain up to the
     pole 1 + w = 1/(1 - p_min) for any p_min, where z = 1 + w would round.
     """
-    return (n - x) * math.log1p(w) - _log_gap_sum(others, _complements(others), w)
+    return (n - x) * math.log1p(w) - _log_gap_sum(others, complements, w)
 
 
 def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
@@ -177,21 +206,26 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
         raise DomainError(
             f"z={z} is at or beyond the pole 1/(1-p_min) for p_min={spec.p_min}"
         )
-    log_bound = _lemma1_log(_sorted_params(spec)[1:], spec.n, x, w)
+    log_bound = _lemma1_log(*_lemma1_terms(spec), spec.n, x, w)
     return bound_result(Method.LEMMA1, x / spec.mu, log_bound, internal_param=z_double)
 
 
 def _reciprocal_sums(a, b, c: float, s: float) -> tuple[float, float]:
     """R(s) = sum_i r_i and c R'(s) = sum_i b_i r_i^2, r_i = c/(a_i - b_i s), over
-    a list or a numpy array a, with b a float or a sequence of a's kind."""
+    a list or a numpy array a, with b a float or a sequence of a's kind. Each
+    term rounds once per operation in either kind, and _pairwise_sum adds a
+    list in numpy's order, so both kinds give the same bits. The slope is a
+    sum, not the dot product (b r) @ r, whose order a list cannot follow;
+    and as a process's small solves then leave numpy's dot cold, large
+    arrays take the sum too (the dot would save a pass, yet it made
+    best_upper at n = 10^3 take 96 us against 85 us in the interleaved mix
+    of ``bench/run.py --workload deep``)."""
     if isinstance(a, list):
-        if isinstance(b, float):
-            r = [c / (ai - b * s) for ai in a]
-            return math.fsum(r), math.fsum([b * ri * ri for ri in r])
-        r = [c / (ai - bi * s) for ai, bi in zip(a, b)]
-        return math.fsum(r), math.fsum([bi * ri * ri for ri, bi in zip(r, b)])
+        bs = repeat(b) if isinstance(b, float) else b
+        r = [c / (ai - bi * s) for ai, bi in zip(a, bs)]
+        return _pairwise_sum(r), _pairwise_sum([bi * ri * ri for ri, bi in zip(r, bs)])
     r = c / (a - b * s)
-    return float(r.sum()), float((b * r) @ r)
+    return float(r.sum()), float((b * r * r).sum())
 
 
 def _reciprocal_root(a, b, c: float, target: float, lo: float, hi: float):
@@ -265,18 +299,18 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     if p_min == 1.0:
         return bound_result(Method.OPT_LEMMA1, lam, -math.inf, evaluations=0)
 
-    others = _sorted_params(spec)[1:]
+    others, complements = _lemma1_terms(spec)
     q_min = 1.0 - p_min
     w_max = p_min / q_min
     while not p_min - q_min * w_max > 0.0:
         w_max = math.nextafter(w_max, 0.0)
     w, evaluations = _reciprocal_root(
-        others, _complements(others), p_min, (x - 1.0) * p_min, 0.0, w_max
+        others, complements, p_min, (x - 1.0) * p_min, 0.0, w_max
     )
     return bound_result(
         Method.OPT_LEMMA1,
         lam,
-        _lemma1_log(others, spec.n, x, w),
+        _lemma1_log(others, complements, spec.n, x, w),
         internal_param=w,
         evaluations=evaluations,
     )

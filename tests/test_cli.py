@@ -799,6 +799,24 @@ class TestFreshInterpreter:
         assert "value: " in out
         assert numpy == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*_BOUND_BEST[:4], "0.3,0.7,0.05", "--lambda", "1.0001", "--method", "opt-chernoff"),
+            (*_BOUND_BEST[:4], _P8, "--lambda", "1.0001", "--method", "opt-chernoff"),
+            (*_BOUND_BEST[:4], _P8, "--lambda", "1.0001", "--method", "best"),
+            (*_BOUND_BEST[:4], _P8, "--lambda", "20", "--method", "opt-lemma1"),
+            (*_BOUND_BEST[:4], _P8, "--lambda", "1.01", "--method", "lemma1", "--z", "1.05"),
+        ],
+        ids=["opt-chernoff-3", "opt-chernoff-8", "best-8", "opt-lemma1-8", "lemma1-8"],
+    )
+    def test_optimized_rows_print_the_same_with_numpy_loaded(self, capsys, argv):
+        # the fresh interpreter solves on lists, this one (numpy loaded) on arrays;
+        # near lam = 1 the logs cancel, so a last-bit difference would print
+        code, out, numpy, _ = run_fresh(*argv)
+        assert numpy == []
+        assert (code, out) == run(capsys, *argv)[:2]
+
     @pytest.mark.parametrize("extra, loads", [(0, False), (1, True)])
     def test_optimized_rows_load_numpy_above_the_cut_off(self, extra, loads):
         p = ",".join(["0.5"] * (geom_bounds._LIST_MAX_N + extra))

@@ -33,7 +33,7 @@ from tailbounds import (
     upper_tail_thm2,
 )
 from tailbounds import geom_bounds
-from tailbounds.geom_bounds import _lemma1_log, _reciprocal_root, _sorted_params
+from tailbounds.geom_bounds import _lemma1_log, _lemma1_terms, _reciprocal_root, _sorted_params
 from tailbounds.model import bound_result
 
 # Frozen expected values, evaluated from the closed forms at 30-digit
@@ -284,7 +284,7 @@ class TestOptimizedLemma1:
     def test_reported_z_reproduces_bound(self, spec, lam):
         assume(spec.p_min < 1.0)
         r = optimized_lemma1(spec, lam * spec.mu)
-        again = _lemma1_log(_sorted_params(spec)[1:], spec.n, lam * spec.mu, r.internal_param)
+        again = _lemma1_log(*_lemma1_terms(spec), spec.n, lam * spec.mu, r.internal_param)
         assert abs(again - r.log_value) <= 1e-12 * max(1.0, abs(r.log_value))
 
     @given(probs, st.floats(min_value=0.0, max_value=50.0))
@@ -554,9 +554,12 @@ class TestAgainstBisection:
 
 class TestListAndArrayKernels:
     """Up to _LIST_MAX_N summands, and until numpy is imported, the optimized
-    rows solve on Python floats, otherwise on the numpy parameter array. Both
-    kernels, run over the same sorted values, take the same Newton steps and
-    agree in the log bound. The tolerance is 1e-12 (1 + |log|), as
+    rows solve on Python floats, otherwise on the numpy parameter array. Over
+    the same sorted values both kernels take the same Newton steps, and up to
+    the cut-off they reach the same bits, so a result does not depend on
+    whether numpy was loaded. Above it, where only arrays run, the arrays'
+    slope (a dot product) and logs (numpy's log1p) may differ from the
+    lists' in the last bit, and the logs agree within 1e-12 (1 + |log|), as
     _lemma1_log cancels near lam = 1."""
 
     @staticmethod
@@ -582,6 +585,13 @@ class TestListAndArrayKernels:
             results.append(evaluate())
         return results
 
+    @staticmethod
+    def assert_same_log(listed: float, arrayed: float, n: int, what):
+        if n <= geom_bounds._LIST_MAX_N:
+            assert repr(listed) == repr(arrayed), what
+        else:
+            assert abs(listed - arrayed) <= 1e-12 * (1.0 + abs(arrayed)), what
+
     def test_rows_agree(self, monkeypatch):
         for spec in self.corpus():
             for lam in OPTIMIZER_LAMS + (1.0001,):
@@ -595,8 +605,9 @@ class TestListAndArrayKernels:
                 for listed, arrayed in zip(*rows):
                     assert listed.evaluations == arrayed.evaluations, what
                     assert listed.method == arrayed.method, what
-                    tolerance = 1e-12 * (1.0 + abs(arrayed.log_value))
-                    assert abs(listed.log_value - arrayed.log_value) <= tolerance, what
+                    self.assert_same_log(listed.log_value, arrayed.log_value, spec.n, what)
+                    if spec.n <= geom_bounds._LIST_MAX_N:
+                        assert repr(listed.internal_param) == repr(arrayed.internal_param), what
 
     def test_lemma1_agrees(self, monkeypatch):
         for spec in self.corpus():
@@ -608,7 +619,19 @@ class TestListAndArrayKernels:
                 listed, arrayed = self.both_kernels(
                     monkeypatch, lambda: lemma1_bound(spec, lam * spec.mu, z).log_value
                 )
-                assert abs(listed - arrayed) <= 1e-12 * (1.0 + abs(arrayed)), (spec.n, lam)
+                self.assert_same_log(listed, arrayed, spec.n, (spec.n, lam))
+
+    def test_pairwise_sum_adds_in_numpys_order(self):
+        rng = random.Random(8)
+        for n in list(range(40)) + [127, 128]:
+            for signs in ("mixed", "zeros"):
+                if signs == "mixed":
+                    v = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-20.0, 5.0)
+                         for _ in range(n)]
+                else:
+                    v = [rng.choice((0.0, -0.0)) for _ in range(n)]
+                expected = float(np.array(v, dtype=float).sum())
+                assert repr(geom_bounds._pairwise_sum(v)) == repr(expected), (n, signs)
 
     def test_arrays_once_numpy_is_imported(self):
         # as in this process; tests/test_cli.py runs the lists in a fresh one
