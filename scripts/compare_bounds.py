@@ -25,6 +25,8 @@ def main() -> None:
     parser.add_argument("--lambda-max", type=float, default=6.0)
     parser.add_argument("--steps", type=int, default=11)
     args = parser.parse_args()
+    if args.steps < 1:
+        parser.error(f"argument --steps: must be >= 1, got {args.steps}")
     try:
         params = parse_params(args.p)
     except ValueError as exc:

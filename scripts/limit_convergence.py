@@ -11,8 +11,8 @@ the sharper discrete bound is compared with its continuous analogue too.
 import argparse
 import sys
 
-from tailbounds import (TailBoundsError, make_exponential_spec, make_geometric_spec,
-                        make_tail_query, parse_params)
+from tailbounds import (EmptyParams, OutOfRange, TailBoundsError, make_exponential_spec,
+                        make_geometric_spec, make_tail_query, parse_params)
 from tailbounds.exact_oracle import exact_tail
 from tailbounds.methods import BY_NAME
 
@@ -30,8 +30,14 @@ def main() -> None:
     args = parser.parse_args()
     try:
         rates = parse_params(args.a)
+        grid = parse_params(args.n_grid)
     except ValueError as exc:
         parser.error(str(exc))
+    if not grid:
+        raise EmptyParams("--n-grid names no N")
+    for N in grid:
+        if not (N >= 1 and N.is_integer()):
+            raise OutOfRange(f"--n-grid needs whole numbers N >= 1, got {N:g}")
 
     cont = make_exponential_spec(rates)
     exact_cont = exact_tail(cont, args.lam * cont.mu).value
@@ -42,8 +48,7 @@ def main() -> None:
     print(f"continuous upper bound {bound_cont:.10e}")
     print(f"{'N':>8} {'discrete exact':>16} {'rel err':>10} "
           f"{'discrete bound':>16} {'rel err':>10}")
-    for token in args.n_grid.split(","):
-        N = int(token)
+    for N in map(int, grid):
         geom = make_geometric_spec([a / N for a in rates])
         exact_disc = exact_tail(geom, args.lam * geom.mu).value
         bound_disc = thm2.evaluate(geom, make_tail_query(geom.mu, lam=args.lam)).value

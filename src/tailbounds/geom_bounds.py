@@ -18,7 +18,6 @@ computed in log space and returned as a BoundResult.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from itertools import repeat
 
@@ -29,6 +28,7 @@ from .model import (
     Method,
     as_double,
     bound_result,
+    pairwise_sum,
     require_lower,
     require_threshold,
     require_upper,
@@ -102,7 +102,7 @@ def upper_tail_lower_bound_tl(spec: GeometricSumSpec, lam: float) -> BoundResult
 
 
 # Largest spec.n whose optimized rows may run on Python floats (see _sorted_params);
-# at most 128, the one block of numpy's sum that _pairwise_sum reproduces.
+# at most 128, the one block of numpy's sum that pairwise_sum reproduces.
 _LIST_MAX_N = 24
 
 
@@ -140,22 +140,6 @@ def _lemma1_terms(spec: GeometricSumSpec):
     if isinstance(others, list):
         return others, [1.0 - p for p in others]
     return others, 1.0 - others
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """The float64 sum numpy gives for an array of at most 128 ``values`` (one
-    block of its pairwise sum), added in its order: 8 interleaved partial sums
-    over the largest multiple of 8 values, combined as a tree, then the rest."""
-    total = 0.0
-    blocked = len(values) - len(values) % 8
-    if blocked:
-        r = values[:8]
-        for i in range(8, blocked, 8):
-            r = list(map(operator.add, r, values[i : i + 8]))
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[blocked:]:
-        total += v
-    return total
 
 
 def _log_gap_sum(a, b, s: float) -> float:
@@ -213,7 +197,7 @@ def lemma1_bound(spec: GeometricSumSpec, x: float, z: float) -> BoundResult:
 def _reciprocal_sums(a, b, c: float, s: float) -> tuple[float, float]:
     """R(s) = sum_i r_i and c R'(s) = sum_i b_i r_i^2, r_i = c/(a_i - b_i s), over
     a list or a numpy array a, with b a float or a sequence of a's kind. Each
-    term rounds once per operation in either kind, and _pairwise_sum adds a
+    term rounds once per operation in either kind, and pairwise_sum adds a
     list in numpy's order, so both kinds give the same bits. The slope is a
     sum, not the dot product (b r) @ r, whose order a list cannot follow;
     and as a process's small solves then leave numpy's dot cold, large
@@ -223,7 +207,7 @@ def _reciprocal_sums(a, b, c: float, s: float) -> tuple[float, float]:
     if isinstance(a, list):
         bs = repeat(b) if isinstance(b, float) else b
         r = [c / (ai - bi * s) for ai, bi in zip(a, bs)]
-        return _pairwise_sum(r), _pairwise_sum([bi * ri * ri for ri, bi in zip(r, bs)])
+        return pairwise_sum(r), pairwise_sum([bi * ri * ri for ri, bi in zip(r, bs)])
     r = c / (a - b * s)
     return float(r.sum()), float((b * r * r).sum())
 

@@ -153,6 +153,39 @@ def as_double(value) -> float:
         return math.nan
 
 
+def pairwise_sum(values):
+    """The float64 sum numpy gives for an array of up to 128 ``values``, one
+    block of its pairwise sum, added in numpy's order. Below 8 values: left
+    to right from 0.0. Otherwise: 8 interleaved partial sums r0..r7 over the
+    largest multiple of 8 values, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order, then the
+    reduction's identity 0.0 (which turns a sum of -0.0 into +0.0).
+
+    Only + and += are used, so ``values`` may be Python floats or, to give
+    u.sum(axis=1) column by column, equal-length numpy columns u[:, j]; an
+    array is added into in place only where this function created it.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    blocked = n - n % 8
+    r = values[:8]
+    for i in range(8, blocked, 8):
+        r = [a + b for a, b in zip(r, values[i : i + 8])]
+    total = r[0] + r[1]
+    total += r[2] + r[3]
+    right = r[4] + r[5]
+    right += r[6] + r[7]
+    total += right
+    for v in values[blocked:]:
+        total += v
+    total += 0.0
+    return total
+
+
 def require_upper(lam: float, mu: float | None = None) -> None:
     """Refuse a tail ratio that is not finite and >= 1 (upper-tail bounds),
     and, for a bound that reads a spec, one whose threshold lam * mu overflows."""

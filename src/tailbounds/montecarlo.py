@@ -12,9 +12,8 @@ Samples are drawn in blocks of about BLOCK_DRAWS uniforms (one row of n when
 n is larger), each generated and inverted in place in one buffer that mc_tail
 reuses for every block, so memory is bounded by a few blocks whatever
 samples * n is. Each block's rows are then summed: for n < 16 by whole-column
-adds in the order numpy's own pairwise sum takes along a row, so the sums are
-bit-identical to u.sum(axis=1) at a fraction of its cost; from n = 16 by
-u.sum(axis=1) itself.
+adds through model.pairwise_sum, bit-identical to u.sum(axis=1) at a fraction
+of its cost; from n = 16 by u.sum(axis=1) itself.
 
 numpy, and statistics for the interval's normal quantile, are imported by
 the functions that use them, so importing the package loads neither.
@@ -32,6 +31,7 @@ from .model import (
     GeometricSumSpec,
     OutOfRange,
     as_double,
+    pairwise_sum,
     require_count,
     require_side,
 )
@@ -142,39 +142,19 @@ def _row_sums(u: np.ndarray) -> np.ndarray:
     """u.sum(axis=1) for a 2-D float64 array, bit for bit, cheaper for short rows.
 
     numpy reduces each row on its own, with a fixed cost per row that
-    dominates when a row holds only a few values. Its pairwise sum adds a row
-    of n < 8 values left to right from 0.0, and a row of 8 <= n <= 15 as the
-    tree ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)) followed by c8, c9, ... in
-    order; the reduction then adds that to its identity 0.0. Up to
-    ``_COLUMN_ADD_MAX_N`` = 15 the same adds are made here on whole strided
-    columns, one numpy call each, so every sum rounds exactly as numpy's
-    does. From n = 16 numpy interleaves 8 accumulators, and u.sum(axis=1)
-    is kept. Measured per block of BLOCK_DRAWS // n rows, pinned to one CPU
-    of a 2-vCPU Xeon host (Python 3.11, numpy 2.4), column adds against
-    u.sum(axis=1): 70 against 224 us at n = 8, 83 against 141 us at n = 15,
-    89 against 123 us at n = 16, 79 against 61 us at n = 32 and 912 against
-    21 us at n = 1000.
+    dominates when a row holds only a few values. Up to
+    ``_COLUMN_ADD_MAX_N`` = 15, pairwise_sum makes numpy's adds on whole
+    strided columns instead, one numpy call each, so every sum rounds
+    exactly as numpy's does; above it u.sum(axis=1) is kept. Measured per
+    block of BLOCK_DRAWS // n rows, pinned to one CPU of a 2-vCPU Xeon host
+    (Python 3.11, numpy 2.4), column adds against u.sum(axis=1): 70 against
+    224 us at n = 8, 83 against 141 us at n = 15, 89 against 123 us at
+    n = 16, 79 against 61 us at n = 32 and 912 against 21 us at n = 1000.
     """
-    import numpy as np
-
     n = u.shape[1]
     if n > _COLUMN_ADD_MAX_N:
         return u.sum(axis=1)
-    if n < 8:
-        s = np.add(u[:, 0], 0.0)
-        for j in range(1, n):
-            s += u[:, j]
-        return s
-    s = np.add(u[:, 0], u[:, 1])
-    t = np.add(u[:, 2], u[:, 3])
-    s += t
-    np.add(u[:, 4], u[:, 5], out=t)
-    t += np.add(u[:, 6], u[:, 7])
-    s += t
-    for j in range(8, n):
-        s += u[:, j]
-    s += 0.0  # the identity: turns a row of -0.0 into +0.0, as numpy does
-    return s
+    return pairwise_sum([u[:, j] for j in range(n)])
 
 
 def _sums_block(divisors: np.ndarray, geometric: bool,

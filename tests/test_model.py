@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from tailbounds import (
     make_tail_query,
     read_params_file,
 )
+from tailbounds.model import pairwise_sum
 
 probs = st.lists(
     st.floats(min_value=0.05, max_value=1.0, allow_nan=False), min_size=1, max_size=8
@@ -311,6 +313,38 @@ class TestTailQuery:
             make_tail_query(4.0, **kwargs)
         given = kwargs.get("x", kwargs.get("lam"))
         assert str(given) in str(refusal.value)
+
+
+class TestPairwiseSum:
+    """pairwise_sum against numpy's own sum, bit for bit, on both kinds it takes."""
+
+    SIZES = list(range(41)) + [127, 128]
+
+    def test_floats_add_in_numpys_order(self):
+        rng = random.Random(8)
+        for n in self.SIZES:
+            for signs in ("mixed", "zeros"):
+                if signs == "mixed":
+                    v = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-20.0, 5.0)
+                         for _ in range(n)]
+                else:
+                    v = [rng.choice((0.0, -0.0)) for _ in range(n)]
+                expected = float(np.array(v, dtype=float).sum())
+                assert repr(pairwise_sum(v)) == repr(expected), (n, signs)
+
+    def test_columns_add_as_numpy_sums_rows(self):
+        # mixed signs from 1e-20 to 1e5, a row of -0.0 and a row of mixed zeros
+        rng = np.random.default_rng(36)
+        for n in self.SIZES:
+            u = rng.choice([-1.0, 1.0], (64, n)) * 10.0 ** rng.uniform(-20.0, 5.0, (64, n))
+            u[0] = -0.0
+            u[1] = rng.choice([0.0, -0.0], n)
+            columns = [u[:, j] for j in range(n)]
+            before = u.copy()
+            sums = np.broadcast_to(pairwise_sum(columns), (64,))
+            expected = u.sum(axis=1)
+            assert np.array_equal(sums.view(np.int64), expected.view(np.int64)), n
+            assert np.array_equal(u.view(np.int64), before.view(np.int64)), n
 
 
 class TestLogProb:

@@ -51,6 +51,21 @@ def test_limit_convergence_prints_nan_where_the_tail_underflows():
     assert proc.stdout.splitlines()[-1].split()[2::2] == ["nan", "nan"]
 
 
+def test_limit_convergence_reads_its_grid_as_a_parameter_list():
+    # 1e3 is N = 1000, and an empty entry is skipped, as in every parameter list
+    assert (run_script("limit_convergence.py", "--n-grid", "1e3,,10").stdout
+            == run_script("limit_convergence.py", "--n-grid", "1000 10").stdout != "")
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_compare_bounds_refuses_fewer_than_one_step(steps):
+    # exit 2 and one line, as tailbounds sweep --steps
+    proc = run_script("compare_bounds.py", "--steps", steps)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"--steps: must be >= 1, got {steps}")
+
+
 def test_compare_bounds_reads_a_space_separated_list():
     proc = run_script("compare_bounds.py", "--p", "0.5 0.2", "--steps", "1")
     assert proc.returncode == 0, proc.stderr
@@ -62,6 +77,14 @@ def test_compare_bounds_reads_a_space_separated_list():
     ("compare_bounds.py", ("--p", "0.5,abc"), 2),
     ("compare_bounds.py", ("--p", "0.5,0"), 3),
     ("limit_convergence.py", ("--a", "1,0"), 3),
+    ("limit_convergence.py", ("--n-grid", "abc"), 2),
+    ("limit_convergence.py", ("--n-grid", "10,1e3x"), 2),
+    ("limit_convergence.py", ("--n-grid", "0"), 3),
+    ("limit_convergence.py", ("--n-grid", "-5"), 3),
+    ("limit_convergence.py", ("--n-grid", "1.5"), 3),
+    ("limit_convergence.py", ("--n-grid", "10,nan"), 3),
+    ("limit_convergence.py", ("--n-grid", "inf"), 3),
+    ("limit_convergence.py", ("--n-grid", ""), 3),
 ])
 def test_scripts_refuse_a_bad_list_in_one_line(name, argv, code):
     # exit 2 for a list that does not parse, 3 for a value outside its range, as tailbounds
