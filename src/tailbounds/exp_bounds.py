@@ -2,7 +2,8 @@
 
 Continuous analogues of the geometric bounds, with a_min*mu playing the role
 of p_min*mu. All four are closed forms; the same lam = 1 conventions and
-clamping rules apply as in geom_bounds.
+clamping rules apply as in geom_bounds, and texp-i and texp-iii take the
+rate psi(lam) = lam - 1 - ln lam from model.psi, to a few ulps near lam = 1.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .model import (
     ExponentialSumSpec,
     Method,
     bound_result,
+    psi,
     require_lower,
     require_upper,
 )
@@ -22,7 +24,7 @@ from .model import (
 def exp_upper_i(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     """P(X >= lam*mu) <= (1/lam) exp(-a_min*mu*(lam-1-ln lam)) for lam >= 1."""
     require_upper(lam, spec.mu)
-    log_bound = -math.log(lam) - spec.a_min * spec.mu * (lam - 1.0 - math.log(lam))
+    log_bound = -math.log(lam) - spec.a_min * spec.mu * psi(lam)
     return bound_result(Method.TEXP_I, lam, log_bound)
 
 
@@ -35,7 +37,7 @@ def exp_upper_ii(lam: float) -> BoundResult:
 def exp_lower_tail_iii(spec: ExponentialSumSpec, lam: float) -> BoundResult:
     """P(X <= lam*mu) <= exp(-a_min*mu*(lam-1-ln lam)) for 0 < lam <= 1."""
     require_lower(lam)
-    log_bound = -spec.a_min * spec.mu * (lam - 1.0 - math.log(lam))
+    log_bound = -spec.a_min * spec.mu * psi(lam)
     return bound_result(Method.TEXP_III, lam, log_bound)
 
 

@@ -1,7 +1,9 @@
 """Tail bounds for sums of independent geometric variables.
 
 Closed-form upper bounds for P(X >= lam*mu), an upper bound for the lower
-tail P(X <= lam*mu), a matching lower bound for the upper tail, and two
+tail P(X <= lam*mu) (thm1, thm2, cor1 and tl1 read the rate psi(lam) =
+lam - 1 - ln lam from model.psi, to a few ulps near lam = 1, where the
+direct form cancels), a matching lower bound for the upper tail, and two
 numerically optimized variants (a Chernoff exponent minimized over its free
 parameter t, and a generating-function bound minimized over w = z - 1). Both
 objectives are convex, and each optimum is a root of
@@ -29,6 +31,7 @@ from .model import (
     as_double,
     bound_result,
     pairwise_sum,
+    psi,
     require_lower,
     require_threshold,
     require_upper,
@@ -38,7 +41,7 @@ from .model import (
 def upper_tail_thm1(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Closed-form Chernoff bound P(X >= lam*mu) <= exp(-p_min*mu*(lam-1-ln lam))."""
     require_upper(lam, spec.mu)
-    log_bound = -spec.p_min * spec.mu * (lam - 1.0 - math.log(lam))
+    log_bound = -spec.p_min * spec.mu * psi(lam)
     t = (1.0 - 1.0 / lam) * spec.p_min
     return bound_result(Method.THM1, lam, log_bound, internal_param=t)
 
@@ -46,7 +49,7 @@ def upper_tail_thm1(spec: GeometricSumSpec, lam: float) -> BoundResult:
 def upper_tail_cor1(lam: float) -> BoundResult:
     """Parameter-free bound P(X >= lam*mu) <= lam * e^(1-lam)."""
     require_upper(lam)
-    return bound_result(Method.COR1, lam, math.log(lam) + 1.0 - lam)
+    return bound_result(Method.COR1, lam, -psi(lam))
 
 
 def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -59,12 +62,10 @@ def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     require_upper(lam, spec.mu)
     if lam == 1.0:
         log_bound = 0.0
-    elif spec.p_min == 1.0:
+    elif spec.p_min == 1.0:  # math.log1p(-1.0) raises, not -inf
         log_bound = -math.inf
     else:
-        log_bound = -math.log(lam) + (lam - 1.0 - math.log(lam)) * spec.mu * math.log1p(
-            -spec.p_min
-        )
+        log_bound = -math.log(lam) + psi(lam) * spec.mu * math.log1p(-spec.p_min)
     return bound_result(Method.THM2, lam, log_bound)
 
 
@@ -77,7 +78,7 @@ def upper_tail_cor2(lam: float) -> BoundResult:
 def lower_tail_tl1(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Lower-tail bound P(X <= lam*mu) <= exp(-p_min*mu*(lam-1-ln lam)), 0 < lam <= 1."""
     require_lower(lam)
-    log_bound = -spec.p_min * spec.mu * (lam - 1.0 - math.log(lam))
+    log_bound = -spec.p_min * spec.mu * psi(lam)
     t = (1.0 / lam - 1.0) * spec.p_min
     return bound_result(Method.TL1, lam, log_bound, internal_param=t)
 

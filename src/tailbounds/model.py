@@ -92,7 +92,8 @@ class BoundResult:
     """A bound value with its method, query ratio, and any optimized parameter.
 
     ``internal_param`` is the Chernoff exponent's t (0 <= t < p_min for an upper
-    tail; tl1's t = (1/lam - 1) p_min lies in [0, inf)), lemma1's
+    tail; tl1's t = (1/lam - 1) p_min lies in [0, inf], inf where 1/lam
+    overflows, below lam of about 5.6e-309), lemma1's
     generating-function argument z (1 <= z < 1/(1-p_min)), or opt-lemma1's
     w = z - 1 (0 <= w < p_min/(1-p_min)), when the method has one.
     ``evaluations`` counts the evaluations of the root solve behind an
@@ -184,6 +185,38 @@ def pairwise_sum(values):
         total += v
     total += 0.0
     return total
+
+
+def log1pmx(x: float) -> float:
+    """ln(1 + x) - x for x > -1, to a few ulps relative at every x.
+
+    For |x| < 0.25, where the two terms cancel, ln(1 + x) = 2 atanh(y) with
+    y = x/(2 + x) gives -x^2/(2 + x) + 2 (y^3/3 + y^5/5 + ... + y^21/21);
+    the first omitted term is below 1e-18 of the sum. Elsewhere nothing
+    cancels, and log1p(x) - x is used as it stands (R's log1pmx and
+    Loader's binomial deviance use the same device).
+    """
+    if not -0.25 < x < 0.25:
+        return math.log1p(x) - x
+    d = 2.0 + x
+    y = x / d
+    y2 = y * y
+    series = 1 / 3 + y2 * (1 / 5 + y2 * (1 / 7 + y2 * (1 / 9 + y2 * (1 / 11 + y2 * (
+        1 / 13 + y2 * (1 / 15 + y2 * (1 / 17 + y2 * (1 / 19 + y2 / 21))))))))
+    return 2.0 * y * y2 * series - x * x / d
+
+
+def psi(lam: float) -> float:
+    """The closed forms' rate psi(lam) = lam - 1 - ln lam for lam > 0: 0 at
+    lam = 1 and positive elsewhere, to a few ulps relative.
+
+    It is -log1pmx(lam - 1) for lam >= 0.5, where lam - 1 is exact up to 2
+    (Sterbenz) and carries lam to half an ulp above. Below 0.5, lam - 1
+    drops lam's low bits (it is -1 for lam < 2^-54), so ln lam is taken
+    from lam itself; nothing cancels there.
+    """
+    x = lam - 1.0
+    return -log1pmx(x) if x >= -0.5 else x - math.log(lam)
 
 
 def require_upper(lam: float, mu: float | None = None) -> None:

@@ -183,6 +183,26 @@ def _decimal_exp_tail(rates, x: float, upper: bool) -> Decimal:
             digits = 50 + lost
 
 
+def decimal_closed_form_log(method: str, spec, lam: float) -> Decimal:
+    """The log bound of one of the six closed forms built on the rate
+    psi(lam) = lam - 1 - ln lam (thm1, thm2, cor1, tl1, texp-i, texp-iii),
+    in 60-digit decimal on the exact values of the doubles lam, mu and
+    p_min (or a_min) of the spec, with ``Decimal.ln``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam_d = Decimal(lam)
+        ln_lam = lam_d.ln()
+        psi = lam_d - 1 - ln_lam
+        mu = Decimal(spec.mu)
+        if method == "cor1":
+            return -psi
+        if method == "thm2":
+            return -ln_lam + psi * mu * (1 - Decimal(spec.p_min)).ln()
+        smallest = Decimal(spec.a_min if isinstance(spec, ExponentialSumSpec) else spec.p_min)
+        log_bound = -smallest * mu * psi
+        return log_bound - ln_lam if method == "texp-i" else log_bound
+
+
 def partial_fractions_survival(spec, x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) and its error bound from the package's
     partial-fraction kernel alone, with the exponents -a_i x."""

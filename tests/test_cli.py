@@ -115,6 +115,21 @@ class TestBound:
         assert first == second
         assert first[0] == 0
 
+    @pytest.mark.parametrize("method, dist, flag, params, lam, log_value", [
+        ("cor1", "geom", "--p", "0.3,0.7,0.05", "1.000001", "-4.99999666585e-13"),
+        ("thm1", "geom", "--p", "0.3,0.7,0.05", "1.000001", "-6.19047206248e-13"),
+        ("tl1", "geom", "--p", "0.3,0.7,0.05", "0.999999", "-6.19048031782e-13"),
+        ("texp-iii", "exp", "--a", "1,2,3", "0.999999", "-9.16667277831e-13"),
+    ])
+    def test_closed_forms_near_lambda_one(self, capsys, method, dist, flag, params, lam,
+                                          log_value):
+        # lam - 1 - ln lam cancels here: the old form printed cor1 as -5.00044450291e-13
+        code, out, _ = run(
+            capsys, "bound", "--dist", dist, flag, params, "--lambda", lam, "--method", method,
+        )
+        assert code == 0
+        assert f"log_value: {log_value}" in out.splitlines()
+
     def test_cor1_at_one(self, capsys):
         code, out, _ = run(
             capsys, "bound", "--dist", "geom", "--p", "0.9",

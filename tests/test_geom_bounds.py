@@ -142,6 +142,12 @@ class TestLowerTailTl1:
         assert values[0] > values[1] > values[2]
         assert values[-1] < 1e-20
 
+    def test_t_is_inf_where_one_over_lambda_overflows(self):
+        r = lower_tail_tl1(make_geometric_spec([0.5]), 1e-320)
+        assert r.internal_param == math.inf
+        assert r.log_value == pytest.approx(-0.5 * 2.0 * (1e-320 - 1.0 - math.log(1e-320)),
+                                            rel=1e-15)
+
     def test_range(self):
         with pytest.raises(LambdaOutOfRange):
             lower_tail_tl1(HALF_HALF, 0.0)

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import log_inequality_check, mgf_exponential, pgf_geometric
+from conftest import (
+    decimal_closed_form_log,
+    log_inequality_check,
+    mgf_exponential,
+    pgf_geometric,
+)
 from tailbounds import (
     DomainError,
     EmptyParams,
+    ExponentialSumSpec,
     LogProb,
     OutOfRange,
     log_pgf_geometric,
@@ -20,7 +28,8 @@ from tailbounds import (
     make_tail_query,
     read_params_file,
 )
-from tailbounds.model import pairwise_sum
+from tailbounds.methods import BY_NAME, Side
+from tailbounds.model import log1pmx, pairwise_sum, psi
 
 probs = st.lists(
     st.floats(min_value=0.05, max_value=1.0, allow_nan=False), min_size=1, max_size=8
@@ -345,6 +354,65 @@ class TestPairwiseSum:
             expected = u.sum(axis=1)
             assert np.array_equal(sums.view(np.int64), expected.view(np.int64)), n
             assert np.array_equal(u.view(np.int64), before.view(np.int64)), n
+
+
+class TestRate:
+    """psi(lam) = lam - 1 - ln lam and log1pmx(x) = ln(1 + x) - x to a few ulps
+    relative, where lam - 1 - math.log(lam) cancels near lam = 1, and every
+    closed form built on psi to 8 ulps relative in its log."""
+
+    EPS = Decimal(2.0**-52)
+    NEAR_ONE = [10.0**-k for k in range(1, 13)]
+    # thm2 and texp-i add -ln lam to the psi term, so a cancelling psi shows
+    # in their logs only where p_min mu or a_min mu is large
+    SPECS = [
+        make_geometric_spec([0.3, 0.7, 0.05]),
+        make_geometric_spec([1e-6, 0.9]),
+        make_geometric_spec([0.5] * 100),
+        make_exponential_spec([1.0, 2.0, 3.0]),
+        make_exponential_spec([1.0] * 100),
+    ]
+
+    @staticmethod
+    def decimal_log1pmx(x: float) -> Decimal:
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return (1 + Decimal(x)).ln() - Decimal(x)
+
+    def test_psi_is_zero_at_one_and_positive_elsewhere(self):
+        assert psi(1.0) == 0.0
+        for lam in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 0.5, 0.75, 1.25,
+                    2.0, 5e-324, 1e-320, 1e-17, 1e10, sys.float_info.max):
+            assert psi(lam) > 0.0, lam
+
+    def test_log1pmx_against_decimal(self):
+        xs = [s * 10.0**u for s in (1.0, -1.0) for u in np.linspace(-16.0, -0.05, 400)]
+        xs += [0.249, 0.25, -0.25, -0.251, 3.0, 1e10, 1e300, -1.0 + 2.0**-52]
+        for x in xs:
+            expected = self.decimal_log1pmx(x)
+            assert abs(Decimal(log1pmx(x)) - expected) <= 4 * self.EPS * abs(expected), x
+
+    def test_psi_against_decimal(self):
+        lams = [1.0 + s * 10.0**u for s in (1.0, -1.0) for u in np.linspace(-15.0, -0.05, 400)]
+        lams += [0.5, math.nextafter(0.5, 0.0), 0.1, 1e-10, 1e-17, 1e-320, 3.0, 1e10, 1e300]
+        for lam in lams:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                expected = Decimal(lam) - 1 - Decimal(lam).ln()
+            assert abs(Decimal(psi(lam)) - expected) <= 4 * self.EPS * expected, lam
+
+    @pytest.mark.parametrize("name", ["thm1", "thm2", "cor1", "tl1", "texp-i", "texp-iii"])
+    def test_closed_forms_near_one_against_decimal(self, name):
+        row = BY_NAME[name]
+        side = 1.0 if row.side is Side.UPPER else -1.0
+        specs = [spec for spec in self.SPECS
+                 if isinstance(spec, ExponentialSumSpec) == (row.dist == "exp")]
+        for spec in specs:
+            for step in self.NEAR_ONE:
+                lam = 1.0 + side * step
+                got = row.evaluate(spec, make_tail_query(spec.mu, lam=lam)).log_value
+                expected = decimal_closed_form_log(name, spec, lam)
+                assert abs(Decimal(got) - expected) <= 8 * self.EPS * abs(expected), (spec, lam)
 
 
 class TestLogProb:
