@@ -5,7 +5,12 @@ it picks the oracle below for the spec's distribution and the tail's side.
 One log-space partial-fraction kernel serves both distributions: the
 survival function is sum_i w_i e^(c_i) over the sorted parameters, with
 c_i = -a_i x for exponential rates and c_i = k ln q_i for geometric
-summands, and it reports its own rigorous error bound. Geometric upper tails
+summands, and it reports its own rigorous error bound. The kernel comes in
+two halves: the O(n^2) pair loop behind the weights, which depends on the
+spec alone and is built once per spec and cached on it (``_spec_kernel``),
+and an O(n) pass per query over its rows; together they round exactly as
+one fused pass would, so a query's value, bound and route do not depend on
+which queries came before it. Geometric upper tails
 try it first where that is cheaper than the convolution (small n, or a deep
 threshold at larger n) and keep its answer where its bound is within
 1e-12 relative or below the convolution's own floor; otherwise they take an
@@ -220,6 +225,10 @@ def _partial_fractions_first(n: int, k0: int) -> bool:
     at the head of the pmf), hence 47 us and 3.8 ns. Partial fractions are
     tried at every k0 for n <= 14, and at n = 10^3 only from k0 = 60,140
     (lambda about 19 for p ~ U(0.05, 1)).
+
+    The rule reads (n, k0) alone and charges the pair loop on every call,
+    also where the spec's rows are already built and a try costs only O(n),
+    so a query takes the same route, cold or warm.
     """
     return _PAIR_US * n * (n - 1) / 2 <= _CASCADE_US + _STEP_US * n * (k0 - n)
 
@@ -235,9 +244,11 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     Partial fractions run first where trying them costs less than the cascade
     (``_partial_fractions_first``, from n and k0 alone). For distinct p_i < 1,
     P(X > k) = sum_i w_i q_i^k with w_i = prod_{j!=i} p_j/(p_j - p_i) (Sen and
-    Balakrishnan 1999): ``_partial_fractions`` over the sorted p with
-    exponents k ln q_i, k = k0 - 1. A summand with p_i = 1 is the constant 1,
-    so it is dropped and k shrinks by 1. The answer stands if its error bound
+    Balakrishnan 1999): the kernel over the sorted p with exponents
+    k ln q_i, k = k0 - 1. A summand with p_i = 1 is the constant 1, so it is
+    dropped and k shrinks by 1. The ln q_i and the kernel's rows are built
+    on the first such try and cached on the spec (``_spec_kernel``), so each
+    later try on the spec costs O(n). The answer stands if its error bound
     is within 1e-12 of the value or below the cascade's floor. Otherwise (tied
     p, cancelling weights, or a large n at a shallow k0) the ``sosfilt``
     cascade runs (``_pmf_grid`` up to k0 - 1), and only then are numpy and
@@ -250,10 +261,8 @@ def geom_tail_exact(spec: GeometricSumSpec, x: float) -> TailEstimate:
     require_threshold(x)
     k0 = math.ceil(x)
     if _partial_fractions_first(spec.n, k0):
-        p = sorted(spec.params)
-        p = p[: bisect.bisect_left(p, 1.0)]
-        k = k0 - 1 - (spec.n - len(p))
-        value, error = _partial_fractions(p, [k * math.log1p(-v) for v in p])
+        log_q, rows = _spec_kernel(spec)
+        value, error = _pf_sum(rows, log_q, k0 - 1 - (spec.n - len(log_q)))
         if error <= _GEOM_REL_TOL * value or error <= _roundoff(spec.n, k0)[1] * spec.mu:
             return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
     return _pmf_grid(spec, k0 - 1)[1]
@@ -313,15 +322,55 @@ def iid_geom_tail(p: float, n: int, x: float) -> TailEstimate:
     return TailEstimate(value, error, OracleMethod.CLOSED_FORM)
 
 
-def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[float, float]:
-    """sum_i w_i e^(c_i), w_i = prod_{j!=i} v_j/(v_j - v_i), in log space.
+def _pf_rows(values: list[float]) -> list[tuple[float, float, float]] | None:
+    """The spec half of the partial-fraction kernel: its O(n^2) pair loop.
 
-    Over ascending values v_1 < ... < v_n, term i is (-1)^(i-1) exp(E_i), where
-    E_i = sum_j ln v_j - ln v_i - sum_{j!=i} ln|v_j - v_i| + c_i; each pair's log
-    goes to both rows, split by sign, in O(n) memory. Returns (value clamped to
-    [0, 1], error bound), or (nan, inf) for two equal values or a term past the
-    double range. The exponents are c_i <= 0, each within 3u |c_i| of exact:
-    -a_i x is one rounded product, k ln q_i a log1p and a product.
+    Over ascending values v_1 < ... < v_n, row i is (h_i, g_i, m_i - |c_i|)
+    with h_i = sum_j ln v_j - ln v_i, g_i = sum_{j!=i} ln|v_j - v_i| and
+    m_i - |c_i| = 1 + S + G_i (S, G_i as in ``_pf_sum``), the last two
+    formed as p + q and (1 + S) + p - q from the row's gap logs p >= 0 and
+    q < 0; each pair's log goes to both rows, split by sign, in O(n) memory.
+    None for two equal values. The rows depend on the values alone, so
+    ``_spec_kernel`` builds them once per spec.
+    """
+    n = len(values)
+    log = math.log
+    logs = list(map(log, values))
+    total = size = 0.0  # sum_j ln v_j and S, added left to right, as sum() did before 3.12
+    for g in logs:
+        total += g
+        size += abs(g)
+    base = 1.0 + size
+    above, below = [0.0] * n, [0.0] * n  # each row's gap logs >= 0 and < 0
+    rows = []
+    try:
+        for i, vi in enumerate(values):
+            p, q = above[i], below[i]  # the rows before i have added theirs
+            for j in range(i + 1, n):
+                g = log(values[j] - vi)
+                if g < 0.0:
+                    q += g
+                    below[j] += g
+                else:
+                    p += g
+                    above[j] += g
+            rows.append((total - logs[i], p + q, base + p - q))
+    except ValueError:  # the log of a zero gap
+        return None
+    return rows
+
+
+def _pf_sum(rows: list[tuple[float, float, float]] | None, r: list[float],
+            s: float) -> tuple[float, float]:
+    """The query half of the partial-fraction kernel: sum_i w_i e^(c_i),
+    w_i = prod_{j!=i} v_j/(v_j - v_i), in log space, in O(n) from the rows.
+
+    Term i is (-1)^(i-1) exp(E_i), E_i = (h_i + c_i) - g_i over the rows of
+    ``_pf_rows``, with exponents c_i = r_i s formed in the loop. Returns
+    (value clamped to [0, 1], error bound), or (nan, inf) for two equal
+    values (rows None) or a term past the double range. The exponents are
+    c_i <= 0, each within 3u |c_i| of exact: -a_i x is one rounded product,
+    k ln q_i a log1p and a product.
 
     The bound. With u = eps/2, logs and exps are within 2u, other operations
     within u, and a rounded gap moves its log by u. Bounding each partial sum by
@@ -334,36 +383,57 @@ def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[flo
     m_i < 3725 n and d_i < 1/2 for n below 10^6, where e^d - 1 < 2 d. The bound
     is the sum of 2 d_i t_i, plus a smallest subnormal per term for underflow;
     a term that underflows to 0, its exponent -inf included, adds only that.
+    Splitting the kernel in two halves changes none of these operations or
+    their order, so the bound and every bit are those of one fused pass.
     """
-    n = len(values)
-    logs = list(map(math.log, values))
-    total = size = 0.0  # sum_j ln v_j and S, added left to right, as sum() did before 3.12
-    for g in logs:
-        total += g
-        size += abs(g)
-    base, scale = 1.0 + size, (n + 13) * _EPS
-    above, below = [0.0] * n, [0.0] * n  # each row's gap logs >= 0 and < 0
+    if rows is None:
+        return math.nan, math.inf
+    exp = math.exp
     terms, weighted = [], 0.0  # t_i, and sum_i t_i m_i added left to right
     try:
-        for i, (vi, c) in enumerate(zip(values, exponents)):
-            p, q = above[i], below[i]  # the rows before i have added theirs
-            for j in range(i + 1, n):
-                g = math.log(values[j] - vi)
-                if g < 0.0:
-                    q += g
-                    below[j] += g
-                else:
-                    p += g
-                    above[j] += g
-            t = math.exp(total - logs[i] + c - (p + q))
+        for (head, gap, margin), ri in zip(rows, r):
+            c = ri * s
+            t = exp(head + c - gap)
             terms.append(t)
             if t:  # a term of 0 (c may be -inf) is left to the tiny floor
-                weighted += t * (base + p - q - c)
+                weighted += t * (margin - c)
         value = math.fsum(terms[::2]) - math.fsum(terms[1::2])
-    except (ValueError, OverflowError):
+    except OverflowError:
         return math.nan, math.inf
-    error = n * _TINY + scale * weighted
+    n = len(rows)
+    error = n * _TINY + (n + 13) * _EPS * weighted
     return min(max(value, 0.0), 1.0), error
+
+
+def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[float, float]:
+    """sum_i w_i e^(c_i) over ascending values: ``_pf_sum`` of ``_pf_rows``
+    (each c_i times 1.0, which is c_i)."""
+    return _pf_sum(_pf_rows(values), exponents, 1.0)
+
+
+def _spec_kernel(spec: GeometricSumSpec | ExponentialSumSpec
+                 ) -> tuple[list[float], list[tuple[float, float, float]] | None]:
+    """(r, rows): the spec's side of the partial-fraction kernel, built on first
+    use and cached in the spec's ``_kernel`` field (the one reader and writer).
+
+    Over the sorted parameters, r_i is ln q_i for a geometric p_i < 1 (a p_i = 1
+    is the constant 1 and is dropped) and a_i for an exponential rate, so a
+    query's exponents are c_i = r_i k or r_i (-x), which round as k ln q_i and
+    -a_i x do; rows are ``_pf_rows`` of those sorted p_i or a_i (None for a
+    tie). Building it costs the O(n^2) pair loop, so the oracles ask for it
+    only where they try partial fractions.
+    """
+    kernel = spec._kernel
+    if kernel is None:
+        if isinstance(spec, GeometricSumSpec):
+            values = sorted(spec.params)
+            values = values[: bisect.bisect_left(values, 1.0)]
+            kernel = ([math.log1p(-v) for v in values], _pf_rows(values))
+        else:
+            values = sorted(spec.rates)
+            kernel = (values, _pf_rows(values))
+        object.__setattr__(spec, "_kernel", kernel)
+    return kernel
 
 
 def _matrix_exp_scaling(c: list[float]) -> tuple[int, float]:
@@ -430,18 +500,21 @@ def hypoexp_survival(spec: ExponentialSumSpec, x: float) -> TailEstimate:
     max(a) x must also be <= 2^1020, so that the matrix route's scaling 2^s
     stays finite. The matrix route takes at most 2048 rates
     (``_MAX_MATRIX_N``); partial-fraction answers have no such cap. Both routes
-    read one list of the products c_i = -a_i x over the sorted rates, so the
+    take the same products c_i = -a_i x over the sorted rates, so the
     answer depends only on the multiset of rates. Only the matrix route
-    imports numpy.
+    imports numpy. The sorted rates and the kernel's rows are built on the
+    first call with x > 0 and cached on the spec (``_spec_kernel``), so a
+    later call costs O(n) before any matrix route: a tie is known from the
+    cached rows, without a pass.
     """
     require_threshold(x)
-    a = sorted(spec.rates)
-    c = [-ai * x for ai in a]  # the exponents of both routes
     if x == 0.0:
         return TailEstimate(1.0, 0.0, OracleMethod.CLOSED_FORM)
-    value, error = _partial_fractions(a, c)
+    a, rows = _spec_kernel(spec)
+    value, error = _pf_sum(rows, a, -x)
     if error <= _REL_TOL * value:
         return TailEstimate(value, error, OracleMethod.PARTIAL_FRACTIONS)
+    c = [-ai * x for ai in a]  # the exponents partial fractions took
     if not -c[-1] <= 2.0**1020:
         raise OutOfRange(f"need max rate * x <= 2^1020, got x={x}")
     s, bound = _matrix_exp_scaling(c)

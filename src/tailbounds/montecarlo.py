@@ -49,7 +49,7 @@ BLOCK_DRAWS = 1 << 16
 MAX_U64 = 2**64 - 1
 
 # Largest n whose rows _row_sums adds column by column (see there).
-_COLUMN_ADD_MAX_N = 15
+_COLUMN_ADD_MAX_N = 22
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,16 @@ def _row_sums(u: np.ndarray) -> np.ndarray:
 
     numpy reduces each row on its own, with a fixed cost per row that
     dominates when a row holds only a few values. Up to
-    ``_COLUMN_ADD_MAX_N`` = 15, pairwise_sum makes numpy's adds on whole
+    ``_COLUMN_ADD_MAX_N`` = 22, pairwise_sum makes numpy's adds on whole
     strided columns instead, one numpy call each, so every sum rounds
     exactly as numpy's does; above it u.sum(axis=1) is kept. Measured per
     block of BLOCK_DRAWS // n rows, pinned to one CPU of a 2-vCPU Xeon host
-    (Python 3.11, numpy 2.4), column adds against u.sum(axis=1): 70 against
-    224 us at n = 8, 83 against 141 us at n = 15, 89 against 123 us at
-    n = 16, 79 against 61 us at n = 32 and 912 against 21 us at n = 1000.
+    (Python 3.11, numpy 2.4), column adds against u.sum(axis=1), medians of
+    5 rounds: 67 against 108 us at n = 16, 72 against 105 us at n = 20 and
+    70 against 102 us at n = 22, where column adds won every round; 95
+    against 94 us at n = 24 and 76 against 72 us at n = 28, where they won
+    some rounds and lost others; 106 against 60 us at n = 32. At n = 8 they
+    took 70 against 224 us, and at n = 1000 912 against 21 us.
     """
     n = u.shape[1]
     if n > _COLUMN_ADD_MAX_N:

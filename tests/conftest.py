@@ -4,10 +4,14 @@ are checked against."""
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import math
 import random
 import struct
+import sys
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 
@@ -208,6 +212,65 @@ def partial_fractions_survival(spec, x: float) -> tuple[float, float]:
     partial-fraction kernel alone, with the exponents -a_i x."""
     a = sorted(spec.rates)
     return exact_oracle._partial_fractions(a, [-ai * x for ai in a])
+
+
+def fused_partial_fractions(values: list[float], exponents: list[float]) -> tuple[float, float]:
+    """The partial-fraction kernel as it stood before it was split into a
+    cached spec half and an O(n) query half: one fused pass, kept verbatim
+    as the reference that the split kernel must match bit for bit."""
+    eps, tiny = sys.float_info.epsilon, math.ulp(0.0)
+    n = len(values)
+    logs = list(map(math.log, values))
+    total = size = 0.0
+    for g in logs:
+        total += g
+        size += abs(g)
+    base, scale = 1.0 + size, (n + 13) * eps
+    above, below = [0.0] * n, [0.0] * n
+    terms, weighted = [], 0.0
+    try:
+        for i, (vi, c) in enumerate(zip(values, exponents)):
+            p, q = above[i], below[i]
+            for j in range(i + 1, n):
+                g = math.log(values[j] - vi)
+                if g < 0.0:
+                    q += g
+                    below[j] += g
+                else:
+                    p += g
+                    above[j] += g
+            t = math.exp(total - logs[i] + c - (p + q))
+            terms.append(t)
+            if t:
+                weighted += t * (base + p - q - c)
+        value = math.fsum(terms[::2]) - math.fsum(terms[1::2])
+    except (ValueError, OverflowError):
+        return math.nan, math.inf
+    error = n * tiny + scale * weighted
+    return min(max(value, 0.0), 1.0), error
+
+
+@contextlib.contextmanager
+def fused_kernel():
+    """Within it, the exact oracles run their own routes on
+    ``fused_partial_fractions``, built afresh on every call and cached
+    nowhere: the answers the split, cached kernel must reproduce."""
+
+    def spec_side(spec):  # (r, values): the values stand in for the rows
+        if isinstance(spec, GeometricSumSpec):
+            p = sorted(spec.params)
+            p = p[: bisect.bisect_left(p, 1.0)]
+            return [math.log1p(-v) for v in p], p
+        a = sorted(spec.rates)
+        return a, a
+
+    def query_side(values, r, s):  # the exponents as the fused kernel's callers formed them
+        exponents = [-a * -s for a in r] if r is values else [s * ri for ri in r]
+        return fused_partial_fractions(values, exponents)
+
+    with mock.patch.object(exact_oracle, "_spec_kernel", spec_side), \
+            mock.patch.object(exact_oracle, "_pf_sum", query_side):
+        yield
 
 
 def matrix_exp_survival(spec, x: float) -> tuple[float, float]:

@@ -1,6 +1,8 @@
+import dataclasses
 import importlib.util
 import math
 import os
+import pickle
 import random
 import sys
 import time
@@ -18,6 +20,7 @@ from conftest import (
     brute_force_pmf,
     brute_force_tail,
     decimal_tail,
+    fused_kernel,
     matrix_exp_survival,
     partial_fractions_survival,
     pgf_geometric,
@@ -25,7 +28,7 @@ from conftest import (
     random_geom_specs,
     reference_pmf_grid,
 )
-from tailbounds import exact_oracle, geom_bounds
+from tailbounds import cli, exact_oracle, geom_bounds
 from tailbounds import (
     DomainError,
     ExponentialSumSpec,
@@ -1181,13 +1184,136 @@ class TestGeomPartialFractions:
 
     @pytest.mark.parametrize("lam", [1.0, 1.1, 2.0, 3.0])
     def test_large_shallow_query_skips_the_kernel(self, lam):
-        # at n = 10^3 the O(n^2) pass would cost more than the cascade
+        # at n = 10^3 the O(n^2) pass would cost more than the cascade, so
+        # neither half of the kernel runs and the spec's rows are never built
         rng = np.random.default_rng(101)
         spec = make_geometric_spec(list(rng.uniform(0.05, 1.0, 1000)))
-        with mock.patch.object(exact_oracle, "_partial_fractions",
-                               side_effect=AssertionError("kernel called")):
+        with mock.patch.object(exact_oracle, "_pf_rows",
+                               side_effect=AssertionError("rows built")), \
+                mock.patch.object(exact_oracle, "_pf_sum",
+                                  side_effect=AssertionError("kernel called")):
             est = geom_tail_exact(spec, lam * spec.mu)
         assert est.method is OracleMethod.CONVOLUTION
+        assert spec._kernel is None
+
+
+def _kernel_cache_specs():
+    """Specs of both kinds, n from 1 to 40, with ties, p = 1 entries and
+    clustered rates, and the n = 10^3 spec of distinct rates."""
+    rng = random.Random(38)
+    specs = []
+    for n in range(1, 41):
+        specs.append(make_geometric_spec([rng.uniform(0.05, 1.0) for _ in range(n)]))
+        specs.append(make_exponential_spec([rng.uniform(0.1, 10.0) for _ in range(n)]))
+    specs += [make_geometric_spec(p) for p in (
+        [0.5, 0.5], [0.3, 0.7, 0.3, 0.45], [1.0], [1.0, 0.4], [1.0, 0.2, 0.9, 1.0, 0.45],
+        [0.2, 0.2, 1.0, 0.6, 0.6], [0.25 * (1.0 + 1e-9 * i) for i in range(6)],
+    )]
+    specs += [make_exponential_spec(a) for a in (
+        [2.0, 2.0, 5.0], [1.0] * 4, [3.0, 3.0 + 1e-9, 7.0],
+        [1.0 + 1e-7 * i for i in range(8)], [0.5, 9.0, 0.5, 4.0, 9.0],
+    )]
+    return specs
+
+
+def _oracle_answers(spec):
+    """(value, error_bound, method), or the error raised, of every oracle that
+    tries the partial-fraction kernel: geom_tail_exact, or hypoexp_survival
+    and exact_tail's lower side, at tails from shallow to deep."""
+    if isinstance(spec, GeometricSumSpec):
+        calls = [(geom_tail_exact, lam) for lam in (1.0, 1.5, 3.0, 20.0, 400.0)]
+    else:
+        lams = (1.5, 3.0) if spec.n > 40 else (0.5, 1.5, 3.0, 20.0)
+        calls = [(oracle, lam) for lam in lams for oracle in
+                 (hypoexp_survival, lambda s, x: exact_tail(s, x, "lower"))]
+    answers = []
+    for oracle, lam in calls:
+        try:
+            est = oracle(spec, lam * spec.mu)
+        except OutOfRange as exc:
+            answers.append(str(exc))
+        else:
+            answers.append((est.value, est.error_bound, est.method))
+    return answers
+
+
+class TestSpecKernelCache:
+    """The partial-fraction kernel's O(n^2) half is built once per spec and
+    cached on it; every answer stays what one fused pass gives."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        specs = _kernel_cache_specs()
+        specs.append(make_exponential_spec(_RANDOM_1E3))
+        with fused_kernel():
+            fused = [_oracle_answers(dataclasses.replace(spec)) for spec in specs]
+        return list(zip(specs, fused))
+
+    def test_answers_match_the_fused_kernel_cold_warm_and_fresh(self, cases):
+        methods = set()
+        for spec, fused in cases:
+            assert _oracle_answers(spec) == fused  # first calls: cold, then filling
+            assert spec._kernel is not None
+            assert _oracle_answers(spec) == fused  # every call warm
+            assert _oracle_answers(dataclasses.replace(spec)) == fused  # a fresh equal spec
+            methods.update(a[2] for a in fused if isinstance(a, tuple))
+        assert {OracleMethod.PARTIAL_FRACTIONS, OracleMethod.CONVOLUTION,
+                OracleMethod.MATRIX_EXP} <= methods
+
+    def test_the_cache_cannot_be_seen(self):
+        for spec, lam in ((make_geometric_spec([0.3, 0.5, 0.7]), 3.0),  # partial fractions
+                          (make_geometric_spec([0.5, 0.5]), 3.0),  # the cascade
+                          (make_exponential_spec([1.0, 2.0, 3.0]), 1.5),
+                          (make_exponential_spec([2.0, 2.0]), 1.5)):  # the matrix route
+            equal = dataclasses.replace(spec)
+            pickled = pickle.dumps(spec)
+
+            def seen():
+                copy = pickle.loads(pickle.dumps(spec))
+                return (spec == equal, hash(spec), repr(spec), dataclasses.fields(spec),
+                        pickle.dumps(spec), copy == spec, repr(copy), copy._kernel)
+
+            before = seen()
+            exact_tail(spec, lam * spec.mu)
+            assert spec._kernel is not None
+            assert seen() == before
+            assert pickle.dumps(spec) == pickled
+            assert dataclasses.replace(spec)._kernel is None  # a cold copy
+            assert "_kernel" not in repr(spec)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([0.5, 0.5], id="tied-p"),
+        pytest.param([2.0, 2.0, 5.0], id="tied-rates"),
+        pytest.param([1.0] * 4, id="erlang"),
+        pytest.param([1.0 + 1e-7 * i for i in range(8)], id="clustered"),
+    ])
+    def test_a_repeat_call_builds_no_rows(self, values):
+        # the pass that a tie or a cluster discards before the matrix route
+        # or the cascade runs once per spec; a later call costs O(n)
+        make = make_geometric_spec if values == [0.5, 0.5] else make_exponential_spec
+        spec = make(values)
+        with mock.patch.object(exact_oracle, "_pf_rows", wraps=exact_oracle._pf_rows) as rows:
+            first = exact_tail(spec, 3.0 * spec.mu)
+            assert rows.call_count == 1
+            assert exact_tail(spec, 3.0 * spec.mu) == first
+            exact_tail(spec, 5.0 * spec.mu)
+        assert rows.call_count == 1
+        assert first.method is not OracleMethod.PARTIAL_FRACTIONS
+
+    @pytest.mark.parametrize("argv, specs", [
+        pytest.param(["sweep", "--dist", "exp", "--a", "1,2,3", "--lambda-from", "1",
+                      "--lambda-to", "3", "--steps", "5", "--samples", "1000"], 1, id="sweep-exp"),
+        pytest.param(["sweep", "--dist", "geom", "--p", "0.3,0.5,0.7", "--lambda-from", "1",
+                      "--lambda-to", "3", "--steps", "5", "--samples", "1000"], 1, id="sweep-geom"),
+        # p = [0.5, 0.5] and 3 random specs of each suite
+        pytest.param(["verify", "--trials", "3"], 7, id="verify"),
+    ])
+    def test_the_cli_builds_each_specs_rows_once(self, capsys, argv, specs):
+        with mock.patch.object(exact_oracle, "_pf_rows", wraps=exact_oracle._pf_rows) as rows:
+            assert cli.main(argv) == 0
+        built = [tuple(call.args[0]) for call in rows.call_args_list]
+        assert len(built) == specs
+        assert len(set(built)) == specs
 
 
 class TestTailEstimateValidation:

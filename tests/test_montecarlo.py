@@ -199,9 +199,10 @@ class TestBlockSampler:
         for start in (0, 65, 1001):
             self.assert_matches(big, 14, start, 131)
 
-    @pytest.mark.parametrize("n", [9, 12, 15])
+    @pytest.mark.parametrize("n", [9, 12, 15, 16, 22])
     def test_tree_and_remainder(self, n):
-        # 8 < n < 16: the pairwise tree of the first 8 summands, then the rest
+        # 8 < n <= 22, summed by column adds: the pairwise tree of 8 partial
+        # sums over the first 8 or 16 summands, then the rest
         rng = random.Random(n)
         p = [10.0 ** rng.uniform(-6.0, 0.0) for _ in range(n)]
         self.assert_matches(make_geometric_spec(p), n, 17, 5000)
