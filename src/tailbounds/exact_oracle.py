@@ -405,12 +405,6 @@ def _pf_sum(rows: list[tuple[float, float, float]] | None, r: list[float],
     return min(max(value, 0.0), 1.0), error
 
 
-def _partial_fractions(values: list[float], exponents: list[float]) -> tuple[float, float]:
-    """sum_i w_i e^(c_i) over ascending values: ``_pf_sum`` of ``_pf_rows``
-    (each c_i times 1.0, which is c_i)."""
-    return _pf_sum(_pf_rows(values), exponents, 1.0)
-
-
 def _spec_kernel(spec: GeometricSumSpec | ExponentialSumSpec
                  ) -> tuple[list[float], list[tuple[float, float, float]] | None]:
     """(r, rows): the spec's side of the partial-fraction kernel, built on first

@@ -7,7 +7,7 @@ compensated summation. A geometric spec's sorted float64 ``param_array`` is
 built with numpy on its first use and cached, so building a spec, like
 importing the package, loads only the standard library. Each spec also
 caches, on first use, the exact oracle's partial-fraction rows
-(``_kernel``). No cache takes part in ==, hash, repr or the pickled state.
+(``_kernel``). No cache takes part in ==, hash or repr.
 
 Every public entry point first checks its query against the paper's
 domains with the five validators here: ``require_upper`` (finite lam >= 1,
@@ -25,7 +25,7 @@ import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -286,14 +286,6 @@ def _set_params(spec, names: tuple[str, str, str], what: str, top: float,
         object.__setattr__(spec, name, value)
 
 
-def _cold_state(spec) -> dict:
-    """A spec's state for pickle and ``copy``: its fields, with every cache
-    (a field that takes no part in ==) reset to None, so that a spec pickles
-    to the same bytes whether or not a cache was filled, and a copy starts
-    cold, as one from ``dataclasses.replace`` does."""
-    return {f.name: getattr(spec, f.name) if f.compare else None for f in fields(spec)}
-
-
 @dataclass(frozen=True)
 class GeometricSumSpec:
     """Parameters of a sum of independent geometric variables on {1, 2, ...}.
@@ -304,11 +296,11 @@ class GeometricSumSpec:
     ``params`` keeps the caller's order, which the Monte Carlo stream reads
     (draw j of a sample belongs to summand j).
 
-    Two caches, filled on first use, take no part in ==, hash, repr or the
-    pickled state: ``_array`` behind ``param_array``, and ``_kernel``, which
-    only ``exact_oracle`` reads and writes (``exact_oracle._spec_kernel``):
-    the ln q_i of the sorted p_i < 1 and the partial-fraction rows of those
-    p_i, built in O(n^2) once so that each later query on the spec costs O(n).
+    Two caches, filled on first use, take no part in ==, hash or repr:
+    ``_array`` behind ``param_array``, and ``_kernel``, which only
+    ``exact_oracle._spec_sum`` reads and writes: the ln q_i of the sorted
+    p_i < 1 and the partial-fraction rows of those p_i, built in O(n^2) once
+    so that each later query on the spec costs O(n).
     """
 
     params: tuple[float, ...]
@@ -317,8 +309,6 @@ class GeometricSumSpec:
     sigma2: float = field(init=False)
     _array: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     _kernel: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    __getstate__ = _cold_state
 
     def __post_init__(self) -> None:
         _set_params(self, ("params", "mu", "p_min"),
@@ -362,17 +352,14 @@ class ExponentialSumSpec:
 
     ``_kernel`` caches, on first use, the sorted rates and their
     partial-fraction rows, built in O(n^2) once so that each later query on
-    the spec costs O(n). Only ``exact_oracle`` reads and writes it
-    (``exact_oracle._spec_kernel``); it takes no part in ==, hash, repr or
-    the pickled state.
+    the spec costs O(n). Only ``exact_oracle._spec_sum`` reads and writes
+    it; it takes no part in ==, hash or repr.
     """
 
     rates: tuple[float, ...]
     mu: float = field(init=False)
     a_min: float = field(init=False)
     _kernel: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    __getstate__ = _cold_state
 
     def __post_init__(self) -> None:
         _set_params(self, ("rates", "mu", "a_min"),

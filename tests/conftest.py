@@ -210,8 +210,15 @@ def decimal_closed_form_log(method: str, spec, lam: float) -> Decimal:
 def partial_fractions_survival(spec, x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) and its error bound from the package's
     partial-fraction kernel alone, with the exponents -a_i x."""
-    a = sorted(spec.rates)
-    return exact_oracle._partial_fractions(a, [-ai * x for ai in a])
+    a, rows = exact_oracle._spec_kernel(spec)
+    return exact_oracle._pf_sum(rows, a, -x)
+
+
+def partial_fractions(values: list[float], exponents: list[float]) -> tuple[float, float]:
+    """sum_i w_i e^(c_i) over ascending values, from the package's kernel with
+    any exponents c_i <= 0: the query half over the values' rows, r_i = c_i
+    and s = 1."""
+    return exact_oracle._pf_sum(exact_oracle._pf_rows(values), exponents, 1.0)
 
 
 def fused_partial_fractions(values: list[float], exponents: list[float]) -> tuple[float, float]:
