@@ -14,7 +14,11 @@ with numpy over the spec's cached parameter array, or on Python floats for
 a spec of up to _LIST_MAX_N summands while numpy is not imported, to the
 same bits either way; numpy is imported only there, so the closed forms,
 and the optimized bounds of small specs, run without it. Every bound is
-computed in log space and returned as a BoundResult.
+computed in log space and returned as a BoundResult. The candidates of
+methods.best_upper also have float cores (thm1_log, thm2_log, cor1_log,
+cor2_log and opt_lemma1_log), which return (log bound, internal parameter,
+evaluations) for a validated query; each public bound wraps its core, so
+best_upper can compare the candidates as floats and build one result.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .model import (
     Method,
     as_double,
     bound_result,
+    log1pmx,
+    log1pmx_array,
     pairwise_sum,
     psi,
     require_lower,
@@ -38,18 +44,35 @@ from .model import (
 )
 
 
+def thm1_log(spec: GeometricSumSpec, lam: float) -> tuple[float, float, None]:
+    """upper_tail_thm1's (log bound, t, evaluations) at a validated lam."""
+    return -spec.p_min * spec.mu * psi(lam), (1.0 - 1.0 / lam) * spec.p_min, None
+
+
 def upper_tail_thm1(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """Closed-form Chernoff bound P(X >= lam*mu) <= exp(-p_min*mu*(lam-1-ln lam))."""
     require_upper(lam, spec.mu)
-    log_bound = -spec.p_min * spec.mu * psi(lam)
-    t = (1.0 - 1.0 / lam) * spec.p_min
-    return bound_result(Method.THM1, lam, log_bound, internal_param=t)
+    return bound_result(Method.THM1, lam, *thm1_log(spec, lam))
+
+
+def cor1_log(lam: float) -> tuple[float, None, None]:
+    """upper_tail_cor1's (log bound, parameter, evaluations) at a validated lam."""
+    return -psi(lam), None, None
 
 
 def upper_tail_cor1(lam: float) -> BoundResult:
     """Parameter-free bound P(X >= lam*mu) <= lam * e^(1-lam)."""
     require_upper(lam)
-    return bound_result(Method.COR1, lam, -psi(lam))
+    return bound_result(Method.COR1, lam, *cor1_log(lam))
+
+
+def thm2_log(spec: GeometricSumSpec, lam: float) -> tuple[float, None, None]:
+    """upper_tail_thm2's (log bound, parameter, evaluations) at a validated lam."""
+    if lam == 1.0:
+        return 0.0, None, None
+    if spec.p_min == 1.0:  # math.log1p(-1.0) raises, not -inf
+        return -math.inf, None, None
+    return -math.log(lam) + psi(lam) * spec.mu * math.log1p(-spec.p_min), None, None
 
 
 def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -60,19 +83,18 @@ def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
     of p_min (the 0 * log(0) product is taken as 0, by continuity in lam).
     """
     require_upper(lam, spec.mu)
-    if lam == 1.0:
-        log_bound = 0.0
-    elif spec.p_min == 1.0:  # math.log1p(-1.0) raises, not -inf
-        log_bound = -math.inf
-    else:
-        log_bound = -math.log(lam) + psi(lam) * spec.mu * math.log1p(-spec.p_min)
-    return bound_result(Method.THM2, lam, log_bound)
+    return bound_result(Method.THM2, lam, *thm2_log(spec, lam))
+
+
+def cor2_log(lam: float) -> tuple[float, None, None]:
+    """upper_tail_cor2's (log bound, parameter, evaluations) at a validated lam."""
+    return 1.0 - lam, None, None
 
 
 def upper_tail_cor2(lam: float) -> BoundResult:
     """Parameter-free bound P(X >= lam*mu) <= e^(1-lam)."""
     require_upper(lam)
-    return bound_result(Method.COR2, lam, 1.0 - lam)
+    return bound_result(Method.COR2, lam, *cor2_log(lam))
 
 
 def lower_tail_tl1(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -143,23 +165,29 @@ def _lemma1_terms(spec: GeometricSumSpec):
     return others, 1.0 - others
 
 
-def _log_gap_sum(a, b, s: float) -> float:
+def _log_gap_sum(a, b, s: float, less_ratios: bool = False) -> float:
     """sum_i ln(1 - b_i s / a_i) over a list or a numpy array a, with b a float
-    or a sequence of a's kind. Up to _LIST_MAX_N terms the logs are math.log1p's
-    and add with math.fsum for either kind: numpy's log1p can differ from the C
-    library's in the last bit (its AVX-512 build does for about 3% of inputs).
-    So small specs leave numpy's log1p cold for the next large one: in the
-    interleaved mix of ``bench/run.py --workload deep``, best_upper at
-    n = 10^3 took 83 us against 74 us when small arrays used numpy's logs."""
+    or a sequence of a's kind; with less_ratios, the same sum less
+    sum_i -b_i s / a_i, taken termwise from model.log1pmx so that nothing
+    cancels where the ratios are small. Up to _LIST_MAX_N terms the logs are
+    math.log1p's and add with math.fsum for either kind: numpy's log1p can
+    differ from the C library's in the last bit (its AVX-512 build does for
+    about 3% of inputs). So small specs leave numpy's log1p cold for the
+    next large one: in the interleaved mix of ``bench/run.py --workload
+    deep``, best_upper at n = 10^3 took 83 us against 74 us when small
+    arrays used numpy's logs."""
     if isinstance(a, list):
         ratios = [-bi * s / ai for ai, bi in zip(a, repeat(b) if isinstance(b, float) else b)]
     elif len(a) <= _LIST_MAX_N:
         ratios = (-b * s / a).tolist()
+    elif less_ratios:
+        return float(log1pmx_array(-b * s / a).sum())
     else:
         import numpy as np
 
         return float(np.log1p(-b * s / a).sum())
-    return math.fsum([math.log1p(v) for v in ratios])
+    log = log1pmx if less_ratios else math.log1p
+    return math.fsum([log(v) for v in ratios])
 
 
 def _lemma1_log(others, complements, n: int, x: float, w: float) -> float:
@@ -244,7 +272,11 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
 
     The exponent -t lam mu - sum ln(1 - t/p_i) is convex in t, and its
     minimizer is where sum 1/(p_i - t) = lam mu. Never worse than
-    upper_tail_thm1, whose t is one point of the same domain.
+    upper_tail_thm1, whose t is one point of the same domain. With
+    mu = sum 1/p_i it is evaluated as -t (lam - 1) mu - sum log1pmx(-t/p_i),
+    whose two parts have opposite signs at the optimum but do not cancel,
+    so the log stays accurate to a few ulps relative near lam = 1, where
+    both terms of the first form approach t lam mu.
     """
     require_upper(lam, spec.mu)
     target = lam * spec.mu
@@ -258,10 +290,29 @@ def optimized_chernoff(spec: GeometricSumSpec, lam: float) -> BoundResult:
     lo = min((1.0 - 1.0 / lam) * p_min, below_pole)
     hi = lo if lam == 1.0 else max(lo, min(p_min - 1.0 / target, below_pole))
     t, evaluations = _reciprocal_root(p, 1.0, p_min, lam * (spec.mu * p_min), lo, hi)
-    log_bound = -t * target - _log_gap_sum(p, 1.0, t)
+    log_bound = -t * spec.mu * (lam - 1.0) - _log_gap_sum(p, 1.0, t, less_ratios=True)
     return bound_result(
         Method.OPT_CHERNOFF, lam, log_bound, internal_param=t, evaluations=evaluations
     )
+
+
+def opt_lemma1_log(spec: GeometricSumSpec, x: float) -> tuple[float, float | None, int]:
+    """optimized_lemma1's (log bound, w, evaluations) at a validated x."""
+    if x <= spec.n:
+        return 0.0, 0.0, 0
+    p_min = spec.p_min
+    if p_min == 1.0:
+        return -math.inf, None, 0
+
+    others, complements = _lemma1_terms(spec)
+    q_min = 1.0 - p_min
+    w_max = p_min / q_min
+    while not p_min - q_min * w_max > 0.0:
+        w_max = math.nextafter(w_max, 0.0)
+    w, evaluations = _reciprocal_root(
+        others, complements, p_min, (x - 1.0) * p_min, 0.0, w_max
+    )
+    return _lemma1_log(others, complements, spec.n, x, w), w, evaluations
 
 
 def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
@@ -277,25 +328,4 @@ def optimized_lemma1(spec: GeometricSumSpec, x: float) -> BoundResult:
     domain is unbounded and the infimum is 0 for x > n.
     """
     require_threshold(x)
-    lam = x / spec.mu
-    if x <= spec.n:
-        return bound_result(Method.OPT_LEMMA1, lam, 0.0, internal_param=0.0, evaluations=0)
-    p_min = spec.p_min
-    if p_min == 1.0:
-        return bound_result(Method.OPT_LEMMA1, lam, -math.inf, evaluations=0)
-
-    others, complements = _lemma1_terms(spec)
-    q_min = 1.0 - p_min
-    w_max = p_min / q_min
-    while not p_min - q_min * w_max > 0.0:
-        w_max = math.nextafter(w_max, 0.0)
-    w, evaluations = _reciprocal_root(
-        others, complements, p_min, (x - 1.0) * p_min, 0.0, w_max
-    )
-    return bound_result(
-        Method.OPT_LEMMA1,
-        lam,
-        _lemma1_log(others, complements, spec.n, x, w),
-        internal_param=w,
-        evaluations=evaluations,
-    )
+    return bound_result(Method.OPT_LEMMA1, x / spec.mu, *opt_lemma1_log(spec, x))

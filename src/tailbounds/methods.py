@@ -7,7 +7,6 @@ this table, so adding a bound or an ordering between bounds is one row here.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Callable
@@ -19,6 +18,7 @@ from .model import (
     GeometricSumSpec,
     Method,
     TailQuery,
+    bound_result,
     make_tail_query,
     require_upper,
 )
@@ -83,13 +83,23 @@ def rows(dist: str, *sides: Side) -> tuple[MethodRow, ...]:
     return tuple(row for row in METHODS if row.dist == dist and row.side in sides)
 
 
+# Each candidate's float core, (log bound, internal parameter, evaluations),
+# which its row's bound function wraps in a BoundResult.
+_CORES = {
+    Method.THM1: lambda s, q: geom_bounds.thm1_log(s, q.lam),
+    Method.THM2: lambda s, q: geom_bounds.thm2_log(s, q.lam),
+    Method.COR1: lambda s, q: geom_bounds.cor1_log(q.lam),
+    Method.COR2: lambda s, q: geom_bounds.cor2_log(q.lam),
+    Method.OPT_LEMMA1: lambda s, q: geom_bounds.opt_lemma1_log(s, q.x),
+}
+
 # best_upper's candidates: the geometric upper rows less those opt-lemma1 never
 # exceeds (opt-chernoff, whose root solve then cannot decide the minimum). The
 # closed forms all stay: their orderings hold in exact arithmetic only, and in
 # floating point thm1 or cor1 can round below thm2 (at lambda = 1e20 with a
 # p_min far below 1e-30, by 2 ulps), or tie it exactly as an earlier row.
 _BEST_CANDIDATES = tuple(
-    row for row in rows("geom", Side.UPPER)
+    (row.method, _CORES[row.method]) for row in rows("geom", Side.UPPER)
     if row.method not in BY_NAME[Method.OPT_LEMMA1.value].never_exceeds
 )
 
@@ -98,13 +108,24 @@ def best_upper(spec: GeometricSumSpec, lam: float) -> BoundResult:
     """The smallest geometric upper-tail bound, reported under the winning method
     with the evaluations of every root solve behind the choice.
 
-    Ties go to the earlier row of the table. The rows opt-lemma1 never exceeds
-    (opt-chernoff) are skipped, so ``evaluations`` counts opt-lemma1's solve
-    alone.
+    The candidates are compared as floats, each log clamped at 0 as its
+    BoundResult would store it, and only the winner becomes a BoundResult,
+    with its own lam (x/mu for opt-lemma1, which reads the threshold).
+    Ties go to the earlier row of the table. The rows opt-lemma1 never
+    exceeds (opt-chernoff) are skipped, so ``evaluations`` counts
+    opt-lemma1's solve alone.
     """
     require_upper(lam)
     query = make_tail_query(spec.mu, lam=lam)
-    candidates = [row.evaluate(spec, query) for row in _BEST_CANDIDATES]
-    best = min(candidates, key=lambda r: r.log_value)
-    evaluations = sum(r.evaluations for r in candidates if r.evaluations is not None)
-    return dataclasses.replace(best, evaluations=evaluations)
+    best = None
+    evaluations = 0
+    for method, core in _BEST_CANDIDATES:
+        log_bound, param, count = core(spec, query)
+        if count is not None:
+            evaluations += count
+        clamped = min(log_bound, 0.0)
+        if best is None or clamped < best[0]:
+            best = (clamped, method, log_bound, param)
+    _, method, log_bound, param = best
+    lam = query.x / spec.mu if method is Method.OPT_LEMMA1 else query.lam
+    return bound_result(method, lam, log_bound, param, evaluations)

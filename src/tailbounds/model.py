@@ -200,6 +200,22 @@ def log1pmx(x: float) -> float:
     """
     if not -0.25 < x < 0.25:
         return math.log1p(x) - x
+    return _log1pmx_series(x)
+
+
+def log1pmx_array(x):
+    """log1pmx elementwise over a numpy array x > -1: the same series, to the
+    same bits, where |x| < 0.25, and numpy's log1p(x) - x elsewhere."""
+    import numpy as np
+
+    out = np.log1p(x) - x
+    small = np.abs(x) < 0.25
+    out[small] = _log1pmx_series(x[small])
+    return out
+
+
+def _log1pmx_series(x):
+    """log1pmx's series, for a float or elementwise over a numpy array."""
     d = 2.0 + x
     y = x / d
     y2 = y * y
@@ -298,7 +314,7 @@ class GeometricSumSpec:
 
     Two caches, filled on first use, take no part in ==, hash or repr:
     ``_array`` behind ``param_array``, and ``_kernel``, which only
-    ``exact_oracle._spec_sum`` reads and writes: the ln q_i of the sorted
+    ``exact_oracle._spec_kernel`` reads and writes: the ln q_i of the sorted
     p_i < 1 and the partial-fraction rows of those p_i, built in O(n^2) once
     so that each later query on the spec costs O(n).
     """
@@ -352,7 +368,7 @@ class ExponentialSumSpec:
 
     ``_kernel`` caches, on first use, the sorted rates and their
     partial-fraction rows, built in O(n^2) once so that each later query on
-    the spec costs O(n). Only ``exact_oracle._spec_sum`` reads and writes
+    the spec costs O(n). Only ``exact_oracle._spec_kernel`` reads and writes
     it; it takes no part in ==, hash or repr.
     """
 

@@ -207,6 +207,17 @@ def decimal_closed_form_log(method: str, spec, lam: float) -> Decimal:
         return log_bound - ln_lam if method == "texp-i" else log_bound
 
 
+def decimal_chernoff_log(spec, lam: float, t: float) -> Decimal:
+    """optimized_chernoff's exponent -t lam mu - sum ln(1 - t/p_i) at a given t,
+    in 60-digit decimal on the exact values of the doubles lam, t and p_i,
+    with the exact mu = sum 1/p_i."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam_d, t_d = Decimal(lam), Decimal(t)
+        return sum(-t_d * lam_d / Decimal(p) - (1 - t_d / Decimal(p)).ln()
+                   for p in spec.params)
+
+
 def partial_fractions_survival(spec, x: float) -> tuple[float, float]:
     """Hypoexponential P(X > x) and its error bound from the package's
     partial-fraction kernel alone, with the exponents -a_i x."""

@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     OPTIMIZER_LAMS,
+    decimal_chernoff_log,
     lemma_la_check,
     optimizer_corpus,
     random_geom_specs,
@@ -236,6 +238,24 @@ class TestOptimizedChernoff:
         spec = make_geometric_spec(p)
         t = optimized_chernoff(spec, lam).internal_param
         assert 0.0 <= t < spec.p_min
+
+    def test_log_near_one_against_decimal(self):
+        # near lam = 1 both terms of -t lam mu - sum ln(1 - t/p_i) approach
+        # t lam mu and cancel; at the package's own t the log must hold 1e-14
+        # relative, on lists of up to _LIST_MAX_N summands and on longer arrays
+        rng = random.Random(39)
+        cases = [([0.3, 0.7, 0.05], 1.0001)]
+        for _ in range(600):
+            p = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(1, 30))]
+            cases.append((p, 1.0 + 10.0 ** rng.uniform(-8.0, 0.0)))
+        for p, lam in cases:
+            spec = make_geometric_spec(p)
+            r = optimized_chernoff(spec, lam)
+            expected = decimal_chernoff_log(spec, lam, r.internal_param)
+            assert abs(Decimal(r.log_value) - expected) <= Decimal(1e-14) * abs(expected), (
+                p[:3], len(p), lam)
+        example = optimized_chernoff(make_geometric_spec([0.3, 0.7, 0.05]), 1.0001)
+        assert example.log_value == pytest.approx(-7.41984020093832e-09, rel=1e-14)
 
 
 class TestOptimizedLemma1:

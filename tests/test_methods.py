@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 import random
 
@@ -23,7 +24,8 @@ def _method_choices() -> list[str]:
 def _bits(r) -> tuple:
     """A bound result's reported fields, with every float as its exact bits."""
     param = None if r.internal_param is None else float(r.internal_param).hex()
-    return r.log_value.hex(), r.value.hex(), r.method, param, r.clamped
+    return (r.log_value.hex(), r.value.hex(), r.method, param, r.clamped,
+            r.evaluations, float(r.lam).hex())
 
 
 def _extreme_corpus():
@@ -63,10 +65,12 @@ class TestTable:
                 assert by_method[other].side is row.side
 
     def test_best_upper_is_the_table_minimum(self):
-        # skipping the rows opt-lemma1 never exceeds must not change any
-        # answer, nor which of two tied rows reports it; on bench-style specs,
-        # and where the closed forms meet in floating point (lambda = 1e20 and
-        # 1e200 with a tiny p_min, and p = 1 summands at lambda = 1)
+        # skipping the rows opt-lemma1 never exceeds, and comparing logs before
+        # building one result, must not change any field of the table's
+        # minimum with opt-lemma1's evaluations, nor which of two tied rows
+        # reports it; on bench-style specs, and where the closed forms meet
+        # in floating point (lambda = 1e20 and 1e200 with a tiny p_min, and
+        # p = 1 summands at lambda = 1)
         assert tailbounds.best_upper is methods.best_upper
         rng = random.Random(8)
         bench = [[rng.uniform(0.05, 1.0) for _ in range(8)] for _ in range(40)]
@@ -84,8 +88,10 @@ class TestTable:
                 if not math.isfinite(lam * spec.mu):
                     continue
                 q = tailbounds.make_tail_query(spec.mu, lam=lam)
-                every = min((row.evaluate(spec, q) for row in table),
-                            key=lambda r: r.log_value)  # min keeps the first of equals
+                results = [row.evaluate(spec, q) for row in table]
+                every = min(results, key=lambda r: r.log_value)  # keeps the first of equals
+                lemma1 = next(r for r in results if r.method is Method.OPT_LEMMA1)
+                every = dataclasses.replace(every, evaluations=lemma1.evaluations)
                 best = methods.best_upper(spec, lam)
                 assert _bits(best) == _bits(every), (p[:3], len(p), lam)
                 checked.add(best.method)

@@ -29,7 +29,7 @@ from tailbounds import (
     read_params_file,
 )
 from tailbounds.methods import BY_NAME, Side
-from tailbounds.model import log1pmx, pairwise_sum, psi
+from tailbounds.model import log1pmx, log1pmx_array, pairwise_sum, psi
 
 probs = st.lists(
     st.floats(min_value=0.05, max_value=1.0, allow_nan=False), min_size=1, max_size=8
@@ -388,9 +388,12 @@ class TestRate:
     def test_log1pmx_against_decimal(self):
         xs = [s * 10.0**u for s in (1.0, -1.0) for u in np.linspace(-16.0, -0.05, 400)]
         xs += [0.249, 0.25, -0.25, -0.251, 3.0, 1e10, 1e300, -1.0 + 2.0**-52]
-        for x in xs:
+        # the array form takes the same series, to the same bits, where |x| < 0.25
+        for x, y in zip(xs, log1pmx_array(np.array(xs)).tolist()):
             expected = self.decimal_log1pmx(x)
             assert abs(Decimal(log1pmx(x)) - expected) <= 4 * self.EPS * abs(expected), x
+            assert abs(Decimal(y) - expected) <= 4 * self.EPS * abs(expected), x
+            assert y == log1pmx(x) or abs(x) >= 0.25, x
 
     def test_psi_against_decimal(self):
         lams = [1.0 + s * 10.0**u for s in (1.0, -1.0) for u in np.linspace(-15.0, -0.05, 400)]
