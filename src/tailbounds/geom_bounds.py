@@ -69,10 +69,12 @@ def upper_tail_cor1(lam: float) -> BoundResult:
 def thm2_log(spec: GeometricSumSpec, lam: float) -> tuple[float, None, None]:
     """upper_tail_thm2's (log bound, parameter, evaluations) at a validated lam."""
     if lam == 1.0:
-        return 0.0, None, None
-    if spec.p_min == 1.0:  # math.log1p(-1.0) raises, not -inf
-        return -math.inf, None, None
-    return -math.log(lam) + psi(lam) * spec.mu * math.log1p(-spec.p_min), None, None
+        log_bound = 0.0
+    elif spec.p_min == 1.0:  # math.log1p(-1.0) raises, not -inf
+        log_bound = -math.inf
+    else:
+        log_bound = -math.log(lam) + psi(lam) * spec.mu * math.log1p(-spec.p_min)
+    return log_bound, None, None
 
 
 def upper_tail_thm2(spec: GeometricSumSpec, lam: float) -> BoundResult:
@@ -168,14 +170,17 @@ def _lemma1_terms(spec: GeometricSumSpec):
 def _log_gap_sum(a, b, s: float, less_ratios: bool = False) -> float:
     """sum_i ln(1 - b_i s / a_i) over a list or a numpy array a, with b a float
     or a sequence of a's kind; with less_ratios, the same sum less
-    sum_i -b_i s / a_i, taken termwise from model.log1pmx so that nothing
-    cancels where the ratios are small. Up to _LIST_MAX_N terms the logs are
-    math.log1p's and add with math.fsum for either kind: numpy's log1p can
-    differ from the C library's in the last bit (its AVX-512 build does for
-    about 3% of inputs). So small specs leave numpy's log1p cold for the
-    next large one: in the interleaved mix of ``bench/run.py --workload
-    deep``, best_upper at n = 10^3 took 83 us against 74 us when small
-    arrays used numpy's logs."""
+    sum_i -b_i s / a_i, taken termwise as model.log1pmx(-b_i s / a_i) so that
+    nothing cancels where the ratios are small.
+
+    Up to _LIST_MAX_N terms the logs come from math.log1p (inside log1pmx
+    with less_ratios) and add with math.fsum for either kind; longer arrays
+    take numpy's log1p (inside model.log1pmx_array with less_ratios). numpy's
+    log1p can differ from the C library's in the last bit (its AVX-512 build
+    does for about 3% of inputs). So small specs leave numpy's log1p cold for
+    the next large one: in the interleaved mix of ``bench/run.py --workload
+    deep``, best_upper at n = 10^3 took 83 us against 74 us when small arrays
+    used numpy's logs."""
     if isinstance(a, list):
         ratios = [-bi * s / ai for ai, bi in zip(a, repeat(b) if isinstance(b, float) else b)]
     elif len(a) <= _LIST_MAX_N:
