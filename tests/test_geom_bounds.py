@@ -242,7 +242,7 @@ class TestOptimizedChernoff:
     def test_log_near_one_against_decimal(self):
         # near lam = 1 both terms of -t lam mu - sum ln(1 - t/p_i) approach
         # t lam mu and cancel; at the package's own t the log must hold 1e-14
-        # relative, on lists of up to _LIST_MAX_N summands and on longer arrays
+        # relative, through math up to _LIST_MAX_N summands and log1pmx_array past it
         rng = random.Random(39)
         cases = [([0.3, 0.7, 0.05], 1.0001)]
         for _ in range(600):
